@@ -24,4 +24,4 @@ __all__ = [
     "joint_invariants",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Optional
 
-from .invariants import (InvariantReport, auxiliary_invariants,
-                         covariant_sign_classes, fundamental_invariants,
-                         invariant_report, slice_invariant_i2)
+from .invariants import InvariantReport, invariant_report, slice_invariant_i2
+from .poly import compile_table
 from .signs import SignClass
 from .spaces import (DomainError, KTParams, NontrivialKT, Space, decompose,
-                     eigen_discriminant, embed_nontrivial)
+                     embed_nontrivial, field_discriminant,
+                     symbolic_killing_tensor)
 
 EUCLIDEAN_TAGS = ("Cartesian", "Polar", "Parabolic", "EllipticHyperbolic")
 
@@ -87,15 +90,32 @@ def _classify_euclidean_by_covariants(s1: SignClass, s2: SignClass) -> str:
         "tabulated row")
 
 
-def classify_euclidean(nt: NontrivialKT) -> WebClass:
-    if nt.space.kind != "euclidean":
-        raise DomainError("classify_euclidean expects a Euclidean input")
+def _checked_input(nt: NontrivialKT, kind: str) -> KTParams:
+    if nt.space.kind != kind:
+        raise DomainError(f"classify_{kind} expects a {kind.capitalize()} input")
     if nt.is_zero():
         raise DomainError("cannot classify the zero tensor")
-    p = embed_nontrivial(nt)
-    i1, _, i3 = fundamental_invariants(p)
-    by_inv = _classify_euclidean_by_invariants(i1, i3)
-    by_cov = _classify_euclidean_by_covariants(*covariant_sign_classes(p))
+    return embed_nontrivial(nt)
+
+
+def classify_euclidean(nt: NontrivialKT) -> WebClass:
+    return _euclidean_web(invariant_report(_checked_input(nt, "euclidean")))
+
+
+def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
+    """Table-based decision tree; returns the class and any caveats."""
+    p = _checked_input(nt, "minkowski")
+    return _minkowski_web(p, invariant_report(p))
+
+
+# The decision procedures read I1, I3 and the covariant sign classes from a
+# report on the input.  None of these changes when a metric multiple is
+# added, and I1, C1, C2 are even in the parameters, so one report on the
+# full input serves the nontrivial part and its negation too.
+
+def _euclidean_web(inv: InvariantReport) -> WebClass:
+    by_inv = _classify_euclidean_by_invariants(inv.i1, inv.i3)
+    by_cov = _classify_euclidean_by_covariants(inv.sign_c1, inv.sign_c2)
     if by_inv != by_cov:
         raise DomainError(
             f"invariant table ({by_inv}) and covariant table ({by_cov}) "
@@ -103,20 +123,15 @@ def classify_euclidean(nt: NontrivialKT) -> WebClass:
     return WebClass(by_inv)
 
 
-def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
-    """Table-based decision tree; returns the class and any caveats."""
-    if nt.space.kind != "minkowski":
-        raise DomainError("classify_minkowski expects a Minkowski input")
-    if nt.is_zero():
-        raise DomainError("cannot classify the zero tensor")
-    p = embed_nontrivial(nt)
+def _minkowski_web(p: KTParams, inv: InvariantReport
+                   ) -> tuple[WebClass, tuple[str, ...]]:
     caveats: list[str] = []
-    i1, _, i3 = fundamental_invariants(p)
+    i1, i3, s2 = inv.i1, inv.i3, inv.sign_c2
     if i3 < 0:
         # K and -K generate the same web; fix the overall sign so that the
         # tabulated sign predicates read off a normalized representative.
         p = p.scale(Fraction(-1))
-        i1, _, i3 = fundamental_invariants(p)
+        i3 = -i3
         caveats.append("parameters negated to normalize I3 > 0")
 
     if i3 == 0:
@@ -126,7 +141,6 @@ def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
         i2p = slice_invariant_i2(p)
         return WebClass("EC1" if i2p == 0 else "EC3"), tuple(caveats)
 
-    s1, s2 = covariant_sign_classes(p)
     if i1 == 0:
         if s2 == SignClass.ZERO:
             return WebClass("EC2"), tuple(caveats)
@@ -145,10 +159,10 @@ def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
             f"sign pattern (I1>0, C2={s2.value}) matches no tabulated row")
     # I1 < 0: the tables separate EC6 from EC8 via an auxiliary quantity
     # that depends on external data (the canonical scale); the literal
-    # reading is a function of I1 and I3 alone and cannot separate general
+    # reading (auxiliary_invariants' istar_literal of the normalized input)
+    # is a function of I1 and I3 alone and cannot separate general
     # representatives, so the pair is merged with an advisory subtag.
-    aux = auxiliary_invariants(p)
-    subtag = "EC8" if aux.istar_literal == 0 else "EC6"
+    subtag = "EC8" if -i1 / i3 + i1 == 0 else "EC6"
     caveats.append(
         "EC6/EC8 separation relies on the canonical-form scale; the literal "
         "auxiliary invariant used for the subtag depends only on I1 and I3 "
@@ -156,21 +170,43 @@ def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
     return WebClass("EC6_or_EC8", subtag), tuple(caveats)
 
 
+# The sampled grid: u, w in {-2, -3/2, ..., 2}, scaled by 2 to integers.
+_GRID = tuple((i - 4, j - 4) for i in range(9) for j in range(9))
+
+
+@lru_cache(maxsize=None)
+def _discriminant_grid(space: Space):
+    """The eigenvalue discriminant's coefficients in the point variables,
+    compiled as a table in the parameters, and for each grid point the
+    integer weights that turn those coefficients into 2^degree times the
+    discriminant's value there."""
+    disc = field_discriminant(symbolic_killing_tensor(space))
+    coeffs = disc.coefficients_in(space.point_vars)
+    degree = disc.total_degree(restrict=space.point_vars)
+    weights = tuple(tuple(u ** i * w ** j * 2 ** (degree - i - j)
+                          for i, j in coeffs)
+                    for u, w in _GRID)
+    return compile_table(tuple(coeffs.values()), space.param_vars), weights
+
+
 def _eigen_precondition(p: KTParams) -> str:
-    """Sample the eigenvalue discriminant on a rational grid over [-2, 2]^2."""
-    disc = eigen_discriminant(p)
-    u, w = p.space.point_vars
+    """Sample the eigenvalue discriminant on a rational grid over [-2, 2]^2.
+
+    Values are compared to zero only, so each is taken as an integer
+    multiple of the true value: coefficients over their common denominator,
+    point coordinates doubled.
+    """
+    table, weights = _discriminant_grid(p.space)
+    coeffs = table(p.values)
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     seen_zero = False
-    for i in range(9):
-        for j in range(9):
-            point = {u: Fraction(-2) + Fraction(i, 2),
-                     w: Fraction(-2) + Fraction(j, 2)}
-            value = disc.evaluate({s: point[s] for s in disc.used_variables()}) \
-                if not disc.is_zero() else Fraction(0)
-            if value < 0:
-                return "complex"
-            if value == 0:
-                seen_zero = True
+    for row in weights:
+        value = sum(map(mul, ints, row))
+        if value < 0:
+            return "complex"
+        if value == 0:
+            seen_zero = True
     return "degenerate" if seen_zero else "satisfied on sampled region"
 
 
@@ -185,9 +221,9 @@ def classify_full(p: KTParams) -> ClassificationReport:
         return ClassificationReport(p, l0, inv, None, precondition,
                                     tuple(caveats))
     if p.space.kind == "euclidean":
-        web = classify_euclidean(nt)
+        web = _euclidean_web(inv)
     else:
-        web, tree_caveats = classify_minkowski(nt)
+        web, tree_caveats = _minkowski_web(p, inv)
         caveats.extend(tree_caveats)
         if precondition == "complex":
             caveats.append(

@@ -2,7 +2,10 @@
 
 All quantities are exact polynomial evaluations.  The symbolic versions of
 each invariant/covariant double as self-test material: the generator fields
-must annihilate them identically.
+must annihilate them identically.  For the per-input quantities they are
+compiled once per space (`compile_table`) and evaluated at the parameters;
+substituting into the symbolic versions gives the same values and serves
+as the test oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .poly import MultiPoly, Q, poly, rational_sqrt, var
+from .poly import MultiPoly, Q, compile_table, rational_sqrt, var
 from .signs import SignClass, quadratic_sign_class
 from .spaces import (DomainError, KTParams, KVParams, Space,
                      general_killing_tensor)
@@ -71,24 +74,42 @@ def _param_assignment(p: KTParams) -> dict[str, Fraction]:
     return dict(zip(p.space.param_vars, p.values))
 
 
+@lru_cache(maxsize=None)
+def _invariant_table(space: Space):
+    return compile_table(invariant_polynomials(space), space.param_vars)
+
+
+@lru_cache(maxsize=None)
+def _covariant_table(space: Space):
+    """The point monomials of C1 and of C2, and their coefficients (in the
+    parameters) compiled as one table."""
+    c1, c2 = (c.coefficients_in(space.point_vars)
+              for c in covariant_polynomials(space))
+    coeffs = tuple(c1.values()) + tuple(c2.values())
+    return tuple(c1), tuple(c2), compile_table(coeffs, space.param_vars)
+
+
 def fundamental_invariants(p: KTParams) -> tuple[Fraction, Fraction, Fraction]:
-    assignment = _param_assignment(p)
-    return tuple(poly_i.evaluate(
-        {s: assignment[s] for s in poly_i.used_variables()})
-        if not poly_i.is_zero() else Q(0)
-        for poly_i in invariant_polynomials(p.space))
+    return _invariant_table(p.space)(p.values)
 
 
 def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
-    assignment = _param_assignment(p)
-    return tuple(c.subst(assignment) for c in covariant_polynomials(p.space))
+    monos1, monos2, table = _covariant_table(p.space)
+    values = table(p.values)
+    point_vars = p.space.point_vars
+    return (MultiPoly(point_vars, dict(zip(monos1, values))),
+            MultiPoly(point_vars, dict(zip(monos2, values[len(monos1):]))))
+
+
+def _sign_classes(space: Space, c1: MultiPoly, c2: MultiPoly
+                  ) -> tuple[SignClass, SignClass]:
+    return (quadratic_sign_class(c1, space.point_vars),
+            quadratic_sign_class(c2, space.point_vars))
 
 
 def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
-    c1, c2 = fundamental_covariants(p)
-    return (quadratic_sign_class(c1, p.space.point_vars),
-            quadratic_sign_class(c2, p.space.point_vars))
+    return _sign_classes(p.space, *fundamental_covariants(p))
 
 
 def trace_identity_check(p: KTParams | None = None) -> MultiPoly:
@@ -244,6 +265,11 @@ def auxiliary_invariants(p: KTParams,
     if p.space.kind != "minkowski":
         raise DomainError("auxiliary invariants live on the Minkowski plane")
     i1, _, i3 = fundamental_invariants(p)
+    return _auxiliary(p, i1, i3, k2)
+
+
+def _auxiliary(p: KTParams, i1: Fraction, i3: Fraction,
+               k2: Fraction | None) -> AuxInvariants:
     a1, a2, a3, a4, a5, a6 = p.values
     i1p = a4 * a4 - a5 * a5
     notes = []
@@ -294,8 +320,9 @@ class InvariantReport:
 
 
 def invariant_report(p: KTParams, k2: Fraction | None = None) -> InvariantReport:
+    """Every per-input quantity, each computed once."""
     i1, i2, i3 = fundamental_invariants(p)
     c1, c2 = fundamental_covariants(p)
-    s1, s2 = covariant_sign_classes(p)
-    aux = auxiliary_invariants(p, k2) if p.space.kind == "minkowski" else None
+    s1, s2 = _sign_classes(p.space, c1, c2)
+    aux = _auxiliary(p, i1, i3, k2) if p.space.kind == "minkowski" else None
     return InvariantReport(p.space, i1, i2, i3, c1, c2, s1, s2, aux)

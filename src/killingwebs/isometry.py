@@ -4,8 +4,9 @@ Group elements carry either an exact rational point on the rotation/boost
 curve (c, s with c^2 +/- s^2 = 1) or a float angle/rapidity; the two
 representations never mix.  The action on Killing tensor and Killing vector
 parameters is *derived* from the point map by exact polynomial substitution
-and re-extraction; the closed-form parameter laws printed elsewhere serve
-only as test oracles.
+and re-extraction (for tensors once per space, symbolically in the group
+coordinates, then evaluated); the closed-form parameter laws printed
+elsewhere serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .poly import MultiPoly, Q, poly, var
+from .poly import MultiPoly, Q, compile_table, poly, var
 from .spaces import (DomainError, KTParams, KVParams, Space, extract_kt_params,
                      extract_kv_params, kt_components, kv_components)
 
@@ -182,12 +183,17 @@ def _transformed_components(space: Space, values, cs, trans):
 
 
 def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
-    """Induced action on the six parameters, by exact substitution."""
+    """Induced action on the six parameters: the derived action, evaluated
+    exactly at the parameters and the element's (c, s, a, b).
+
+    Substituting the point map into the components and re-extracting
+    (`_transformed_components`, `extract_kt_params`) gives the same values
+    and is the test oracle.
+    """
     if not g.is_exact:
         raise DomainError("exact action requires an exact group element")
-    comps = _transformed_components(g.space, p.values, g.cs(), g.trans)
-    extracted = extract_kt_params(g.space, comps)
-    return KTParams(g.space, tuple(v.constant_value() for v in extracted))
+    action = _exact_kt_action(g.space)
+    return KTParams(g.space, action(p.values + g.cs() + g.trans))
 
 
 def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
@@ -237,14 +243,20 @@ def derived_kt_action(space: Space) -> tuple[MultiPoly, ...]:
     """The parameter action as six polynomials in the parameter symbols and
     the group coordinates (c, s, a, b), derived symbolically once.
 
-    This single map backs the float-mode action and the oracle comparison
-    against the printed closed-form laws.
+    This single map backs the exact and float-mode actions and the oracle
+    comparison against the printed closed-form laws.
     """
     values = [var(v) for v in space.param_vars]
     comps = _transformed_components(space, values, (var("c"), var("s")),
                                     (var("a"), var("b")))
     comps = tuple(reduce_rotation_identity(k, space) for k in comps)
     return tuple(extract_kt_params(space, comps))
+
+
+@lru_cache(maxsize=None)
+def _exact_kt_action(space: Space):
+    return compile_table(derived_kt_action(space),
+                         space.param_vars + ("c", "s", "a", "b"))
 
 
 def act_kt_params_float(g: IsometryElement, p: KTParams) -> tuple[float, ...]:

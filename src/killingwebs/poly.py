@@ -10,8 +10,8 @@ a polynomial at a float assignment.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Mapping, Sequence, Union
+from math import isqrt, lcm
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Q = Fraction
 
@@ -62,11 +62,11 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 
 
 def _check_vars(variables: Iterable[str]) -> tuple[str, ...]:
-    ordered = tuple(sorted(set(variables), key=_SYMBOL_INDEX.__getitem__))
-    for v in ordered:
-        if v not in _SYMBOL_INDEX:
-            raise PolynomialError(f"unknown symbol {v!r}")
-    return ordered
+    names = set(variables)
+    unknown = sorted(names - _SYMBOL_INDEX.keys())
+    if unknown:
+        raise PolynomialError(f"unknown symbol {unknown[0]!r}")
+    return tuple(sorted(names, key=_SYMBOL_INDEX.__getitem__))
 
 
 class MultiPoly:
@@ -83,8 +83,8 @@ class MultiPoly:
         for exps, coeff in terms.items():
             if len(exps) != len(ordered):
                 raise PolynomialError("exponent vector length mismatch")
-            q = Fraction(coeff)
-            if q != 0:
+            q = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if q:
                 clean[tuple(exps)] = q
         object.__setattr__(self, "variables", ordered)
         object.__setattr__(self, "terms", clean)
@@ -260,6 +260,13 @@ class MultiPoly:
             total += term
         return total
 
+    def evaluator(self, variables: Sequence[str]
+                  ) -> Callable[[Sequence[Scalar]], Fraction]:
+        """Compile into a function of a tuple of exact values, one for each
+        name in `variables`, returning the exact value (see compile_table)."""
+        table = compile_table((self,), variables)
+        return lambda values: table(values)[0]
+
     def coefficients_in(self, variables: Sequence[str]) -> dict[tuple[int, ...], "MultiPoly"]:
         """Collect coefficients with respect to a subset of the variables.
 
@@ -311,6 +318,74 @@ class MultiPoly:
         for part in parts[1:]:
             out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
         return out
+
+
+def compile_table(polys: Sequence[MultiPoly], variables: Sequence[str]
+                  ) -> Callable[[Sequence[Scalar]], tuple[Fraction, ...]]:
+    """Compile fixed polynomials into one function of a tuple of exact
+    values (ints or Fractions, one for each name in `variables`) that
+    returns their values as a tuple of Fractions.
+
+    The reading of the polynomials is done once, here.  Each polynomial's
+    coefficients become integers over one denominator.  At call time the
+    arguments are brought to a common denominator d, so x_i = n_i / d, and
+    every polynomial is summed as one straight-line integer expression
+    homogenized to the table's total degree m:
+
+        P(x) = sum_e c_e n^e d^(m - |e|) / (den d^m).
+
+    The only rational arithmetic left per call is the final reduction of
+    each result; no floats are involved.  `subst` and `evaluate` give the
+    same values and remain the reference.
+    """
+    names = tuple(variables)
+    if len(set(names)) != len(names):
+        raise PolynomialError("duplicate variable in evaluator signature")
+    for p in polys:
+        for v in p.used_variables():
+            if v not in names:
+                raise PolynomialError(f"unbound variable {v!r} in evaluation")
+    degree = max((p.total_degree() for p in polys), default=0)
+    top = {}                                  # argument index -> max exponent
+    sums = []
+    for p in polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        pos = [names.index(v) if v in names else -1 for v in p.variables]
+        parts = []
+        for exps, coeff in p.terms.items():
+            factors = [str((coeff * den).numerator)]
+            for i, e in zip(pos, exps):
+                if e:
+                    top[i] = max(top.get(i, 0), e)
+                    factors.append(f"n{i}_{e}")
+            if degree - sum(exps):
+                factors.append(f"d_{degree - sum(exps)}")
+            parts.append("*".join(factors))
+        sums.append((parts, den))
+
+    src = ["def table(values):"]
+    if names:
+        src.append("    " + "".join(f"v{i}, " if i in top else "_, "
+                                    for i in range(len(names))) + "= values")
+    src.append("    d = lcm(" + ", ".join(f"v{i}.denominator" for i in top)
+               + ")")
+    for i, e in top.items():
+        src.append(f"    n{i}_1 = v{i}.numerator * (d // v{i}.denominator)")
+        src += [f"    n{i}_{k} = n{i}_{k - 1} * n{i}_1" for k in range(2, e + 1)]
+    src.append("    d_0 = 1")
+    src += [f"    d_{k} = d_{k - 1} * d" for k in range(1, degree + 1)]
+    for j, (parts, den) in enumerate(sums):
+        parts = parts or ["0"]
+        # Statements of bounded length keep the compiler's recursion shallow.
+        for start in range(0, len(parts), 32):
+            op = "=" if start == 0 else "+="
+            src.append(f"    s{j} {op} " + " + ".join(parts[start:start + 32]))
+    src.append("    return (" + "".join(
+        f"Fraction(s{j}, {den} * d_{degree}), "
+        for j, (_, den) in enumerate(sums)) + ")")
+    namespace = {"lcm": lcm, "Fraction": Fraction}
+    exec("\n".join(src), namespace)
+    return namespace["table"]
 
 
 def _coerce(value) -> MultiPoly:

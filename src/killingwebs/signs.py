@@ -26,7 +26,6 @@ class SignClass(enum.Enum):
 
 def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass:
     """Classify a quadratic in the two given point variables, exactly."""
-    u, v = point_vars
     if p.total_degree(restrict=point_vars) > 2:
         raise PolynomialError("not a quadratic")
     extra = [w for w in p.used_variables() if w not in point_vars]
@@ -37,8 +36,11 @@ def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass
     if p.is_constant():
         return SignClass.NONZERO_CONST
 
-    coeffs = {exps: q.constant_value()
-              for exps, q in p.coefficients_in([u, v]).items()}
+    # Only the point variables occur, so each term is one coefficient.
+    pos = [p.variables.index(w) if w in p.variables else None
+           for w in point_vars]
+    coeffs = {tuple(0 if i is None else exps[i] for i in pos): coeff
+              for exps, coeff in p.terms.items()}
     A = coeffs.get((2, 0), Q(0))
     B = coeffs.get((1, 1), Q(0))
     C = coeffs.get((0, 2), Q(0))

@@ -303,8 +303,12 @@ def eigen_discriminant(params: KTParams) -> MultiPoly:
     The tensor generates an orthogonal web on the open region where this is
     positive (real distinct eigenvalues).
     """
-    field = general_killing_tensor(params)
-    g0, g1 = params.space.metric_diag
+    return field_discriminant(general_killing_tensor(params))
+
+
+def field_discriminant(field: TensorField) -> MultiPoly:
+    """The eigenvalue discriminant of any tensor field, symbolic or not."""
+    g0, g1 = field.space.metric_diag
     k00, k01, k11 = field.components
     trace = g0 * k00 + g1 * k11
     det = g0 * g1 * (k00 * k11 - k01 * k01)

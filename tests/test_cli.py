@@ -1,8 +1,11 @@
 """Command-line interface: dispatch, exit codes, determinism, round trips."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import killingwebs
 from killingwebs.cli import run
 from killingwebs.poly import parse_rational
 
@@ -130,3 +133,10 @@ def test_verify_smoke(capsys):
     assert status == 0
     assert "FAIL" not in out
     assert "0 failed" in err
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert killingwebs.__version__ == match.group(1)

@@ -1,0 +1,165 @@
+"""The compiled evaluation layer against the substitution oracle, and the
+compute-once shape of `classify_full`.
+
+Invariants, covariants, the exact group action and the sampled eigenvalue
+grid are evaluated from tables compiled once per space.  Each must agree
+exactly with substituting into the symbolic polynomials, on sparse and dense
+rationals with heights up to 10^6.
+"""
+
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from killingwebs import classify
+from killingwebs.classify import _eigen_precondition, classify_full
+from killingwebs.frames import canonical_form
+from killingwebs.invariants import (covariant_polynomials,
+                                    fundamental_covariants,
+                                    fundamental_invariants,
+                                    invariant_polynomials)
+from killingwebs.isometry import (IsometryElement, _exact_kt_action,
+                                  _transformed_components, act_kt_params,
+                                  derived_kt_action, rotation_from_parameter)
+from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, KTParams,
+                                eigen_discriminant, embed_nontrivial,
+                                extract_kt_params)
+
+SPACES = [EUCLIDEAN, MINKOWSKI]
+BIG = 10 ** 6
+
+nonzero = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool),
+              st.integers(1, BIG)))
+slot = st.one_of(st.just(Fraction(0)), nonzero)
+values = st.one_of(st.tuples(*[nonzero] * 6),      # dense
+                   st.tuples(*[slot] * 6))         # sparse
+
+
+def _assignment(p):
+    return dict(zip(p.space.param_vars, p.values))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(values)
+@settings(max_examples=100, deadline=None)
+def test_invariants_match_substitution(space, vals):
+    p = KTParams(space, vals)
+    oracle = tuple(f.subst(_assignment(p)).constant_value()
+                   if not f.is_zero() else Fraction(0)
+                   for f in invariant_polynomials(space))
+    assert fundamental_invariants(p) == oracle
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(values)
+@settings(max_examples=100, deadline=None)
+def test_covariants_match_substitution(space, vals):
+    p = KTParams(space, vals)
+    for fast, symbolic in zip(fundamental_covariants(p),
+                              covariant_polynomials(space)):
+        oracle = symbolic.subst(_assignment(p))
+        assert fast.variables == oracle.variables
+        assert fast.terms == oracle.terms
+        assert fast.pretty() == oracle.pretty()
+
+
+@st.composite
+def elements(draw, space):
+    u = draw(nonzero) if space.kind == "minkowski" else draw(
+        st.one_of(st.just(Fraction(0)), nonzero))
+    trans = (draw(slot), draw(slot))
+    return IsometryElement(space, rotation_from_parameter(space, u).rot, trans)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(st.data(), values)
+@settings(max_examples=100, deadline=None)
+def test_group_action_matches_substitution(space, data, vals):
+    p = KTParams(space, vals)
+    g = data.draw(elements(space))
+    comps = _transformed_components(space, p.values, g.cs(), g.trans)
+    oracle = tuple(v.constant_value() for v in extract_kt_params(space, comps))
+    assert act_kt_params(g, p).values == oracle
+
+
+def _grid_oracle(p):
+    disc = eigen_discriminant(p)
+    u, w = p.space.point_vars
+    seen = []
+    for i in range(9):
+        for j in range(9):
+            point = {u: Fraction(i, 2) - 2, w: Fraction(j, 2) - 2}
+            seen.append(disc.evaluate(
+                {s: point[s] for s in disc.used_variables()}))
+    if min(seen) < 0:
+        return "complex"
+    return "degenerate" if 0 in seen else "satisfied on sampled region"
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(values)
+@settings(max_examples=100, deadline=None)
+def test_grid_verdict_matches_pointwise_evaluation(space, vals):
+    p = KTParams(space, vals)
+    assert _eigen_precondition(p) == _grid_oracle(p)
+
+
+def test_grid_verdict_reaches_every_state():
+    seen = {_eigen_precondition(KTParams(MINKOWSKI, v)) for v in
+            ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))}
+    assert seen == {"complex", "degenerate", "satisfied on sampled region"}
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _records():
+    rng = random.Random(7)
+    out = [embed_nontrivial(canonical_form(EUCLIDEAN, ec))
+           for ec in ("EC1", "EC2", "EC3", "EC4")]
+    out += [embed_nontrivial(canonical_form(
+        MINKOWSKI, ec, Fraction(1) if ec in ("EC5", "EC8", "EC9", "EC10")
+        else None)) for ec in ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6",
+                               "EC7", "EC8", "EC9", "EC10")]
+    for space in SPACES:
+        out += [KTParams(space, tuple(
+            Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+            for _ in range(6))) for _ in range(8)]
+        out.append(KTParams(space, (3, 3 * space.metric_diag[1], 0, 0, 0, 0)))
+    return out
+
+
+def test_warm_classify_full_computes_each_quantity_once():
+    """Traced with the benchmark's own spans: no substitution, one covariant
+    build per record, and the group action is never derived or evaluated."""
+    records = _records()
+    for p in records:
+        classify_full(p)
+    action_calls = (derived_kt_action.cache_info(),
+                    _exact_kt_action.cache_info())
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        for i, p in enumerate(records):
+            tracer.record_id = i
+            classify.classify_full(p)       # the traced binding
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["poly.subst.calls_per_record"] == 0
+    assert metrics["invariants.fundamental_covariants.calls_per_record"] == 1
+    assert metrics["invariants.covariant_builds_useful_ratio"] == 1.0
+    assert (derived_kt_action.cache_info(),
+            _exact_kt_action.cache_info()) == action_calls

@@ -1,0 +1,155 @@
+"""Byte-identity of the CLI's default outputs against recorded goldens.
+
+`tests/data/golden_cli.jsonl` holds one JSON object per CLI invocation:
+the argument list, the exit status and the exact stdout and stderr.  The
+tests replay every invocation in-process and compare all four.  The
+goldens pin the JSON lines of `classify`, the table-gap error message and
+status, and the text output of `classify`, `covariants --point` and
+`invariants`, so a faster evaluation path has to reproduce them byte for
+byte.
+
+Regenerate (only when an output change is intended, and say so in the
+change log) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import random
+from collections import defaultdict
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from killingwebs.cli import run
+from killingwebs.frames import canonical_form
+from killingwebs.isometry import (IsometryElement, act_kt_params,
+                                  rotation_from_parameter)
+from killingwebs.spaces import embed_nontrivial, space_by_name
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.jsonl"
+
+SPACES = ("euclidean", "minkowski")
+EUCLIDEAN_ROWS = ("EC1", "EC2", "EC3", "EC4")
+MINKOWSKI_ROWS = ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6", "EC7", "EC8",
+                  "EC9", "EC10")
+K2_ROWS = ("EC5", "EC8", "EC9", "EC10")
+TABLE_GAP = ["classify", "--space", "minkowski", "--params=0,2,-1,0,0,3/2"]
+
+
+def _text(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _rational(rng, height, den_height) -> Fraction:
+    return Fraction(rng.randint(-height, height), rng.randint(1, den_height))
+
+
+def _inputs() -> list[tuple[str, list[str]]]:
+    """(section, argv) for every recorded invocation, from a fixed seed."""
+    rng = random.Random(20040716)
+    out = []
+
+    def classify(space, values, section="classify-json", output="json"):
+        out.append((section, ["classify", "--space", space,
+                              f"--params={_text(values)}",
+                              "--output", output]))
+
+    for space in SPACES:
+        for _ in range(20):                          # dense, small heights
+            classify(space, [_rational(rng, 12, 5) for _ in range(6)])
+        for _ in range(12):                          # sparse, with zeros
+            classify(space, [_rational(rng, 9, 4) if rng.random() < 0.4
+                             else 0 for _ in range(6)])
+        for _ in range(8):                           # heights up to 10^6
+            classify(space, [_rational(rng, 10 ** 6, 10 ** 6)
+                             for _ in range(6)])
+        l0 = _rational(rng, 7, 3)                    # trivial inputs
+        metric = (1, 1) if space == "euclidean" else (1, -1)
+        classify(space, [l0 * metric[0], l0 * metric[1], 0, 0, 0, 0])
+        classify(space, [0] * 6)
+        for _ in range(4):                           # five nontrivial slots
+            classify(space, [_rational(rng, 12, 5) for _ in range(5)])
+    rows = [("euclidean", ec, None) for ec in EUCLIDEAN_ROWS]
+    rows += [("minkowski", ec, k2) for ec in MINKOWSKI_ROWS
+             for k2 in ((Fraction(1), Fraction(4), Fraction(1, 16))
+                        if ec in K2_ROWS else (None,))]
+    for space, ec, k2 in rows:                       # the canonical rows
+        classify(space, canonical_form(space_by_name(space), ec, k2).values)
+    for space, ec, k2 in rows:                       # and dense orbit images
+        p = embed_nontrivial(canonical_form(space_by_name(space), ec, k2))
+        u = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        trans = (_rational(rng, 4, 3), _rational(rng, 4, 3))
+        g = IsometryElement(p.space, rotation_from_parameter(p.space, u).rot,
+                            trans)
+        classify(space, act_kt_params(g, p).scale(_rational(rng, 5, 3)
+                                                  or Fraction(1)).values)
+
+    out.append(("table-gap", TABLE_GAP))
+    for space in SPACES:
+        for _ in range(3):
+            classify(space, [_rational(rng, 12, 5) for _ in range(6)],
+                     section="classify-text", output="text")
+        params = [_text([0, 0, 0, 0, 0, 1]), _text([1, 2, 3, 4, 5, 6])]
+        params += [_text([_rational(rng, 12, 5) for _ in range(6)])
+                   for _ in range(3)]
+        for text in params:
+            out.append(("covariants-text",
+                        ["covariants", "--space", space, f"--params={text}",
+                         "--point", "3,4"]))
+            out.append(("invariants-text",
+                        ["invariants", "--space", space, f"--params={text}"]))
+    out.append(("invariants-text",
+                ["invariants", "--space", "minkowski",
+                 "--params=0,0,-1,0,0,1/4", "--k2", "1/2"]))
+    return out
+
+
+def _invoke(argv: list[str]) -> dict:
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        status = run(argv)
+    return {"argv": argv, "status": status, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def _load() -> dict[str, list[dict]]:
+    sections = defaultdict(list)
+    with GOLDEN.open() as handle:
+        for line in handle:
+            entry = json.loads(line)
+            sections[entry.pop("section")].append(entry)
+    return sections
+
+
+def _replay(section: str) -> None:
+    entries = _load()[section]
+    assert entries, f"no goldens recorded for {section}"
+    mismatches = [entry["argv"] for entry in entries
+                  if _invoke(entry["argv"]) != entry]
+    assert not mismatches, f"{len(mismatches)} outputs changed: {mismatches[:3]}"
+
+
+def test_golden_inventory():
+    sections = _load()
+    assert len(sections["classify-json"]) >= 120
+    assert [e["argv"] for e in sections["table-gap"]] == [TABLE_GAP]
+    assert sections["table-gap"][0]["status"] == 1
+
+
+@pytest.mark.parametrize("section", ["classify-json", "table-gap",
+                                     "classify-text", "covariants-text",
+                                     "invariants-text"])
+def test_outputs_match_goldens(section):
+    _replay(section)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with GOLDEN.open("w") as handle:
+        for section, argv in _inputs():
+            handle.write(json.dumps({"section": section, **_invoke(argv)})
+                         + "\n")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs.poly import (MultiPoly, PolynomialError, format_rational,
-                              parse_rational, poly, rational_sqrt, var)
+from killingwebs.poly import (MultiPoly, PolynomialError, compile_table,
+                              format_rational, parse_rational, poly,
+                              rational_sqrt, var)
 
 VARS = ("x", "y")
 
@@ -55,6 +56,33 @@ def test_substitution_matches_evaluation(p, a, b):
     point = {"x": a, "y": b}
     assert bound.constant_value() == p.evaluate(
         {s: point[s] for s in p.used_variables()})
+
+
+@given(polys(), polys(), rationals, rationals)
+@settings(max_examples=150, deadline=None)
+def test_compiled_evaluation_matches_evaluation(p, q, a, b):
+    point = {"x": a, "y": b}
+    expected = tuple(f.evaluate({s: point[s] for s in f.used_variables()})
+                     for f in (p, q))
+    assert compile_table((p, q), ("y", "x"))((b, a)) == expected
+    assert p.evaluator(("x", "y"))((a, b)) == expected[0]
+
+
+def test_compiled_evaluation_edge_cases():
+    assert compile_table((), ())(()) == ()
+    assert MultiPoly.zero().evaluator(())(()) == 0
+    assert poly(Fraction(3, 4)).evaluator(("x",))((5,)) == Fraction(3, 4)
+    with pytest.raises(PolynomialError):
+        var("y").evaluator(("x",))
+    with pytest.raises(PolynomialError):
+        var("x").evaluator(("x", "x"))
+
+
+def test_unknown_symbols_raise_polynomial_error():
+    with pytest.raises(PolynomialError, match="unknown symbol 'zz'"):
+        MultiPoly(("zz",), {(1,): 1})
+    with pytest.raises(PolynomialError, match="unknown symbol 'q3'"):
+        var("q3")
 
 
 def test_degree_and_coefficient_queries():
