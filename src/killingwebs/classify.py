@@ -10,12 +10,11 @@ honestly as merged tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .invariants import InvariantReport, invariant_report, slice_invariant_i2
 from .poly import compile_table
@@ -27,14 +26,12 @@ from .spaces import (DomainError, KTParams, NontrivialKT, Space, decompose,
 EUCLIDEAN_TAGS = ("Cartesian", "Polar", "Parabolic", "EllipticHyperbolic")
 
 
-@dataclass(frozen=True)
-class WebClass:
+class WebClass(NamedTuple):
     tag: str
     subtag: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     params: KTParams
     l0: Fraction
     invariants: InvariantReport

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import classify_full
-from .frames import FrameDomainError, canonical_form, moving_frame
+from .frames import canonical_form, moving_frame
 from .generators import (joint_generators, orbit_dimension, sigma_generators)
 from .invariants import invariant_report, joint_invariant_polynomials, \
     joint_invariants
@@ -127,12 +127,21 @@ def _classify_params(space, text: str) -> KTParams:
 def _cmd_classify(args) -> int:
     space = space_by_name(args.space)
     if args.batch:
-        with open(args.batch) as handle:
-            entries = json.load(handle)
-        for entry in entries:
-            p = _classify_params(space, entry if isinstance(entry, str)
-                                 else ",".join(str(v) for v in entry))
-            print(json.dumps(classify_full(p).to_json_dict()))
+        try:
+            with open(args.batch) as handle:
+                entries = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise PolynomialError(f"cannot read batch file: {exc}") from None
+        if not isinstance(entries, list):
+            raise PolynomialError("batch file must hold a JSON array")
+        for i, entry in enumerate(entries):
+            if isinstance(entry, list):
+                entry = ",".join(str(v) for v in entry)
+            elif not isinstance(entry, str):
+                raise PolynomialError(f"batch entry {i} is neither a string "
+                                      "nor a list")
+            print(json.dumps(classify_full(
+                _classify_params(space, entry)).to_json_dict()))
         return 0
     p = _classify_params(space, args.params)
     report = classify_full(p)
@@ -239,6 +248,13 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="killingwebs",
                      description="Invariant classification of orthogonal "
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kt", required=True, help="6 comma-separated rationals")
 
     p = add("verify", _cmd_verify, help="run the verification suite")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -324,7 +340,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except PolynomialError as exc:
         print(f"killingwebs: parse error: {exc}", file=sys.stderr)
         return 2
-    except (FrameDomainError, DomainError) as exc:
+    except DomainError as exc:
         print(f"killingwebs: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,8 @@ of the constrained parameters after applying the frame element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import MultiPoly, Q, var
 from .spaces import (DomainError, KTParams, NontrivialKT, Space,
@@ -24,8 +23,7 @@ class FrameDomainError(DomainError):
     """The frame map is undefined or leaves its real domain at this input."""
 
 
-@dataclass(frozen=True)
-class MovingFrameResult:
+class MovingFrameResult(NamedTuple):
     element: IsometryElement       # float representation
     angle: float                   # rotation angle / boost rapidity
     a: float
@@ -118,22 +116,23 @@ def moving_frame(p: KTParams) -> MovingFrameResult:
 
 # -- coordinate cross-sections ----------------------------------------------
 
-@dataclass(frozen=True)
-class CrossSection:
+class CrossSection(NamedTuple("CrossSection",
+                              [("constraints",
+                                tuple[tuple[int, Fraction], ...])])):
     """Constant constraints on nontrivial-space parameters, by index 0..4."""
-    constraints: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, constraints: Sequence[tuple[int, Fraction]]):
         seen = set()
         fixed = []
-        for idx, value in self.constraints:
+        for idx, value in constraints:
             if not 0 <= idx <= 4:
                 raise DomainError("cross-section indices must be in 0..4")
             if idx in seen:
                 raise DomainError("duplicate cross-section constraint")
             seen.add(idx)
             fixed.append((idx, Fraction(value)))
-        object.__setattr__(self, "constraints", tuple(fixed))
+        return super().__new__(cls, tuple(fixed))
 
 
 NT_SYMBOLS = {

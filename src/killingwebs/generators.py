@@ -9,9 +9,8 @@ test vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .poly import MultiPoly, Q, poly, var
 from .spaces import (DomainError, Space, extract_kt_params, extract_kv_params,
@@ -20,15 +19,16 @@ from .spaces import (DomainError, Space, extract_kt_params, extract_kv_params,
 KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
 
 
-@dataclass(frozen=True)
-class LinearVectorField:
+class LinearVectorField(NamedTuple("LinearVectorField",
+                                   [("domain", tuple[str, ...]),
+                                    ("coefficients", tuple[MultiPoly, ...])])):
     """A vector field sum_i coeff_i d/d(domain_i) with polynomial coefficients."""
-    domain: tuple[str, ...]
-    coefficients: tuple[MultiPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.domain) != len(self.coefficients):
+    def __new__(cls, domain, coefficients):
+        if len(domain) != len(coefficients):
             raise DomainError("one coefficient per domain symbol required")
+        return super().__new__(cls, domain, coefficients)
 
     def coefficient(self, symbol: str) -> MultiPoly:
         return self.coefficients[self.domain.index(symbol)]
@@ -83,18 +83,18 @@ class LinearVectorField:
         return LinearVectorField(domain, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """c[k][i][j] tables for [e_i, e_j] = sum_k c^k_ij e_k, 0-indexed."""
-    c: tuple  # c[i][j][k]
+class StructureConstants(NamedTuple("StructureConstants", [("c", tuple)])):
+    """[e_i, e_j] = sum_k c^k_ij e_k as the table c[i][j][k], 0-indexed."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = len(self.c)
+    def __new__(cls, c: tuple):
+        r = len(c)
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
+                    if c[i][j][k] != -c[j][i][k]:
                         raise DomainError("structure constants must be antisymmetric")
+        return super().__new__(cls, c)
 
     def bracket_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
         return tuple(self.c[i][j])
@@ -256,8 +256,7 @@ def commutator(V: LinearVectorField, W: LinearVectorField) -> LinearVectorField:
     return LinearVectorField(V.domain, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(NamedTuple):
     i: int
     j: int
     passed: bool

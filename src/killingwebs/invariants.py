@@ -10,10 +10,9 @@ as the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .poly import MultiPoly, Q, compile_table, rational_sqrt, var
 from .signs import SignClass, quadratic_sign_class
@@ -226,20 +225,18 @@ def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
 
 # -- auxiliary Minkowski invariants -----------------------------------------
 
-@dataclass(frozen=True)
-class K2Candidate:
+class K2Candidate(NamedTuple):
     value: Fraction | float
     exact: bool          # True when the radicand was a perfect rational square
 
 
-@dataclass(frozen=True)
-class AuxInvariants:
+class AuxInvariants(NamedTuple):
     i1_prime: Fraction
     i2_prime: Optional[Fraction]          # None off the defining slice
     k2_candidates: tuple[K2Candidate, ...]
     istar_literal: Optional[Fraction]     # from the I1 < 0 branch k, rational
     istar_canonical: Optional[Fraction | float]  # k^4 I3 + I1 with supplied k2
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def slice_invariant_i2(p: KTParams) -> Fraction:
@@ -306,8 +303,7 @@ def _auxiliary(p: KTParams, i1: Fraction, i3: Fraction,
 
 # -- report container --------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     space: Space
     i1: Fraction
     i2: Fraction

@@ -12,51 +12,47 @@ elsewhere serve only as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, Q, compile_table, poly, var
 from .spaces import (DomainError, KTParams, KVParams, Space, extract_kt_params,
                      extract_kv_params, kt_components, kv_components)
 
 
-@dataclass(frozen=True)
-class ExactRotation:
+class ExactRotation(NamedTuple):
     c: Fraction
     s: Fraction
 
 
-@dataclass(frozen=True)
-class FloatAngle:
+class FloatAngle(NamedTuple):
     value: float   # radians (Euclidean) or rapidity (Minkowski)
 
 
 Rotation = Union[ExactRotation, FloatAngle]
 
 
-@dataclass(frozen=True)
-class IsometryElement:
-    space: Space
-    rot: Rotation
-    trans: tuple  # (a, b), Fractions with ExactRotation, floats with FloatAngle
+class IsometryElement(NamedTuple("IsometryElement",
+                                 [("space", Space), ("rot", Rotation),
+                                  ("trans", tuple)])):
+    """rot, then trans = (a, b): Fractions if rot is exact, else floats."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.rot, ExactRotation):
-            c, s = Fraction(self.rot.c), Fraction(self.rot.s)
-            if self.space.kind == "euclidean":
+    def __new__(cls, space: Space, rot: Rotation, trans: tuple):
+        if isinstance(rot, ExactRotation):
+            c, s = Fraction(rot.c), Fraction(rot.s)
+            if space.kind == "euclidean":
                 if c * c + s * s != 1:
                     raise DomainError("exact rotation must satisfy c^2 + s^2 = 1")
             else:
                 if c * c - s * s != 1 or c < 1:
                     raise DomainError(
                         "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
-            object.__setattr__(self, "trans",
-                               tuple(Fraction(v) for v in self.trans))
+            trans = tuple(Fraction(v) for v in trans)
         else:
-            object.__setattr__(self, "trans",
-                               tuple(float(v) for v in self.trans))
+            trans = tuple(float(v) for v in trans)
+        return super().__new__(cls, space, rot, trans)
 
     @property
     def is_exact(self) -> bool:
@@ -284,15 +280,16 @@ def _sp_compose(second, first):
                  for idx, sign in second)
 
 
-@dataclass(frozen=True)
-class DiscreteReflection:
+class DiscreteReflection(NamedTuple("DiscreteReflection",
+                                    [("word", tuple[str, ...])])):
     """A word in the spatial reflection R1 and the coordinate swap R2."""
-    word: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for letter in self.word:
+    def __new__(cls, word: tuple[str, ...]):
+        for letter in word:
             if letter not in ("R1", "R2"):
                 raise DomainError(f"unknown generator {letter!r}")
+        return super().__new__(cls, word)
 
     def signed_permutation(self):
         table = {"R1": _R1, "R2": _R2}

@@ -10,9 +10,8 @@ generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, PolynomialError, Q, parse_rational, poly, var
 
@@ -23,8 +22,7 @@ class DomainError(ValueError):
     """Raised when an operation is called outside its stated domain."""
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(NamedTuple):
     kind: str                      # "euclidean" | "minkowski"
     metric_diag: tuple[Fraction, Fraction]   # contravariant = covariant here
     point_vars: tuple[str, str]
@@ -66,16 +64,18 @@ def _parse_values(text: str, count: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
-@dataclass(frozen=True)
-class KTParams:
-    """A valence-2 Killing tensor as its six parameters."""
-    space: Space
-    values: tuple[Fraction, ...]
+# The fields of a parameter vector.
+_VECTOR = [("space", Space), ("values", tuple[Fraction, ...])]
 
-    def __post_init__(self):
-        if len(self.values) != 6:
+
+class KTParams(NamedTuple("KTParams", _VECTOR)):
+    """A valence-2 Killing tensor as its six parameters."""
+    __slots__ = ()
+
+    def __new__(cls, space: Space, values: Sequence):
+        if len(values) != 6:
             raise PolynomialError("KTParams needs exactly 6 values")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        return super().__new__(cls, space, tuple(Fraction(v) for v in values))
 
     @staticmethod
     def parse(space: Space, text: str) -> "KTParams":
@@ -88,33 +88,30 @@ class KTParams:
         return all(v == 0 for v in self.values)
 
 
-@dataclass(frozen=True)
-class KVParams:
+class KVParams(NamedTuple("KVParams", _VECTOR)):
     """A Killing vector: Euclidean (2.25)-style parameters, or coefficients
     on the translation/translation/hyperbolic-rotation basis for Minkowski."""
-    space: Space
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != 3:
+    def __new__(cls, space: Space, values: Sequence):
+        if len(values) != 3:
             raise PolynomialError("KVParams needs exactly 3 values")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        return super().__new__(cls, space, tuple(Fraction(v) for v in values))
 
     @staticmethod
     def parse(space: Space, text: str) -> "KVParams":
         return KVParams(space, _parse_values(text, 3))
 
 
-@dataclass(frozen=True)
-class NontrivialKT:
-    """Element of the 5-dimensional trace-adjusted (non-metric) subspace."""
-    space: Space
-    values: tuple[Fraction, ...]   # (prime1, p3, p4, p5, p6)
+class NontrivialKT(NamedTuple("NontrivialKT", _VECTOR)):
+    """Element of the 5-dimensional trace-adjusted (non-metric) subspace,
+    with values (prime1, p3, p4, p5, p6)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != 5:
+    def __new__(cls, space: Space, values: Sequence):
+        if len(values) != 5:
             raise PolynomialError("NontrivialKT needs exactly 5 values")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        return super().__new__(cls, space, tuple(Fraction(v) for v in values))
 
     @staticmethod
     def parse(space: Space, text: str) -> "NontrivialKT":
@@ -124,8 +121,7 @@ class NontrivialKT:
         return all(v == 0 for v in self.values)
 
 
-@dataclass(frozen=True)
-class TensorField:
+class TensorField(NamedTuple):
     """Symmetric contravariant 2-tensor field with polynomial components.
 
     Components are stored as (K^00, K^01, K^11) in the space's coordinate

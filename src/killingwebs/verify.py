@@ -9,8 +9,8 @@ to re-run on demand in any installation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import classify_full
 from .frames import FrameDomainError, canonical_form, moving_frame
@@ -28,8 +28,7 @@ from .spaces import (EUCLIDEAN, MINKOWSKI, KTParams, KVParams, decompose,
                      killing_residual, reconstruct, symbolic_killing_tensor)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import killingwebs
 from killingwebs.cli import run
 from killingwebs.poly import parse_rational
@@ -95,6 +97,35 @@ def test_batch_mode_emits_json_lines(tmp_path, capsys):
     assert [d["class"] for d in lines] == ["EC2", "EC1", "EC4"]
 
 
+@pytest.mark.parametrize("content, message, records", [
+    (None, "cannot read batch file", 0),
+    ("[1,", "cannot read batch file", 0),
+    ('{"params": "0,0,0,0,1"}', "must hold a JSON array", 0),
+    ("[5]", "batch entry 0 is neither a string nor a list", 0),
+    ('["0,0,0,0,1", null]', "batch entry 1 is neither a string nor a list", 1),
+])
+def test_batch_file_errors_exit_2(tmp_path, capsys, content, message,
+                                  records):
+    batch = tmp_path / "batch.json"
+    if content is not None:
+        batch.write_text(content)
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch", str(batch))
+    assert status == 2
+    assert err.startswith("killingwebs: parse error: ") and message in err
+    assert len(out.splitlines()) == records
+
+
+def test_batch_stops_at_first_bad_record(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(["0,0,0,0,1", "0,0,0", "1,0,0,0,0"]))
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch", str(batch))
+    assert status == 2
+    assert [json.loads(line)["class"] for line in out.splitlines()] == ["EC2"]
+    assert "expected 6 comma-separated rationals" in err
+
+
 def test_canonical_and_decompose(capsys):
     status, out, _ = invoke(capsys, "canonical", "--space", "minkowski",
                             "--ec", "EC8", "--k2", "2/3", "--output", "json")
@@ -133,6 +164,14 @@ def test_verify_smoke(capsys):
     assert status == 0
     assert "FAIL" not in out
     assert "0 failed" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trial_counts_below_one(capsys, trials):
+    status, out, err = invoke(capsys, "verify", f"--trials={trials}")
+    assert status == 2
+    assert out == ""
+    assert "argument --trials: must be at least 1" in err
 
 
 def test_version_matches_pyproject():
