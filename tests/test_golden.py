@@ -4,9 +4,10 @@
 the argument list, the exit status and the exact stdout and stderr.  The
 tests replay every invocation in-process and compare all four.  The
 goldens pin the JSON lines of `classify`, the table-gap error message and
-status, and the text output of `classify`, `covariants --point` and
-`invariants`, so a faster evaluation path has to reproduce them byte for
-byte.
+status, the text output of `classify`, `covariants --point` and
+`invariants`, the `verify` suite's report (JSON and text), `joint`
+(exact and float), `generators` and `orbit-dim`, so a faster evaluation
+path has to reproduce them byte for byte.
 
 Regenerate (only when an output change is intended, and say so in the
 change log) with
@@ -105,6 +106,53 @@ def _inputs() -> list[tuple[str, list[str]]]:
     out.append(("invariants-text",
                 ["invariants", "--space", "minkowski",
                  "--params=0,0,-1,0,0,1/4", "--k2", "1/2"]))
+    out += _suite_inputs()
+    return out
+
+
+def _suite_inputs() -> list[tuple[str, list[str]]]:
+    """The verify suite, joint invariants, generators and orbit dimensions;
+    a generator of their own so the sections above keep their inputs."""
+    rng = random.Random(20040717)
+    out = []
+    for seed in ("0", "1"):
+        for output in ("json", "text"):
+            out.append(("verify", ["verify", "--trials", "10", "--seed", seed,
+                                   "--output", output]))
+    pairs = [([0, 0, 0], [0] * 6), ([1, 2, 3], [1, 2, 3, 4, 5, 6]),
+             ([0, 0, 1], [0, 0, 0, 0, 0, 1])]
+    pairs += [([_rational(rng, 9, 4) for _ in range(3)],
+               [_rational(rng, 12, 5) for _ in range(6)]) for _ in range(3)]
+    pairs += [([_rational(rng, 9, 4) if rng.random() < 0.5 else 0
+                for _ in range(3)],
+               [_rational(rng, 9, 4) if rng.random() < 0.4 else 0
+                for _ in range(6)]) for _ in range(3)]
+    pairs += [([_rational(rng, 10 ** 6, 10 ** 6) for _ in range(3)],
+               [_rational(rng, 10 ** 6, 10 ** 6) for _ in range(6)])
+              for _ in range(3)]
+    for i, (kv, kt) in enumerate(pairs):
+        argv = ["joint", f"--kv={_text(kv)}", f"--kt={_text(kt)}"]
+        out.append(("joint", argv + ["--output", "json"]))
+        out.append(("joint", argv + ["--output", "text"]))
+        if i % 3 == 2:
+            out.append(("joint", argv + ["--output", "json",
+                                         "--mode", "float"]))
+    out.append(("joint", ["joint", "--space", "minkowski", "--kv=1,2,3",
+                          "--kt=1,2,3,4,5,6"]))       # a Euclidean statement
+    for space in SPACES:
+        for valence in ("1", "2"):
+            for output in ("json", "text"):
+                out.append(("generators",
+                            ["generators", "--space", space, "--valence",
+                             valence, "--output", output]))
+        params = [[0] * 6, [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 1]]
+        params += [[_rational(rng, 12, 5) for _ in range(6)]
+                   for _ in range(3)]
+        for values in params:
+            out.append(("orbit-dim", ["orbit-dim", "--space", space,
+                                      f"--params={_text(values)}",
+                                      "--output", "json"]))
     return out
 
 
@@ -142,7 +190,8 @@ def test_golden_inventory():
 
 @pytest.mark.parametrize("section", ["classify-json", "table-gap",
                                      "classify-text", "covariants-text",
-                                     "invariants-text"])
+                                     "invariants-text", "verify", "joint",
+                                     "generators", "orbit-dim"])
 def test_outputs_match_goldens(section):
     _replay(section)
 
