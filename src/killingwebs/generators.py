@@ -10,13 +10,12 @@ test vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .poly import MultiPoly, Q, poly, var
-from .spaces import (DomainError, Space, extract_kt_params, extract_kv_params,
-                     kt_components, kv_components, symbolic_killing_tensor)
-
-KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
+from .spaces import (KV_PARAM_VARS, DomainError, Space, extract_kt_params,
+                     extract_kv_params, kv_components, symbolic_killing_tensor)
 
 
 class LinearVectorField(NamedTuple("LinearVectorField",
@@ -176,29 +175,27 @@ def _lie_derivative_vector(space: Space, X, V):
     return tuple(out)
 
 
-def sigma_generators(space: Space, valence: int) -> list[LinearVectorField]:
-    """The isometry generators pushed to parameter space."""
+@lru_cache(maxsize=None)
+def sigma_generators(space: Space, valence: int
+                     ) -> tuple[LinearVectorField, ...]:
+    """The isometry generators pushed to parameter space, derived once per
+    (space, valence); the tuple is shared by every caller."""
     if valence == 2:
         domain = space.param_vars
         comps = symbolic_killing_tensor(space).components
-        fields = []
-        for X in coordinate_killing_vectors(space):
-            image = _lie_derivative_tensor(space, X, comps)
-            extracted = extract_kt_params(space, image)
-            fields.append(LinearVectorField(domain, tuple(
-                c.on_variables(c.used_variables()) for c in extracted)))
-        return fields
-    if valence == 1:
+        lie_derivative, extract = _lie_derivative_tensor, extract_kt_params
+    elif valence == 1:
         domain = KV_PARAM_VARS
         comps = kv_components(space, [var(v) for v in domain])
-        fields = []
-        for X in coordinate_killing_vectors(space):
-            image = _lie_derivative_vector(space, X, comps)
-            extracted = extract_kv_params(space, image)
-            fields.append(LinearVectorField(domain, tuple(
-                c.on_variables(c.used_variables()) for c in extracted)))
-        return fields
-    raise DomainError("valence must be 1 or 2")
+        lie_derivative, extract = _lie_derivative_vector, extract_kv_params
+    else:
+        raise DomainError("valence must be 1 or 2")
+    fields = []
+    for X in coordinate_killing_vectors(space):
+        extracted = extract(space, lie_derivative(space, X, comps))
+        fields.append(LinearVectorField(domain, tuple(
+            c.on_variables(c.used_variables()) for c in extracted)))
+    return tuple(fields)
 
 
 def extended_generators(space: Space) -> list[LinearVectorField]:

@@ -14,10 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .poly import MultiPoly, Q, compile_table, rational_sqrt, var
+from .poly import MultiPoly, compile_table, rational_sqrt, var
 from .signs import SignClass, quadratic_sign_class
-from .spaces import (DomainError, KTParams, KVParams, Space,
-                     general_killing_tensor)
+from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
+                     KVParams, Space, general_killing_tensor,
+                     symbolic_killing_tensor)
 
 
 class SubmanifoldError(DomainError):
@@ -116,7 +117,6 @@ def trace_identity_check(p: KTParams | None = None) -> MultiPoly:
 
     With no argument the identity is checked fully symbolically.
     """
-    from .spaces import EUCLIDEAN, symbolic_killing_tensor
     space = EUCLIDEAN if p is None else p.space
     if space.kind != "euclidean":
         raise DomainError("the trace identity is a Euclidean statement")
@@ -180,8 +180,6 @@ def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
     pool does not contain exactly one annihilated candidate.
     """
     from .generators import joint_generators
-    from .spaces import EUCLIDEAN
-
     fields = joint_generators(EUCLIDEAN, (1, 2))
     survivors, rejected = [], []
     for name, j2 in _j2_candidates().items():
@@ -200,8 +198,6 @@ def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
 @lru_cache(maxsize=None)
 def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     """(I1, I2, I3, I4, J1, J2) on the 9-symbol Euclidean product space."""
-    from .spaces import EUCLIDEAN
-
     a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
     b = {i: var(f"beta{i}") for i in range(1, 7)}
     i1, i2, i3 = invariant_polynomials(EUCLIDEAN)
@@ -210,17 +206,16 @@ def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     return (i1, i2, i3, i4, j1, j2_oracle()[1])
 
 
+@lru_cache(maxsize=None)
+def _joint_table():
+    return compile_table(joint_invariant_polynomials(),
+                         KV_PARAM_VARS + EUCLIDEAN.param_vars)
+
+
 def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
     if kv.space.kind != "euclidean" or kt.space.kind != "euclidean":
         raise DomainError("joint invariants are defined for the Euclidean plane")
-    assignment = {f"alpha{i+1}": kv.values[i] for i in range(3)}
-    assignment.update({f"beta{i+1}": kt.values[i] for i in range(6)})
-    out = []
-    for poly_i in joint_invariant_polynomials():
-        used = poly_i.used_variables()
-        out.append(poly_i.evaluate({s: assignment[s] for s in used})
-                   if not poly_i.is_zero() else Q(0))
-    return tuple(out)
+    return _joint_table()(kv.values + kt.values)
 
 
 # -- auxiliary Minkowski invariants -----------------------------------------

@@ -4,8 +4,8 @@ Group elements carry either an exact rational point on the rotation/boost
 curve (c, s with c^2 +/- s^2 = 1) or a float angle/rapidity; the two
 representations never mix.  The action on Killing tensor and Killing vector
 parameters is *derived* from the point map by exact polynomial substitution
-and re-extraction (for tensors once per space, symbolically in the group
-coordinates, then evaluated); the closed-form parameter laws printed
+and re-extraction, once per space, symbolically in the group coordinates,
+then compiled and evaluated; the closed-form parameter laws printed
 elsewhere serve only as test oracles.
 """
 
@@ -17,8 +17,9 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, Q, compile_table, poly, var
-from .spaces import (DomainError, KTParams, KVParams, Space, extract_kt_params,
-                     extract_kv_params, kt_components, kv_components)
+from .spaces import (KV_PARAM_VARS, DomainError, KTParams, KVParams, Space,
+                     extract_kt_params, extract_kv_params, kt_components,
+                     kv_components)
 
 
 class ExactRotation(NamedTuple):
@@ -68,15 +69,18 @@ class IsometryElement(NamedTuple("IsometryElement",
 
     def matrix(self):
         c, s = self.cs()
-        if self.space.kind == "euclidean":
-            return ((c, -s), (s, c))
-        return ((c, s), (s, c))
+        return _matrix(self.space, c, s)
 
     def inverse_matrix(self):
         c, s = self.cs()
-        if self.space.kind == "euclidean":
-            return ((c, s), (-s, c))
-        return ((c, -s), (-s, c))
+        return _matrix(self.space, c, -s)
+
+
+def _matrix(space: Space, c, s):
+    """The rotation/boost matrix at (c, s); (c, -s) gives its inverse."""
+    if space.kind == "euclidean":
+        return ((c, -s), (s, c))
+    return ((c, s), (s, c))
 
 
 def identity(space: Space) -> IsometryElement:
@@ -149,26 +153,23 @@ def inverse(g: IsometryElement) -> IsometryElement:
 
 # -- parameter actions ------------------------------------------------------
 
-def _transformed_components(space: Space, values, cs, trans):
-    """Push the tensor components through the point map.
-
-    New components as polynomials in the (renamed-in-place) new coordinates:
-    substitute the inverse point map, then sandwich with the Jacobian.
-    """
+def _pullback(space: Space, cs, trans):
+    """The Jacobian of the point map, and the bindings that substitute its
+    inverse into components written in the (renamed-in-place) new
+    coordinates."""
     c, s = cs
-    a, b = trans
-    if space.kind == "euclidean":
-        j = ((c, -s), (s, c))
-        jinv = ((c, s), (-s, c))
-    else:
-        j = ((c, s), (s, c))
-        jinv = ((c, -s), (-s, c))
-    u, w = (var(v) for v in space.point_vars)
-    old_u = jinv[0][0] * (u - a) + jinv[0][1] * (w - b)
-    old_w = jinv[1][0] * (u - a) + jinv[1][1] * (w - b)
-    bindings = {space.point_vars[0]: old_u, space.point_vars[1]: old_w}
-    k00, k01, k11 = kt_components(space, values)
-    k00, k01, k11 = (k.subst(bindings) for k in (k00, k01, k11))
+    jinv = _matrix(space, c, -s)
+    u, w = (var(v) - t for v, t in zip(space.point_vars, trans))
+    bindings = {name: row[0] * u + row[1] * w
+                for name, row in zip(space.point_vars, jinv)}
+    return _matrix(space, c, s), bindings
+
+
+def _transformed_components(space: Space, values, cs, trans):
+    """Push the tensor components through the point map: substitute the
+    inverse point map, then sandwich with the Jacobian."""
+    j, bindings = _pullback(space, cs, trans)
+    k00, k01, k11 = (k.subst(bindings) for k in kt_components(space, values))
     new00 = j[0][0] * j[0][0] * k00 + 2 * j[0][0] * j[0][1] * k01 \
         + j[0][1] * j[0][1] * k11
     new01 = j[0][0] * j[1][0] * k00 + (j[0][0] * j[1][1] + j[0][1] * j[1][0]) * k01 \
@@ -176,6 +177,13 @@ def _transformed_components(space: Space, values, cs, trans):
     new11 = j[1][0] * j[1][0] * k00 + 2 * j[1][0] * j[1][1] * k01 \
         + j[1][1] * j[1][1] * k11
     return (new00, new01, new11)
+
+
+def _transformed_vector(space: Space, values, cs, trans):
+    """Push the Killing vector components through the point map."""
+    j, bindings = _pullback(space, cs, trans)
+    v0, v1 = (v.subst(bindings) for v in kv_components(space, values))
+    return (j[0][0] * v0 + j[0][1] * v1, j[1][0] * v0 + j[1][1] * v1)
 
 
 def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
@@ -193,28 +201,13 @@ def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
 
 
 def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
-    """Induced action on the three Killing vector parameters."""
+    """Induced action on the three Killing vector parameters, evaluated like
+    `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
+    test oracle."""
     if not g.is_exact:
         raise DomainError("exact action requires an exact group element")
-    c, s = g.cs()
-    a, b = g.trans
-    space = g.space
-    if space.kind == "euclidean":
-        j = ((c, -s), (s, c))
-        jinv = ((c, s), (-s, c))
-    else:
-        j = ((c, s), (s, c))
-        jinv = ((c, -s), (-s, c))
-    u, w = (var(v) for v in space.point_vars)
-    old_u = jinv[0][0] * (u - a) + jinv[0][1] * (w - b)
-    old_w = jinv[1][0] * (u - a) + jinv[1][1] * (w - b)
-    bindings = {space.point_vars[0]: old_u, space.point_vars[1]: old_w}
-    v0, v1 = kv_components(space, p.values)
-    v0, v1 = v0.subst(bindings), v1.subst(bindings)
-    new0 = j[0][0] * v0 + j[0][1] * v1
-    new1 = j[1][0] * v0 + j[1][1] * v1
-    extracted = extract_kv_params(space, (new0, new1))
-    return KVParams(space, tuple(v.constant_value() for v in extracted))
+    action = _exact_kv_action(g.space)
+    return KVParams(g.space, action(p.values + g.cs() + g.trans))
 
 
 def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:
@@ -234,6 +227,18 @@ def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:
     return result
 
 
+_GROUP_VARS = ("c", "s", "a", "b")
+
+
+def _derive(space: Space, transform, extract, names) -> tuple[MultiPoly, ...]:
+    """Push the general (symbolic) field through the symbolic point map and
+    re-extract its parameters, reduced modulo the curve identity."""
+    c, s, a, b = (var(v) for v in _GROUP_VARS)
+    comps = transform(space, [var(v) for v in names], (c, s), (a, b))
+    return tuple(extract(space, [reduce_rotation_identity(k, space)
+                                 for k in comps]))
+
+
 @lru_cache(maxsize=None)
 def derived_kt_action(space: Space) -> tuple[MultiPoly, ...]:
     """The parameter action as six polynomials in the parameter symbols and
@@ -242,17 +247,23 @@ def derived_kt_action(space: Space) -> tuple[MultiPoly, ...]:
     This single map backs the exact and float-mode actions and the oracle
     comparison against the printed closed-form laws.
     """
-    values = [var(v) for v in space.param_vars]
-    comps = _transformed_components(space, values, (var("c"), var("s")),
-                                    (var("a"), var("b")))
-    comps = tuple(reduce_rotation_identity(k, space) for k in comps)
-    return tuple(extract_kt_params(space, comps))
+    return _derive(space, _transformed_components, extract_kt_params,
+                   space.param_vars)
 
 
 @lru_cache(maxsize=None)
 def _exact_kt_action(space: Space):
     return compile_table(derived_kt_action(space),
-                         space.param_vars + ("c", "s", "a", "b"))
+                         space.param_vars + _GROUP_VARS)
+
+
+@lru_cache(maxsize=None)
+def _exact_kv_action(space: Space):
+    """The Killing vector action, three polynomials in alpha1..3 and
+    (c, s, a, b), derived symbolically once and compiled."""
+    action = _derive(space, _transformed_vector, extract_kv_params,
+                     KV_PARAM_VARS)
+    return compile_table(action, KV_PARAM_VARS + _GROUP_VARS)
 
 
 def act_kt_params_float(g: IsometryElement, p: KTParams) -> tuple[float, ...]:

@@ -64,6 +64,9 @@ def _parse_values(text: str, count: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+# The three Killing vector parameter symbols, in both spaces.
+KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
+
 # The fields of a parameter vector.
 _VECTOR = [("space", Space), ("values", tuple[Fraction, ...])]
 

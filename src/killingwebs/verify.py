@@ -50,6 +50,10 @@ def _random_params(space, rng) -> KTParams:
 
 
 def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
+    """Run every check; each randomised one draws `trials` samples."""
+    if trials < 1:
+        # Zero samples would let every randomised check pass vacuously.
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     results = []
 

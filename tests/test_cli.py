@@ -10,6 +10,7 @@ import pytest
 import killingwebs
 from killingwebs.cli import run
 from killingwebs.poly import parse_rational
+from killingwebs.verify import run_suite
 
 
 def invoke(capsys, *argv):
@@ -172,6 +173,12 @@ def test_verify_rejects_trial_counts_below_one(capsys, trials):
     assert status == 2
     assert out == ""
     assert "argument --trials: must be at least 1" in err
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_suite_rejects_trial_counts_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suite(trials=trials)
 
 
 def test_version_matches_pyproject():

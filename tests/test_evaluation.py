@@ -1,10 +1,12 @@
 """The compiled evaluation layer against the substitution oracle, and the
 compute-once shape of `classify_full`.
 
-Invariants, covariants, the exact group action and the sampled eigenvalue
-grid are evaluated from tables compiled once per space.  Each must agree
-exactly with substituting into the symbolic polynomials, on sparse and dense
-rationals with heights up to 10^6.
+Invariants, covariants, the exact group actions on Killing tensors and
+Killing vectors, the joint invariants and the sampled eigenvalue grid are
+evaluated from tables compiled once per space.  Each must agree exactly with
+substituting into (or evaluating) the symbolic polynomials, on sparse and
+dense rationals with heights up to 10^6.  The parameter-space generators are
+derived once per (space, valence) and shared.
 """
 
 import importlib.util
@@ -19,16 +21,21 @@ from hypothesis import strategies as st
 from killingwebs import classify
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
+from killingwebs.generators import sigma_generators
 from killingwebs.invariants import (covariant_polynomials,
                                     fundamental_covariants,
                                     fundamental_invariants,
-                                    invariant_polynomials)
+                                    invariant_polynomials,
+                                    joint_invariant_polynomials,
+                                    joint_invariants)
 from killingwebs.isometry import (IsometryElement, _exact_kt_action,
-                                  _transformed_components, act_kt_params,
-                                  derived_kt_action, rotation_from_parameter)
-from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, KTParams,
-                                eigen_discriminant, embed_nontrivial,
-                                extract_kt_params)
+                                  _transformed_components,
+                                  _transformed_vector, act_kt_params,
+                                  act_kv_params, derived_kt_action,
+                                  rotation_from_parameter)
+from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
+                                KVParams, eigen_discriminant, embed_nontrivial,
+                                extract_kt_params, extract_kv_params)
 
 SPACES = [EUCLIDEAN, MINKOWSKI]
 BIG = 10 ** 6
@@ -40,6 +47,7 @@ nonzero = st.one_of(
 slot = st.one_of(st.just(Fraction(0)), nonzero)
 values = st.one_of(st.tuples(*[nonzero] * 6),      # dense
                    st.tuples(*[slot] * 6))         # sparse
+vectors = st.one_of(st.tuples(*[nonzero] * 3), st.tuples(*[slot] * 3))
 
 
 def _assignment(p):
@@ -87,6 +95,36 @@ def test_group_action_matches_substitution(space, data, vals):
     comps = _transformed_components(space, p.values, g.cs(), g.trans)
     oracle = tuple(v.constant_value() for v in extract_kt_params(space, comps))
     assert act_kt_params(g, p).values == oracle
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(st.data(), vectors)
+@settings(max_examples=100, deadline=None)
+def test_vector_action_matches_substitution(space, data, vals):
+    kv = KVParams(space, vals)
+    g = data.draw(elements(space))
+    comps = _transformed_vector(space, kv.values, g.cs(), g.trans)
+    oracle = tuple(v.constant_value() for v in extract_kv_params(space, comps))
+    assert act_kv_params(g, kv).values == oracle
+
+
+@given(vectors, values)
+@settings(max_examples=100, deadline=None)
+def test_joint_invariants_match_polynomial_evaluation(kv_vals, kt_vals):
+    assignment = dict(zip(KV_PARAM_VARS + EUCLIDEAN.param_vars,
+                          kv_vals + kt_vals))
+    oracle = tuple(f.evaluate(assignment) for f in
+                   joint_invariant_polynomials())
+    assert joint_invariants(KVParams(EUCLIDEAN, kv_vals),
+                            KTParams(EUCLIDEAN, kt_vals)) == oracle
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("valence", [1, 2])
+def test_generators_are_derived_once_and_shared(space, valence):
+    fields = sigma_generators(space, valence)
+    assert isinstance(fields, tuple)
+    assert sigma_generators(space, valence) is fields
 
 
 def _grid_oracle(p):
