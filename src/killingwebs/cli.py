@@ -9,20 +9,40 @@ error, 2 parse error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .classify import classify_full
-from .frames import canonical_form, moving_frame
-from .generators import (joint_generators, orbit_dimension, sigma_generators)
-from .invariants import invariant_report, joint_invariant_polynomials, \
-    joint_invariants
+from .invariants import invariant_report, joint_invariants
 from .poly import PolynomialError, parse_rational
 from .spaces import (DomainError, KTParams, KVParams, NontrivialKT, decompose,
                      embed_nontrivial, space_by_name)
-from .verify import run_suite, summarize
+
+
+def _lazy(name: str):
+    """The submodule `name` of this package, registered in sys.modules and
+    as a package attribute, but compiled and run only on first attribute
+    access.  A module that is already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# Only the subcommands other than `classify` need these (`isometry` through
+# `frames` and `verify`), so a `classify` process never runs them.  Every
+# module of the package is still in sys.modules after this import.
+frames = _lazy("frames")
+generators = _lazy("generators")
+isometry = _lazy("isometry")
+verify = _lazy("verify")
 
 JOINT_NAMES = ("I1", "I2", "I3", "I4", "J1", "J2")
 
@@ -162,7 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_frame(args) -> int:
-    result = moving_frame(_parse_kt(args))
+    result = frames.moving_frame(_parse_kt(args))
     data = {
         "angle": result.angle,
         "a": result.a,
@@ -184,7 +204,7 @@ def _cmd_frame(args) -> int:
 def _cmd_canonical(args) -> int:
     space = space_by_name(args.space)
     k2 = None if args.k2 is None else parse_rational(args.k2)
-    nt = canonical_form(space, args.ec, k2)
+    nt = frames.canonical_form(space, args.ec, k2)
     full = embed_nontrivial(nt)
     data = {"class": args.ec.upper(),
             "nontrivial": [str(v) for v in nt.values],
@@ -205,7 +225,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_generators(args) -> int:
     space = space_by_name(args.space)
-    fields = sigma_generators(space, args.valence)
+    fields = generators.sigma_generators(space, args.valence)
     data = {"space": space.kind, "valence": args.valence,
             "generators": [f.pretty() for f in fields]}
     _emit(args, data, [f"V{i + 1} = {s}"
@@ -215,9 +235,9 @@ def _cmd_generators(args) -> int:
 
 def _cmd_orbit_dim(args) -> int:
     p = _parse_kt(args)
-    fields = sigma_generators(p.space, 2)
+    fields = generators.sigma_generators(p.space, 2)
     at = dict(zip(p.space.param_vars, p.values))
-    dim = orbit_dimension(fields, at)
+    dim = generators.orbit_dimension(fields, at)
     _emit(args, {"orbit_dimension": dim}, [f"orbit dimension = {dim}"])
     return 0
 
@@ -243,9 +263,14 @@ def _cmd_verify(args) -> int:
             mark = "PASS" if r.passed else "FAIL"
             suffix = f"  ({r.detail})" if r.detail else ""
             print(f"{mark}  {r.name}{suffix}")
-    passed, failed = summarize(results)
+    passed, failed = verify.summarize(results)
     print(f"{passed} passed, {failed} failed", file=sys.stderr)
     return 0 if failed == 0 else 1
+
+
+def run_suite(trials: int = 50, seed: int = 0):
+    """The verification suite (`verify.run_suite`)."""
+    return verify.run_suite(trials=trials, seed=seed)
 
 
 def positive_int(text: str) -> int:

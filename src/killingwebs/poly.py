@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Q = Fraction
@@ -89,6 +90,18 @@ class MultiPoly:
         object.__setattr__(self, "variables", ordered)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...],
+                 terms: Mapping[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Build from a sorted variable tuple and Fraction coefficients keyed
+        by exponent tuples of matching length, as arithmetic produces them;
+        only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms",
+                           {e: c for e, c in terms.items() if c})
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
 
@@ -143,37 +156,45 @@ class MultiPoly:
         target = _check_vars(variables)
         if target == self.variables:
             return self
-        pos = {v: i for i, v in enumerate(target)}
         for v in self.used_variables():
-            if v not in pos:
+            if v not in target:
                 raise PolynomialError(f"cannot drop used variable {v!r}")
-        out: dict[tuple[int, ...], Fraction] = {}
+        return self._reindexed(target)
+
+    def _reindexed(self, target: tuple[str, ...]) -> "MultiPoly":
+        # Only variables with a zero exponent in every term may be missing
+        # from `target`, so distinct terms stay distinct.
+        pos = [target.index(v) if v in target else -1 for v in self.variables]
+        out = {}
         for exps, coeff in self.terms.items():
             new = [0] * len(target)
-            for v, e in zip(self.variables, exps):
+            for i, e in zip(pos, exps):
                 if e:
-                    new[pos[v]] = e
-            out[tuple(new)] = out.get(tuple(new), Fraction(0)) + coeff
-        return MultiPoly(target, out)
+                    new[i] = e
+            out[tuple(new)] = coeff
+        return MultiPoly._trusted(target, out)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
+        if self.variables == other.variables:
+            return self, other
         merged = _check_vars(self.variables + other.variables)
-        return self.on_variables(merged), other.on_variables(merged)
+        return self._reindexed(merged), other._reindexed(merged)
 
     def __add__(self, other) -> "MultiPoly":
         other = _coerce(other)
         p, q = self._aligned(other)
         out = dict(p.terms)
         for exps, coeff in q.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MultiPoly(p.variables, out)
+            out[exps] = out[exps] + coeff if exps in out else coeff
+        return MultiPoly._trusted(p.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-_coerce(other))
@@ -187,17 +208,19 @@ class MultiPoly:
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in p.terms.items():
             for eb, cb in q.terms.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return MultiPoly(p.variables, out)
+                key = tuple(map(add, ea, eb))
+                out[key] = out[key] + ca * cb if key in out else ca * cb
+        return MultiPoly._trusted(p.variables, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if exponent < 0:
             raise PolynomialError("negative power")
-        result = MultiPoly.constant(1)
-        for _ in range(exponent):
+        if exponent == 0:
+            return MultiPoly.constant(1)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -207,6 +230,9 @@ class MultiPoly:
         return (self - _coerce(other)).is_zero()
 
     def __hash__(self):
+        # Equal to an int or Fraction means equal hashes too.
+        if self.is_constant():
+            return hash(self.constant_value())
         p = self.on_variables(self.used_variables())
         return hash((p.variables, frozenset(p.terms.items())))
 
@@ -224,9 +250,8 @@ class MultiPoly:
                 continue
             new = list(exps)
             new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * exps[i]
-        return MultiPoly(self.variables, out)
+            out[tuple(new)] = coeff * exps[i]
+        return MultiPoly._trusted(self.variables, out)
 
     def subst(self, bindings: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
         """Substitute polynomials for variables; unbound variables pass through."""
@@ -237,7 +262,7 @@ class MultiPoly:
             for v, e in zip(self.variables, exps):
                 if e == 0:
                     continue
-                factor = resolved.get(v, MultiPoly.variable(v))
+                factor = resolved[v] if v in resolved else var(v)
                 term = term * factor ** e
             result = result + term
         return result

@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,3 +188,66 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert killingwebs.__version__ == match.group(1)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAZY = ("frames", "generators", "isometry", "verify")
+
+
+def fresh(code: str) -> list[str]:
+    """Run `code` in a new interpreter without site hooks, with the package
+    source first on sys.path; return its stdout lines."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n" + code, str(SRC)],
+        capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_classify_leaves_subcommand_modules_unexecuted():
+    """The four modules only other subcommands use are registered but not
+    run by `classify`, and run on first use (here through `run_suite`).
+    The type check does not trigger a load."""
+    lines = fresh(f"""
+import types
+import killingwebs
+from killingwebs import cli
+
+def state():
+    for name in {LAZY!r}:
+        module = sys.modules["killingwebs." + name]
+        assert vars(killingwebs)[name] is module
+        print(name, type(module) is types.ModuleType)
+
+state()
+assert cli.run(["classify", "--space", "euclidean",
+                "--params", "1,2,3,4,5,6", "--output", "json"]) == 0
+state()
+print("checks", len(cli.run_suite(trials=1, seed=0)))
+state()
+""")
+    unexecuted = [f"{name} False" for name in LAZY]
+    assert lines[:4] == unexecuted
+    assert lines[5:9] == unexecuted
+    assert lines[9] == "checks 24"
+    assert lines[10:] == [f"{name} True" for name in LAZY]
+
+
+def test_preimported_verify_module_is_reused():
+    """A module imported before the CLI is kept, so a patch on it reaches
+    `killingwebs verify`."""
+    lines = fresh("""
+import killingwebs.verify as verify
+original, names = verify.CheckResult, []
+
+def stamped(name, *rest):
+    names.append(name)
+    return original(name, *rest)
+
+verify.CheckResult = stamped
+from killingwebs import cli
+assert cli.verify is verify
+status = cli.run(["verify", "--trials", "1", "--output", "json"])
+print(status, len(names))
+""")
+    assert len(json.loads(lines[0])) == 24
+    assert lines[1] == "0 24"

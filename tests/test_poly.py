@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs.poly import (MultiPoly, PolynomialError, compile_table,
-                              format_rational, parse_rational, poly,
-                              rational_sqrt, var)
+from killingwebs.poly import (SYMBOLS, MultiPoly, PolynomialError,
+                              compile_table, format_rational, parse_rational,
+                              poly, rational_sqrt, var)
 
 VARS = ("x", "y")
 
@@ -66,6 +66,72 @@ def test_compiled_evaluation_matches_evaluation(p, q, a, b):
                      for f in (p, q))
     assert compile_table((p, q), ("y", "x"))((b, a)) == expected
     assert p.evaluator(("x", "y"))((a, b)) == expected[0]
+
+
+# Symbols from every block of the universe, so merged variable lists must be
+# re-sorted by symbol order, not alphabetically.
+UNIVERSE = ("alpha1", "beta2", "x", "y", "c", "k2")
+
+
+@st.composite
+def polys_on(draw, variables):
+    """A polynomial on exactly `variables`, built by the validating
+    constructor (zero coefficients included, so it must drop them)."""
+    ordered = tuple(v for v in UNIVERSE if v in variables)
+    terms = draw(st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in ordered)),
+        st.one_of(st.just(Fraction(0)), rationals), max_size=4))
+    return MultiPoly(ordered, terms)
+
+
+def assert_canonical(p):
+    assert p.variables == tuple(sorted(set(p.variables), key=SYMBOLS.index))
+    for exps, coeff in p.terms.items():
+        assert len(exps) == len(p.variables)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@given(st.data(), st.sets(st.sampled_from(UNIVERSE)),
+       st.sampled_from(("equal", "disjoint", "any")),
+       st.lists(rationals, min_size=len(UNIVERSE), max_size=len(UNIVERSE)))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_results_are_canonical_and_exact(data, vp, relation, vals):
+    vq = data.draw(st.sets(st.sampled_from(UNIVERSE)))
+    if relation == "equal":
+        vq = vp
+    elif relation == "disjoint":
+        vq -= vp
+    p, q = data.draw(polys_on(vp)), data.draw(polys_on(vq))
+    k = data.draw(st.integers(0, 3))
+    point = dict(zip(UNIVERSE, vals))
+
+    def at(f):
+        return f.evaluate(point)
+
+    wider = p.on_variables(set(p.variables) | vq)
+    cases = [
+        (p + q, at(p) + at(q)), (p - q, at(p) - at(q)),
+        (p * q, at(p) * at(q)), (-p, -at(p)), (p ** k, at(p) ** k),
+        (p - p, 0), (p + (-p), 0), ((p + q) - q, at(p)),
+        (p * (q - q), 0), (wider, at(p)),
+        (wider.on_variables(p.used_variables()), at(p)),
+    ]
+    for result, expected in cases:
+        assert_canonical(result)
+        assert at(result) == expected
+    for zero in (p - p, p + (-p), p * (q - q)):
+        assert zero.is_zero()
+    assert p ** 1 == p
+    assert (p ** 0).variables == () and p ** 0 == 1
+
+
+def test_hash_agrees_with_equality():
+    x = var("x")
+    assert len({MultiPoly.constant(2), 2}) == 1
+    assert hash(x - x + Fraction(1, 2)) == hash(Fraction(1, 2))
+    assert hash(x - x) == hash(MultiPoly.zero()) == hash(0)
+    equal = (x + var("y") - var("y"), x)
+    assert equal[0] == equal[1] and len(set(equal)) == 1
 
 
 def test_compiled_evaluation_edge_cases():

@@ -85,9 +85,10 @@ def test_value_types(make, expected):
 
 
 def test_cli_import_loads_whole_package_without_dataclasses():
-    """In a fresh interpreter (no site hooks), importing the CLI loads every
-    module of the package, which the benchmark's tracer relies on, and none
-    of `dataclasses` and the modules it pulls in."""
+    """In a fresh interpreter (no site hooks), importing the CLI puts every
+    module of the package in sys.modules (some not yet executed), which the
+    benchmark's tracer relies on, and loads none of `dataclasses` and the
+    modules it pulls in."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import killingwebs.cli; print(' '.join(sorted(sys.modules)))")
     loaded = set(subprocess.run(
