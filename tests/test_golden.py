@@ -6,8 +6,9 @@ tests replay every invocation in-process and compare all four.  The
 goldens pin the JSON lines of `classify`, the table-gap error message and
 status, the text output of `classify`, `covariants --point` and
 `invariants`, the `verify` suite's report (JSON and text), `joint`
-(exact and float), `generators` and `orbit-dim`, so a faster evaluation
-path has to reproduce them byte for byte.
+(exact and float), `generators`, `orbit-dim` and `frame` (whose float
+`repr`s pin the float parameter action), so a faster evaluation path has
+to reproduce them byte for byte.
 
 Regenerate (only when an output change is intended, and say so in the
 change log) with
@@ -39,6 +40,10 @@ MINKOWSKI_ROWS = ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6", "EC7", "EC8",
                   "EC9", "EC10")
 K2_ROWS = ("EC5", "EC8", "EC9", "EC10")
 TABLE_GAP = ["classify", "--space", "minkowski", "--params=0,2,-1,0,0,3/2"]
+ROWS = ([("euclidean", ec, None) for ec in EUCLIDEAN_ROWS]
+        + [("minkowski", ec, k2) for ec in MINKOWSKI_ROWS
+           for k2 in ((Fraction(1), Fraction(4), Fraction(1, 16))
+                      if ec in K2_ROWS else (None,))])
 
 
 def _text(values) -> str:
@@ -74,13 +79,9 @@ def _inputs() -> list[tuple[str, list[str]]]:
         classify(space, [0] * 6)
         for _ in range(4):                           # five nontrivial slots
             classify(space, [_rational(rng, 12, 5) for _ in range(5)])
-    rows = [("euclidean", ec, None) for ec in EUCLIDEAN_ROWS]
-    rows += [("minkowski", ec, k2) for ec in MINKOWSKI_ROWS
-             for k2 in ((Fraction(1), Fraction(4), Fraction(1, 16))
-                        if ec in K2_ROWS else (None,))]
-    for space, ec, k2 in rows:                       # the canonical rows
+    for space, ec, k2 in ROWS:                       # the canonical rows
         classify(space, canonical_form(space_by_name(space), ec, k2).values)
-    for space, ec, k2 in rows:                       # and dense orbit images
+    for space, ec, k2 in ROWS:                       # and dense orbit images
         p = embed_nontrivial(canonical_form(space_by_name(space), ec, k2))
         u = Fraction(rng.randint(1, 9), rng.randint(1, 6))
         trans = (_rational(rng, 4, 3), _rational(rng, 4, 3))
@@ -107,6 +108,7 @@ def _inputs() -> list[tuple[str, list[str]]]:
                 ["invariants", "--space", "minkowski",
                  "--params=0,0,-1,0,0,1/4", "--k2", "1/2"]))
     out += _suite_inputs()
+    out += _frame_inputs()
     return out
 
 
@@ -156,6 +158,41 @@ def _suite_inputs() -> list[tuple[str, list[str]]]:
     return out
 
 
+def _frame_inputs() -> list[tuple[str, list[str]]]:
+    """Moving frames, from a generator of their own.  Their output prints
+    float `repr`s, so it pins the float parameter action bit for bit."""
+    rng = random.Random(20040718)
+    out = []
+
+    def frame(space, values, output="json"):
+        out.append(("frame", ["frame", "--space", space,
+                              f"--params={_text(values)}",
+                              "--output", output]))
+
+    for space, ec, k2 in ROWS:                       # the canonical rows
+        frame(space, embed_nontrivial(
+            canonical_form(space_by_name(space), ec, k2)).values)
+    for space in SPACES:
+        for output in ("json", "text"):
+            for _ in range(12 if output == "json" else 4):   # dense
+                frame(space, [_rational(rng, 12, 5) for _ in range(6)],
+                      output)
+            for _ in range(6 if output == "json" else 2):    # up to 10^6
+                frame(space, [_rational(rng, 10 ** 6, 10 ** 6)
+                              for _ in range(6)], output)
+            frame(space, [0, 0, 0, 0, 0, 1], output)  # zero angle
+    for output in ("json", "text"):
+        # Euclidean quarter-angle branch: b1 = b2 and b4 = b5, b3 != 0.
+        frame("euclidean", [1, 1, 1, 0, 0, 1], output)
+        b = _rational(rng, 12, 5)
+        frame("euclidean", [b, b, _rational(rng, 12, 5) or 1, 2, 2, 3],
+              output)
+        # Minkowski arctanh domain: infinite and finite arguments.
+        frame("minkowski", [0, 0, 1, 0, 0, 1], output)
+        frame("minkowski", [1, 0, 1, 0, 0, 1], output)
+    return out
+
+
 def _invoke(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
@@ -191,7 +228,7 @@ def test_golden_inventory():
 @pytest.mark.parametrize("section", ["classify-json", "table-gap",
                                      "classify-text", "covariants-text",
                                      "invariants-text", "verify", "joint",
-                                     "generators", "orbit-dim"])
+                                     "generators", "orbit-dim", "frame"])
 def test_outputs_match_goldens(section):
     _replay(section)
 
