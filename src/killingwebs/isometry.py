@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, Q, compile_table, poly, var
 from .spaces import (KV_PARAM_VARS, DomainError, KTParams, KVParams, Space,
-                     extract_kt_params, extract_kv_params, kt_components,
-                     kv_components)
+                     extract_kt_params, extract_kv_params, fraction_tuple,
+                     kt_components, kv_components)
 
 
 class ExactRotation(NamedTuple):
@@ -42,15 +42,19 @@ class IsometryElement(NamedTuple("IsometryElement",
 
     def __new__(cls, space: Space, rot: Rotation, trans: tuple):
         if isinstance(rot, ExactRotation):
-            c, s = Fraction(rot.c), Fraction(rot.s)
+            c, s = fraction_tuple(rot)
+            # In lowest terms c^2 +/- s^2 = 1 forces c = p/q and s = r/q to
+            # share q, so the identity is checked on integers.
+            p, q, r = c.numerator, c.denominator, s.numerator
             if space.kind == "euclidean":
-                if c * c + s * s != 1:
-                    raise DomainError("exact rotation must satisfy c^2 + s^2 = 1")
-            else:
-                if c * c - s * s != 1 or c < 1:
+                if s.denominator != q or p * p + r * r != q * q:
                     raise DomainError(
-                        "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
-            trans = tuple(Fraction(v) for v in trans)
+                        "exact rotation must satisfy c^2 + s^2 = 1")
+            elif s.denominator != q or p * p - r * r != q * q or p < q:
+                raise DomainError(
+                    "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
+            rot = ExactRotation(c, s)
+            trans = fraction_tuple(trans)
         else:
             trans = tuple(float(v) for v in trans)
         return super().__new__(cls, space, rot, trans)
@@ -96,16 +100,20 @@ def rotation_from_parameter(space: Space, u: Fraction,
     branch with c >= 1 for u > 0 (u and 1/u give opposite boosts).
     """
     u = Fraction(u)
+    n, d = u.numerator, u.denominator
     if space.kind == "euclidean":
-        den = 1 + u * u
-        rot = ExactRotation((1 - u * u) / den, 2 * u / den)
+        den = d * d + n * n
+        rot = ExactRotation(Fraction(d * d - n * n, den),
+                            Fraction(2 * n * d, den))
     else:
-        if u == 0:
+        if n == 0:
             raise DomainError("boost parameter must be nonzero")
-        rot = ExactRotation((u + 1 / u) / 2, (u - 1 / u) / 2)
-        if rot.c < 1:
-            rot = ExactRotation(-rot.c, -rot.s)  # u < 0 lands on the far branch
-    return IsometryElement(space, rot, tuple(Fraction(v) for v in trans))
+        # u < 0 lands on the far branch (c <= -1); negated back onto
+        # c >= 1 it is the boost of |u|, hence the |n|.
+        den = 2 * abs(n) * d
+        rot = ExactRotation(Fraction(n * n + d * d, den),
+                            Fraction(n * n - d * d, den))
+    return IsometryElement(space, rot, trans)
 
 
 def float_element(space: Space, angle: float,
@@ -127,12 +135,14 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
     if g1.is_exact != g2.is_exact:
         raise DomainError("cannot mix exact and float representations")
     if g1.is_exact:
-        c1, s1 = g1.cs()
-        c2, s2 = g2.cs()
-        if g1.space.kind == "euclidean":
-            rot = ExactRotation(c1 * c2 - s1 * s2, s1 * c2 + c1 * s2)
-        else:
-            rot = ExactRotation(c1 * c2 + s1 * s2, s1 * c2 + c1 * s2)
+        # c_i = p_i/q_i and s_i = r_i/q_i share their denominator (see
+        # IsometryElement), so the product is formed on the numerators.
+        (c1, s1), (c2, s2) = g1.rot, g2.rot
+        p1, r1, p2, r2 = c1.numerator, s1.numerator, c2.numerator, s2.numerator
+        q = c1.denominator * c2.denominator
+        cc = p1 * p2 - r1 * r2 if g1.space.kind == "euclidean" \
+            else p1 * p2 + r1 * r2
+        rot = ExactRotation(Fraction(cc, q), Fraction(r1 * p2 + p1 * r2, q))
     else:
         rot = FloatAngle(g1.rot.value + g2.rot.value)
     (j00, j01), (j10, j11) = g1.matrix()
@@ -266,15 +276,37 @@ def _exact_kv_action(space: Space):
     return compile_table(action, KV_PARAM_VARS + _GROUP_VARS)
 
 
+@lru_cache(maxsize=None)
+def _float_kt_action(space: Space):
+    """The derived action compiled for floats: a function of the float
+    parameters and (c, s, a, b), in that order.
+
+    Each polynomial is summed from 0.0, left to right, over its terms in
+    dict order, each term being its float coefficient times the powers
+    `x ** e` of its variables in their order: the operations, and so the
+    rounding, of `MultiPoly.evaluate` at a float assignment.
+    """
+    names = space.param_vars + _GROUP_VARS
+    sums = []
+    for p in derived_kt_action(space):
+        terms = ["0.0"]
+        for exps, coeff in p.terms.items():
+            terms.append("*".join([f"({float(coeff)!r})"] + [
+                f"x{names.index(v)}" + (f"**{e}" if e > 1 else "")
+                for v, e in zip(p.variables, exps) if e]))
+        sums.append(" + ".join(terms))
+    args = ", ".join(f"x{i}" for i in range(len(names)))
+    namespace = {}
+    exec(f"def action(values):\n    {args} = values\n"
+         f"    return ({', '.join(sums)},)", namespace)
+    return namespace["action"]
+
+
 def act_kt_params_float(g: IsometryElement, p: KTParams) -> tuple[float, ...]:
-    """Float-mode parameter action, via the derived symbolic map."""
-    c, s = g.cs()
-    a, b = g.trans
-    assignment = {"c": float(c), "s": float(s), "a": float(a), "b": float(b)}
-    assignment.update({name: float(v)
-                       for name, v in zip(g.space.param_vars, p.values)})
-    return tuple(float(poly_i.evaluate(assignment))
-                 for poly_i in derived_kt_action(g.space))
+    """Float-mode parameter action: the derived map compiled for floats,
+    bit-identical to evaluating it with `MultiPoly.evaluate`."""
+    return _float_kt_action(g.space)(tuple(
+        float(v) for v in p.values + g.cs() + g.trans))
 
 
 # -- the discrete group of the Minkowski plane ------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, PolynomialError, Q, parse_rational, poly, var
 
@@ -64,6 +64,11 @@ def _parse_values(text: str, count: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
+    """The values as Fractions, keeping those that already are."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
 # The three Killing vector parameter symbols, in both spaces.
 KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
 
@@ -78,7 +83,7 @@ class KTParams(NamedTuple("KTParams", _VECTOR)):
     def __new__(cls, space: Space, values: Sequence):
         if len(values) != 6:
             raise PolynomialError("KTParams needs exactly 6 values")
-        return super().__new__(cls, space, tuple(Fraction(v) for v in values))
+        return super().__new__(cls, space, fraction_tuple(values))
 
     @staticmethod
     def parse(space: Space, text: str) -> "KTParams":
@@ -99,7 +104,7 @@ class KVParams(NamedTuple("KVParams", _VECTOR)):
     def __new__(cls, space: Space, values: Sequence):
         if len(values) != 3:
             raise PolynomialError("KVParams needs exactly 3 values")
-        return super().__new__(cls, space, tuple(Fraction(v) for v in values))
+        return super().__new__(cls, space, fraction_tuple(values))
 
     @staticmethod
     def parse(space: Space, text: str) -> "KVParams":
@@ -114,7 +119,7 @@ class NontrivialKT(NamedTuple("NontrivialKT", _VECTOR)):
     def __new__(cls, space: Space, values: Sequence):
         if len(values) != 5:
             raise PolynomialError("NontrivialKT needs exactly 5 values")
-        return super().__new__(cls, space, tuple(Fraction(v) for v in values))
+        return super().__new__(cls, space, fraction_tuple(values))
 
     @staticmethod
     def parse(space: Space, text: str) -> "NontrivialKT":

@@ -38,10 +38,9 @@ def _random_element(space, rng) -> IsometryElement:
     u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
     if space.kind == "minkowski" and u == 0:
         u = Fraction(1)
-    g = rotation_from_parameter(space, u)
     trans = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return IsometryElement(space, g.rot, trans)
+    return rotation_from_parameter(space, u, trans)
 
 
 def _random_params(space, rng) -> KTParams:

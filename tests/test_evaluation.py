@@ -5,7 +5,8 @@ Invariants, covariants, the exact group actions on Killing tensors and
 Killing vectors, the joint invariants and the sampled eigenvalue grid are
 evaluated from tables compiled once per space.  Each must agree exactly with
 substituting into (or evaluating) the symbolic polynomials, on sparse and
-dense rationals with heights up to 10^6.  The parameter-space generators are
+dense rationals with heights up to 10^6.  The float action, compiled the
+same way, must agree bit for bit with `MultiPoly.evaluate`.  The parameter-space generators are
 derived once per (space, valence) and shared.
 """
 
@@ -31,7 +32,8 @@ from killingwebs.invariants import (covariant_polynomials,
 from killingwebs.isometry import (IsometryElement, _exact_kt_action,
                                   _transformed_components,
                                   _transformed_vector, act_kt_params,
-                                  act_kv_params, derived_kt_action,
+                                  act_kt_params_float, act_kv_params,
+                                  derived_kt_action, float_element,
                                   rotation_from_parameter)
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, eigen_discriminant, embed_nontrivial,
@@ -106,6 +108,25 @@ def test_vector_action_matches_substitution(space, data, vals):
     comps = _transformed_vector(space, kv.values, g.cs(), g.trans)
     oracle = tuple(v.constant_value() for v in extract_kv_params(space, comps))
     assert act_kv_params(g, kv).values == oracle
+
+
+floats = st.one_of(st.floats(-10, 10), st.floats(-BIG, BIG))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(st.data(), values)
+@settings(max_examples=300, deadline=None)
+def test_float_action_matches_polynomial_evaluation(space, data, vals):
+    p = KTParams(space, vals)
+    g = data.draw(st.one_of(
+        elements(space),
+        st.builds(float_element, st.just(space), st.floats(-4, 4),
+                  st.tuples(floats, floats))))
+    assignment = dict(zip(space.param_vars + ("c", "s", "a", "b"),
+                          (float(v) for v in p.values + g.cs() + g.trans)))
+    oracle = [float(f.evaluate(assignment)) for f in derived_kt_action(space)]
+    assert [v.hex() for v in act_kt_params_float(g, p)] \
+        == [v.hex() for v in oracle]
 
 
 @given(vectors, values)

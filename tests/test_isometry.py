@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   IsometryElement, act_kt_params,
@@ -71,6 +73,101 @@ def test_invalid_exact_rotations_rejected():
     with pytest.raises(DomainError):
         IsometryElement(MINKOWSKI, ExactRotation(Fraction(1, 2), Fraction(0)),
                         (0, 0))
+
+
+def test_element_keeps_its_coerced_rotation():
+    g = IsometryElement(EUCLIDEAN, ExactRotation(1, 0), (0, 0))
+    assert all(type(v) is Fraction for v in g.cs() + g.trans)
+    assert g == identity(EUCLIDEAN)
+    assert repr(g.rot) == repr(identity(EUCLIDEAN).rot)
+
+
+SPACES = [EUCLIDEAN, MINKOWSKI]
+_MESSAGES = {"euclidean": "exact rotation must satisfy c^2 + s^2 = 1",
+             "minkowski": "exact boost must satisfy c^2 - s^2 = 1 with c >= 1"}
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+
+
+@st.composite
+def curve_points(draw, space):
+    """(c, s) on the circle or either branch of the hyperbola, in any
+    signs and order, from the tangent half-angle parametrization."""
+    u = draw(rationals.filter(bool))
+    if space.kind == "euclidean":
+        c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+    else:
+        c, s = (u + 1 / u) / 2, (u - 1 / u) / 2
+    c, s = draw(st.sampled_from([(c, s), (-c, s), (c, -s), (s, c)]))
+    if draw(st.booleans()):
+        # The same numerators over another denominator for s: p^2 +/- r^2
+        # may still equal q^2, but the point is off the curve.
+        s = Fraction(s.numerator, draw(st.integers(1, 60)))
+    return c, s
+
+
+@st.composite
+def shared_denominators(draw):
+    q = draw(st.integers(1, 30))
+    return (Fraction(draw(st.integers(-40, 40)), q),
+            Fraction(draw(st.integers(-40, 40)), q))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_curve_check_matches_fraction_identity(space, data):
+    c, s = data.draw(st.one_of(
+        st.tuples(rationals, rationals), shared_denominators(),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        curve_points(space)))
+    fc, fs = Fraction(c), Fraction(s)
+    if space.kind == "euclidean":
+        on_curve = fc * fc + fs * fs == 1
+    else:
+        on_curve = fc * fc - fs * fs == 1 and fc >= 1
+    if on_curve:
+        g = IsometryElement(space, ExactRotation(c, s), (0, 0))
+        assert g.cs() == (c, s)
+        assert all(type(v) is Fraction for v in g.cs())
+    else:
+        with pytest.raises(DomainError) as err:
+            IsometryElement(space, ExactRotation(c, s), (0, 0))
+        assert str(err.value) == _MESSAGES[space.kind]
+
+
+@st.composite
+def elements(draw, space):
+    u = draw(rationals.filter(lambda v: v or space.kind == "euclidean"))
+    return rotation_from_parameter(space, u, (draw(rationals),
+                                              draw(rationals)))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(rationals.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_curve_parametrization_matches_fraction_formula(space, u):
+    if space.kind == "euclidean":
+        oracle = ((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u))
+    else:
+        oracle = ((u + 1 / u) / 2, (u - 1 / u) / 2)
+        if oracle[0] < 1:
+            oracle = (-oracle[0], -oracle[1])
+    assert rotation_from_parameter(space, u).cs() == oracle
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_compose_matches_fraction_formula(space, data):
+    g1, g2 = data.draw(elements(space)), data.draw(elements(space))
+    (c1, s1), (c2, s2) = g1.cs(), g2.cs()
+    eps = 1 if space.kind == "minkowski" else -1
+    (j00, j01), (j10, j11) = g1.matrix()
+    (a1, b1), (a2, b2) = g1.trans, g2.trans
+    oracle = ((c1 * c2 + eps * s1 * s2, s1 * c2 + c1 * s2),
+              (j00 * a2 + j01 * b2 + a1, j10 * a2 + j11 * b2 + b1))
+    gh = compose(g1, g2)
+    assert (gh.cs(), gh.trans) == oracle
 
 
 # -- point action and composition -------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from killingwebs.poly import poly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                NontrivialKT, TensorField, decompose,
+                                KVParams, NontrivialKT, TensorField, decompose,
                                 dtt_dimension, eigen_discriminant,
                                 embed_nontrivial, extract_kt_params,
                                 general_killing_tensor,
@@ -19,6 +19,15 @@ from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
 
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
 param_vectors = st.tuples(*([rationals] * 6))
+
+
+def test_parameter_vectors_keep_fractions_and_coerce_the_rest():
+    half = Fraction(1, 2)
+    for cls, count in ((KTParams, 6), (KVParams, 3), (NontrivialKT, 5)):
+        vec = cls(MINKOWSKI, (half, 2) + (Fraction(3),) * (count - 2))
+        assert vec.values[0] is half
+        assert all(type(v) is Fraction for v in vec.values)
+        assert vec.values[1:] == (2,) + (3,) * (count - 2)
 
 
 def test_killing_space_dimensions():
