@@ -6,8 +6,9 @@ Killing vectors, the joint invariants and the sampled eigenvalue grid are
 evaluated from tables compiled once per space.  Each must agree exactly with
 substituting into (or evaluating) the symbolic polynomials, on sparse and
 dense rationals with heights up to 10^6.  The float action, compiled the
-same way, must agree bit for bit with `MultiPoly.evaluate`.  The parameter-space generators are
-derived once per (space, valence) and shared.
+same way, must agree bit for bit with `MultiPoly.evaluate`.  The
+parameter-space generators are derived once per (space, valence) and
+shared.
 """
 
 import importlib.util

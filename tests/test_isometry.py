@@ -91,7 +91,7 @@ rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
 @st.composite
 def curve_points(draw, space):
     """(c, s) on the circle or either branch of the hyperbola, in any
-    signs and order, from the tangent half-angle parametrization."""
+    signs and order, from the rational parametrizations."""
     u = draw(rationals.filter(bool))
     if space.kind == "euclidean":
         c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
@@ -99,8 +99,8 @@ def curve_points(draw, space):
         c, s = (u + 1 / u) / 2, (u - 1 / u) / 2
     c, s = draw(st.sampled_from([(c, s), (-c, s), (c, -s), (s, c)]))
     if draw(st.booleans()):
-        # The same numerators over another denominator for s: p^2 +/- r^2
-        # may still equal q^2, but the point is off the curve.
+        # The same numerators over another denominator for s: mostly off
+        # the curve, although p^2 +/- r^2 may still equal q^2.
         s = Fraction(s.numerator, draw(st.integers(1, 60)))
     return c, s
 
