@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from killingwebs.classify import classify_euclidean, classify_minkowski
 from killingwebs.cli import run as cli_run
 from killingwebs.frames import (RESIDUAL_TOL, FrameDomainError,
                                 canonical_form, moving_frame)
@@ -26,16 +25,16 @@ from killingwebs.invariants import (auxiliary_invariants,
                                     invariant_polynomials, j2_oracle,
                                     joint_invariant_polynomials,
                                     joint_invariants, slice_invariant_i2)
-from killingwebs.isometry import (IsometryElement, act_kt_params,
-                                  act_kt_params_float, act_kv_params,
-                                  act_point, discrete_act_params,
-                                  discrete_group_elements, float_element,
-                                  rotation_from_parameter)
+from killingwebs.isometry import (act_kt_params, act_kt_params_float,
+                                  act_kv_params, act_point,
+                                  discrete_act_params,
+                                  discrete_group_elements, float_element)
 from killingwebs.poly import MultiPoly, parse_rational, var
-from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, KTParams, KVParams,
-                                decompose, dtt_dimension, embed_nontrivial,
+from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, KVParams,
+                                dtt_dimension, embed_nontrivial,
                                 killing_residual, kv_components,
                                 symbolic_killing_tensor)
+from samplers import canonical, classify_tag, random_element, random_params
 
 
 def announce(number, description, passed):
@@ -58,30 +57,6 @@ def checked(number, description):
         test.__doc__ = description
         return test
     return wrap
-
-
-def random_element(space, rng):
-    u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if space.kind == "minkowski" and u == 0:
-        u = Fraction(1)
-    base = rotation_from_parameter(space, u)
-    trans = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-             Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    return IsometryElement(space, base.rot, trans)
-
-
-def random_params(space, rng):
-    return KTParams(space, tuple(
-        Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)))
-
-
-K2_CLASSES = ("EC5", "EC8", "EC9", "EC10")
-
-
-def canonical(space, ec):
-    k2 = Fraction(1) if space.kind == "minkowski" and ec in K2_CLASSES \
-        else None
-    return canonical_form(space, ec, k2)
 
 
 # -- criterion 1 --------------------------------------------------------------
@@ -293,13 +268,6 @@ EUCLIDEAN_ROWS = {"EC1": "Cartesian", "EC2": "Polar", "EC3": "Parabolic",
 MINKOWSKI_ROWS = {"EC1": "EC1", "EC2": "EC2", "EC3": "EC3", "EC4": "EC4",
                   "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
                   "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"}
-
-
-def classify_tag(p):
-    nt = decompose(p)[1]
-    if p.space.kind == "euclidean":
-        return classify_euclidean(nt).tag
-    return classify_minkowski(nt)[0].tag
 
 
 @checked(8, "table reproduction + classification invariance (500 elements)")

@@ -7,14 +7,12 @@ import pytest
 
 from killingwebs.classify import (ClassificationReport, classify_euclidean,
                                   classify_full, classify_minkowski)
-from killingwebs.frames import canonical_form
-from killingwebs.isometry import (IsometryElement, act_kt_params,
-                                  discrete_act_params,
-                                  discrete_group_elements,
-                                  rotation_from_parameter)
+from killingwebs.isometry import (act_kt_params, discrete_act_params,
+                                  discrete_group_elements)
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                NontrivialKT, decompose, embed_nontrivial,
+                                NontrivialKT, embed_nontrivial,
                                 metric_params, reconstruct)
+from samplers import canonical, classify_tag, random_element
 
 EUCLIDEAN_EXPECTED = {
     "EC1": "Cartesian",
@@ -35,31 +33,6 @@ MINKOWSKI_EXPECTED = {
     "EC9": ("EC9", None),
     "EC10": ("EC5_or_EC10", None),
 }
-
-K2_CLASSES = ("EC5", "EC8", "EC9", "EC10")
-
-
-def canonical(space, ec, k2=None):
-    if space.kind == "minkowski" and ec in K2_CLASSES and k2 is None:
-        k2 = Fraction(1)
-    return canonical_form(space, ec, k2)
-
-
-def random_element(space, rng):
-    u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if space.kind == "minkowski" and u == 0:
-        u = Fraction(1)
-    base = rotation_from_parameter(space, u)
-    trans = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-             Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    return IsometryElement(space, base.rot, trans)
-
-
-def classify_tag(p: KTParams):
-    nt = decompose(p)[1]
-    if p.space.kind == "euclidean":
-        return classify_euclidean(nt).tag
-    return classify_minkowski(nt)[0].tag
 
 
 # -- table reproduction -------------------------------------------------------

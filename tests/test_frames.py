@@ -16,11 +16,7 @@ from killingwebs.isometry import (act_kt_params, act_kt_params_float,
                                   float_element, rotation_from_parameter)
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 decompose, embed_nontrivial)
-
-
-def random_params(space, rng):
-    return KTParams(space, tuple(
-        Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)))
+from samplers import random_params
 
 
 # -- moving frames ------------------------------------------------------------

@@ -14,30 +14,14 @@ from killingwebs.invariants import (SubmanifoldError, auxiliary_invariants,
                                     joint_invariant_polynomials,
                                     joint_invariants, slice_invariant_i2,
                                     trace_identity_check)
-from killingwebs.isometry import (IsometryElement, act_kt_params,
-                                  act_kv_params, act_point,
-                                  discrete_group_elements,
-                                  rotation_from_parameter)
+from killingwebs.isometry import (act_kt_params, act_kv_params, act_point,
+                                  discrete_group_elements)
 from killingwebs.poly import MultiPoly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, embed_nontrivial, metric_params)
+from samplers import random_element, random_params
 
 A = {i: var(f"alpha{i}") for i in range(1, 7)}
-
-
-def random_element(space, rng):
-    u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if space.kind == "minkowski" and u == 0:
-        u = Fraction(1)
-    base = rotation_from_parameter(space, u)
-    trans = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-             Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    return IsometryElement(space, base.rot, trans)
-
-
-def random_params(space, rng):
-    return KTParams(space, tuple(
-        Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)))
 
 
 # -- printed values -----------------------------------------------------------

@@ -27,21 +27,7 @@ from killingwebs.isometry import (DiscreteReflection, ExactRotation,
 from killingwebs.poly import var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError,
                                 KTParams, KVParams, general_killing_tensor)
-
-
-def random_element(space, rng):
-    u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if space.kind == "minkowski" and u == 0:
-        u = Fraction(1)
-    base = rotation_from_parameter(space, u)
-    trans = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-             Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    return IsometryElement(space, base.rot, trans)
-
-
-def random_params(space, rng):
-    return KTParams(space, tuple(
-        Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)))
+from samplers import random_element, random_params
 
 
 # -- element construction ----------------------------------------------------
