@@ -230,3 +230,20 @@ def test_joint_invariants_jacobian_rank_is_six():
     generic = {s: Fraction(v, 5) for s, v in
                zip(symbols, (2, 3, 5, 7, 11, 13, 17, 19, 23))}
     assert jacobian_rank(joint_invariant_polynomials(), symbols, generic) == 6
+
+
+# -- the per-space forms, written out ------------------------------------------
+
+def test_coordinate_generators_match_the_literal_per_space_forms():
+    zero, one = MultiPoly.zero(), poly(1)
+    t, x, y = var("t"), var("x"), var("y")
+    assert coordinate_killing_vectors(EUCLIDEAN) == [
+        (one, zero), (zero, one), (-y, x)]
+    assert coordinate_killing_vectors(MINKOWSKI) == [
+        (one, zero), (zero, one), (x, t)]
+    for space, c120 in ((EUCLIDEAN, -1), (MINKOWSKI, 1)):
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        c[0][2][1], c[2][0][1] = 1, -1
+        c[1][2][0], c[2][1][0] = c120, -c120
+        assert coordinate_structure_constants(space).c == tuple(
+            tuple(map(tuple, plane)) for plane in c)

@@ -219,6 +219,9 @@ def _replay(section: str) -> None:
 
 
 def test_golden_inventory():
+    with GOLDEN.open() as handle:
+        recorded = [json.loads(line) for line in handle]
+    assert [(e["section"], e["argv"]) for e in recorded] == _inputs()
     sections = _load()
     assert len(sections["classify-json"]) >= 120
     assert [e["argv"] for e in sections["table-gap"]] == [TABLE_GAP]

@@ -14,7 +14,8 @@ from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 embed_nontrivial, extract_kt_params,
                                 general_killing_tensor,
                                 geodesic_poisson_check, killing_residual,
-                                kt_components, metric_params, reconstruct,
+                                kt_components, kv_components,
+                                metric_params, reconstruct,
                                 symbolic_killing_tensor)
 
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
@@ -148,3 +149,38 @@ def test_general_killing_tensor_components_match_printed_pattern():
     assert k00 == 1 + 8 * x + 6 * x * x
     assert k01 == 3 + 4 * t + 5 * x + 6 * t * x
     assert k11 == 2 + 10 * t + 6 * t * t
+
+
+# -- the per-space forms, written out ------------------------------------------
+
+# The library writes each form once in the signature eps = g11; these are
+# the two forms it replaces, one per plane.
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
+def test_kt_components_match_the_literal_per_space_forms(space):
+    v1, v2, v3, v4, v5, v6 = (var(s) for s in space.param_vars)
+    u, w = (var(s) for s in space.point_vars)
+    if space is MINKOWSKI:
+        k01 = v3 + v4 * u + v5 * w + v6 * u * w
+    else:
+        k01 = v3 - v4 * u - v5 * w - v6 * u * w
+    assert kt_components(space, (v1, v2, v3, v4, v5, v6)) == (
+        v1 + 2 * v4 * w + v6 * w * w, k01, v2 + 2 * v5 * u + v6 * u * u)
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
+def test_kv_components_match_the_literal_per_space_forms(space):
+    v1, v2, v3 = (var(s) for s in ("alpha1", "alpha2", "alpha3"))
+    u, w = (var(s) for s in space.point_vars)
+    second = v2 + v3 * u if space is MINKOWSKI else v2 - v3 * u
+    assert kv_components(space, (v1, v2, v3)) == (v1 + v3 * w, second)
+
+
+@given(param_vectors)
+@settings(max_examples=50, deadline=None)
+def test_decompose_matches_the_literal_per_space_forms(values):
+    v1, v2 = values[:2]
+    for space, l0, prime1 in ((EUCLIDEAN, v2, v1 - v2),
+                              (MINKOWSKI, -v2, v1 + v2)):
+        assert decompose(KTParams(space, values)) == (
+            l0, NontrivialKT(space, (prime1,) + tuple(values[2:])))
