@@ -36,8 +36,9 @@ class CheckResult(NamedTuple):
 
 def _random_element(space, rng) -> IsometryElement:
     u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if space.kind == "minkowski" and u == 0:
-        u = Fraction(1)
+    if space.kind == "minkowski" and u <= 0:
+        # -u is the same boost as u; -1/u is its inverse.
+        u = -1 / u if u else Fraction(1)
     trans = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return rotation_from_parameter(space, u, trans)

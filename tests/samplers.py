@@ -16,8 +16,9 @@ from killingwebs.spaces import KTParams, decompose
 def random_element(space, rng):
     """An exact group element with small rational parameter and shift."""
     u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    if space.kind == "minkowski" and u == 0:
-        u = Fraction(1)
+    if space.kind == "minkowski" and u <= 0:
+        # -u is the same boost as u; -1/u is its inverse.
+        u = -1 / u if u else Fraction(1)
     trans = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
              Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
     return rotation_from_parameter(space, u, trans)

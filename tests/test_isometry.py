@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from killingwebs import verify
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   IsometryElement, act_kt_params,
                                   act_kt_params_float, act_kv_params,
@@ -50,6 +51,20 @@ def test_negative_boost_parameter_stays_on_unit_branch():
     g = rotation_from_parameter(MINKOWSKI, Fraction(-1, 2))
     c, s = g.cs()
     assert c >= 1 and c * c - s * s == 1
+
+
+@pytest.mark.parametrize("sample", [random_element, verify._random_element])
+def test_sampled_boosts_are_not_repeated_by_the_sign_of_u(sample):
+    # rotation_from_parameter(MINKOWSKI, -u) is the boost of u, so a sampler
+    # that passed negative draws through would see only the distinct |u|.
+    rng, magnitudes, boosts = random.Random(3), set(), set()
+    for _ in range(200):
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        u = Fraction(probe.randint(-9, 9), probe.randint(1, 6))
+        magnitudes.add(abs(u))
+        boosts.add(sample(MINKOWSKI, rng).rot)
+    assert len(boosts) > len(magnitudes)
 
 
 def test_invalid_exact_rotations_rejected():
