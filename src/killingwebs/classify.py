@@ -23,9 +23,6 @@ from .spaces import (DomainError, KTParams, NontrivialKT, Space, decompose,
                      embed_nontrivial, field_discriminant,
                      symbolic_killing_tensor)
 
-EUCLIDEAN_TAGS = ("Cartesian", "Polar", "Parabolic", "EllipticHyperbolic")
-
-
 class WebClass(NamedTuple):
     tag: str
     subtag: Optional[str] = None

@@ -18,7 +18,7 @@ from .classify import classify_full
 from .invariants import invariant_report, joint_invariants
 from .poly import PolynomialError, parse_rational
 from .spaces import (DomainError, KTParams, KVParams, NontrivialKT, decompose,
-                     embed_nontrivial, space_by_name)
+                     embed_nontrivial, parse_values, space_by_name)
 
 
 def _lazy(name: str):
@@ -117,7 +117,7 @@ def _cmd_covariants(args) -> int:
              f"C2 = {data['C2']}  [{rep.sign_c2.value}]"]
     if args.point is not None:
         u, w = rep.space.point_vars
-        pu, pw = (parse_rational(t) for t in _split(args.point, 2))
+        pu, pw = parse_values(args.point, 2)
         point = {u: pu, w: pw}
         vals = {}
         for name, poly in (("C1", rep.c1), ("C2", rep.c2)):
@@ -127,14 +127,6 @@ def _cmd_covariants(args) -> int:
         data["at_point"] = {"point": [str(pu), str(pw)], **vals}
     _emit(args, data, lines)
     return 0
-
-
-def _split(text: str, count: int) -> list[str]:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise PolynomialError(
-            f"expected {count} comma-separated rationals, got {len(parts)}")
-    return parts
 
 
 def _classify_params(space, text: str) -> KTParams:

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import MultiPoly, Q, var
+from .poly import MultiPoly, Q
 from .spaces import (DomainError, KTParams, NontrivialKT, Space,
                      embed_nontrivial)
 from .isometry import IsometryElement, act_kt_params_float, float_element
@@ -135,14 +135,6 @@ class CrossSection(NamedTuple("CrossSection",
         return super().__new__(cls, tuple(fixed))
 
 
-NT_SYMBOLS = {
-    # Nontrivial-space coordinates reuse the first parameter symbol for the
-    # trace-adjusted combination; the second symbol is pinned to zero.
-    "euclidean": ("beta1", "beta3", "beta4", "beta5", "beta6"),
-    "minkowski": ("alpha1", "alpha3", "alpha4", "alpha5", "alpha6"),
-}
-
-
 def nontrivial_invariant_polynomials(space: Space) -> tuple[MultiPoly, ...]:
     """(I1, I3) restricted to the 5-parameter nontrivial subspace."""
     from .invariants import invariant_polynomials
@@ -168,7 +160,9 @@ def validate_coordinate_cross_section(
 
     if invariants is None:
         invariants = nontrivial_invariant_polynomials(space)
-    symbols = NT_SYMBOLS[space.kind]
+    # Nontrivial-space coordinates reuse the first parameter symbol for the
+    # trace-adjusted combination; the second symbol is pinned to zero.
+    symbols = space.param_vars[:1] + space.param_vars[2:]
     constrained = {symbols[idx]: value for idx, value in cs.constraints}
     free = [s for s in symbols if s not in constrained]
     if len(free) < len(invariants):

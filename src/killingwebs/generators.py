@@ -120,9 +120,7 @@ def coordinate_structure_constants(space: Space) -> StructureConstants:
     Euclidean basis (X, Y, R): [X,R] = Y, [Y,R] = -X.
     Minkowski basis (T, X, H): [T,H] = X, [X,H] = T.
     """
-    if space.kind == "euclidean":
-        return _constants(3, {(0, 2, 1): Q(1), (1, 2, 0): Q(-1)})
-    return _constants(3, {(0, 2, 1): Q(1), (1, 2, 0): Q(1)})
+    return _constants(3, {(0, 2, 1): Q(1), (1, 2, 0): Q(-space.eps)})
 
 
 def sigma_structure_constants(space: Space) -> StructureConstants:
@@ -139,9 +137,7 @@ def coordinate_killing_vectors(space: Space) -> list[tuple[MultiPoly, MultiPoly]
     """Components of the three coordinate generators of the isometry algebra."""
     u, w = (var(v) for v in space.point_vars)
     zero, one = MultiPoly.zero(), poly(1)
-    if space.kind == "euclidean":
-        return [(one, zero), (zero, one), (-w, u)]
-    return [(one, zero), (zero, one), (w, u)]
+    return [(one, zero), (zero, one), (-space.eps * w, u)]
 
 
 def _lie_derivative_tensor(space: Space, X: tuple[MultiPoly, MultiPoly],

@@ -27,47 +27,36 @@ class SubmanifoldError(DomainError):
 
 # -- symbolic invariant polynomials -----------------------------------------
 
+def _quad_cross(space: Space) -> tuple[MultiPoly, MultiPoly]:
+    """The quadratics quad and cross in the parameters; (quad, 2 cross)
+    turns with weight 2 under the rotation (Euclidean) or boost."""
+    eps = space.eps
+    p1, p2, p3, p4, p5, p6 = (var(v) for v in space.param_vars)
+    return (eps * (p6 * p1 - p4 ** 2) - (p6 * p2 - p5 ** 2),
+            p3 * p6 + eps * p4 * p5)
+
+
 @lru_cache(maxsize=None)
 def invariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(I1, I2, I3) as polynomials in the six parameter symbols."""
-    if space.kind == "minkowski":
-        a1, a2, a3, a4, a5, a6 = (var(v) for v in space.param_vars)
-        quad = a4 ** 2 + a5 ** 2 - a6 * (a1 + a2)
-        cross = a3 * a6 - a4 * a5
-        i1 = quad ** 2 - 4 * cross ** 2
-        i2 = a6 * (a1 - a2) - a4 ** 2 + a5 ** 2
-        i3 = a6
-    else:
-        b1, b2, b3, b4, b5, b6 = (var(v) for v in space.param_vars)
-        quad = b6 * (b1 - b2) + b5 ** 2 - b4 ** 2
-        cross = b3 * b6 + b4 * b5
-        i1 = quad ** 2 + 4 * cross ** 2
-        i2 = b6 * (b1 + b2) - b4 ** 2 - b5 ** 2
-        i3 = b6
-    return (i1, i2, i3)
+    eps = space.eps
+    p1, p2, _, p4, p5, p6 = (var(v) for v in space.param_vars)
+    quad, cross = _quad_cross(space)
+    return (quad ** 2 + 4 * eps * cross ** 2,
+            p6 * (p1 + eps * p2) - p4 ** 2 - eps * p5 ** 2,
+            p6)
 
 
 @lru_cache(maxsize=None)
 def covariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly]:
     """(C1, C2) as polynomials in parameters and the point coordinates."""
+    eps = space.eps
     u, w = (var(v) for v in space.point_vars)
-    if space.kind == "minkowski":
-        a1, a2, a3, a4, a5, a6 = (var(v) for v in space.param_vars)
-        lu = a6 * u + a5
-        lw = a6 * w + a4
-        quad = a4 ** 2 + a5 ** 2 - a6 * (a1 + a2)
-        cross = a3 * a6 - a4 * a5
-        c1 = lu ** 2 - lw ** 2
-        c2 = (lu ** 2 + lw ** 2) * quad + 4 * lu * lw * cross
-    else:
-        b1, b2, b3, b4, b5, b6 = (var(v) for v in space.param_vars)
-        lu = b6 * u + b5
-        lw = b6 * w + b4
-        quad = b5 ** 2 - b4 ** 2 + b6 * (b1 - b2)
-        cross = b6 * b3 + b4 * b5
-        c1 = lu ** 2 + lw ** 2
-        c2 = (lu ** 2 - lw ** 2) * quad + 4 * lu * lw * cross
-    return (c1, c2)
+    _, _, _, p4, p5, p6 = (var(v) for v in space.param_vars)
+    lu, lw = p6 * u + p5, p6 * w + p4
+    quad, cross = _quad_cross(space)
+    return (lu ** 2 + eps * lw ** 2,
+            (lu ** 2 - eps * lw ** 2) * quad + 4 * lu * lw * cross)
 
 
 def _param_assignment(p: KTParams) -> dict[str, Fraction]:
@@ -160,8 +149,7 @@ def _j2_candidates() -> dict[str, MultiPoly]:
     b = {i: var(f"beta{i}") for i in range(1, 7)}
     p = b[6] * a[1] - b[4] * a[3]
     q = b[6] * a[2] + b[5] * a[3]
-    dd = b[6] * (b[1] - b[2]) + b[5] ** 2 - b[4] ** 2
-    cross = b[3] * b[6] + b[4] * b[5]
+    dd, cross = _quad_cross(EUCLIDEAN)
     tail = 2 * cross * p
     s2 = b[6] * b[2] - b[5] ** 2
     return {

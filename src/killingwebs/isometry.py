@@ -75,16 +75,10 @@ class IsometryElement(NamedTuple("IsometryElement",
         c, s = self.cs()
         return _matrix(self.space, c, s)
 
-    def inverse_matrix(self):
-        c, s = self.cs()
-        return _matrix(self.space, c, -s)
-
 
 def _matrix(space: Space, c, s):
     """The rotation/boost matrix at (c, s); (c, -s) gives its inverse."""
-    if space.kind == "euclidean":
-        return ((c, -s), (s, c))
-    return ((c, s), (s, c))
+    return ((c, -space.eps * s), (s, c))
 
 
 def identity(space: Space) -> IsometryElement:
@@ -140,8 +134,7 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
         (c1, s1), (c2, s2) = g1.rot, g2.rot
         p1, r1, p2, r2 = c1.numerator, s1.numerator, c2.numerator, s2.numerator
         q = c1.denominator * c2.denominator
-        cc = p1 * p2 - r1 * r2 if g1.space.kind == "euclidean" \
-            else p1 * p2 + r1 * r2
+        cc = p1 * p2 - g1.space.eps * r1 * r2
         rot = ExactRotation(Fraction(cc, q), Fraction(r1 * p2 + p1 * r2, q))
     else:
         rot = FloatAngle(g1.rot.value + g2.rot.value)
@@ -155,7 +148,7 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
 def inverse(g: IsometryElement) -> IsometryElement:
     c, s = g.cs()
     rot = ExactRotation(c, -s) if g.is_exact else FloatAngle(-g.rot.value)
-    (i00, i01), (i10, i11) = g.inverse_matrix()
+    (i00, i01), (i10, i11) = _matrix(g.space, c, -s)
     a, b = g.trans
     return IsometryElement(g.space, rot, (-(i00 * a + i01 * b),
                                           -(i10 * a + i11 * b)))
@@ -221,9 +214,8 @@ def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
 
 
 def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:
-    """Normal form modulo the curve identity: rewrite c^2 as 1 -+ s^2."""
-    rel = poly(1) - var("s") * var("s") if space.kind == "euclidean" \
-        else poly(1) + var("s") * var("s")
+    """Normal form modulo the curve identity: rewrite c^2 as 1 - eps s^2."""
+    rel = poly(1) - space.eps * var("s") * var("s")
     if "c" not in p.variables:
         return p
     ci = p.variables.index("c")

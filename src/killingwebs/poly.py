@@ -285,13 +285,6 @@ class MultiPoly:
             total += term
         return total
 
-    def evaluator(self, variables: Sequence[str]
-                  ) -> Callable[[Sequence[Scalar]], Fraction]:
-        """Compile into a function of a tuple of exact values, one for each
-        name in `variables`, returning the exact value (see compile_table)."""
-        table = compile_table((self,), variables)
-        return lambda values: table(values)[0]
-
     def coefficients_in(self, variables: Sequence[str]) -> dict[tuple[int, ...], "MultiPoly"]:
         """Collect coefficients with respect to a subset of the variables.
 

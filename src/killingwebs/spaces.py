@@ -31,6 +31,11 @@ class Space(NamedTuple):
     def __str__(self) -> str:
         return self.kind
 
+    @property
+    def eps(self) -> int:
+        """The signature g11: +1 on the Euclidean, -1 on the Minkowski plane."""
+        return self.metric_diag[1].numerator
+
 
 EUCLIDEAN = Space(
     kind="euclidean",
@@ -56,8 +61,9 @@ def space_by_name(name: str) -> Space:
         raise DomainError(f"unknown space {name!r}") from None
 
 
-def _parse_values(text: str, count: int) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",")]
+def parse_values(text: str, count: int) -> tuple[Fraction, ...]:
+    """Exactly `count` comma-separated rationals."""
+    parts = text.split(",")
     if len(parts) != count:
         raise PolynomialError(
             f"expected {count} comma-separated rationals, got {len(parts)}")
@@ -87,7 +93,7 @@ class KTParams(NamedTuple("KTParams", _VECTOR)):
 
     @staticmethod
     def parse(space: Space, text: str) -> "KTParams":
-        return KTParams(space, _parse_values(text, 6))
+        return KTParams(space, parse_values(text, 6))
 
     def scale(self, factor: Fraction) -> "KTParams":
         return KTParams(self.space, tuple(factor * v for v in self.values))
@@ -108,7 +114,7 @@ class KVParams(NamedTuple("KVParams", _VECTOR)):
 
     @staticmethod
     def parse(space: Space, text: str) -> "KVParams":
-        return KVParams(space, _parse_values(text, 3))
+        return KVParams(space, parse_values(text, 3))
 
 
 class NontrivialKT(NamedTuple("NontrivialKT", _VECTOR)):
@@ -123,7 +129,7 @@ class NontrivialKT(NamedTuple("NontrivialKT", _VECTOR)):
 
     @staticmethod
     def parse(space: Space, text: str) -> "NontrivialKT":
-        return NontrivialKT(space, _parse_values(text, 5))
+        return NontrivialKT(space, parse_values(text, 5))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -137,13 +143,6 @@ class TensorField(NamedTuple):
     """
     space: Space
     components: tuple[MultiPoly, MultiPoly, MultiPoly]
-
-    def component(self, i: int, j: int) -> MultiPoly:
-        if (i, j) in ((0, 0),):
-            return self.components[0]
-        if (i, j) in ((0, 1), (1, 0)):
-            return self.components[1]
-        return self.components[2]
 
 
 def dtt_dimension(n: int, p: int) -> int:
@@ -169,14 +168,9 @@ def kt_components(space: Space, values: Sequence[Coeff]
     v1, v2, v3, v4, v5, v6 = [v if isinstance(v, MultiPoly) else poly(v)
                               for v in values]
     u, w = (var(s) for s in space.point_vars)
-    if space.kind == "minkowski":
-        k00 = v1 + 2 * v4 * w + v6 * w * w
-        k01 = v3 + v4 * u + v5 * w + v6 * u * w
-        k11 = v2 + 2 * v5 * u + v6 * u * u
-    else:
-        k00 = v1 + 2 * v4 * w + v6 * w * w
-        k01 = v3 - v4 * u - v5 * w - v6 * u * w
-        k11 = v2 + 2 * v5 * u + v6 * u * u
+    k00 = v1 + 2 * v4 * w + v6 * w * w
+    k01 = v3 - space.eps * (v4 * u + v5 * w + v6 * u * w)
+    k11 = v2 + 2 * v5 * u + v6 * u * u
     return (k00, k01, k11)
 
 
@@ -192,15 +186,13 @@ def symbolic_killing_tensor(space: Space) -> TensorField:
 
 def kv_components(space: Space, values: Sequence[Coeff]
                   ) -> tuple[MultiPoly, MultiPoly]:
-    """Components of the general Killing vector."""
+    """Components of the general Killing vector: v1 and v2 on the two
+    translations, v3 on the rotation (Euclidean) or boost (Minkowski)."""
     if len(values) != 3:
         raise PolynomialError("need 3 parameter values")
     v1, v2, v3 = [v if isinstance(v, MultiPoly) else poly(v) for v in values]
     u, w = (var(s) for s in space.point_vars)
-    if space.kind == "minkowski":
-        # v1 * t-translation + v2 * x-translation + v3 * hyperbolic rotation
-        return (v1 + v3 * w, v2 + v3 * u)
-    return (v1 + v3 * w, v2 - v3 * u)
+    return (v1 + v3 * w, v2 - space.eps * v3 * u)
 
 
 def extract_kt_params(space: Space, components: Sequence[MultiPoly]
@@ -329,13 +321,8 @@ def decompose(p: KTParams) -> tuple[Fraction, NontrivialKT]:
     """Split into a metric multiple and a nontrivial part; the inverse of
     l0 * metric + embed(nt)."""
     v = p.values
-    if p.space.kind == "minkowski":
-        l0 = -v[1]
-        prime1 = v[0] + v[1]
-    else:
-        l0 = v[1]
-        prime1 = v[0] - v[1]
-    return l0, NontrivialKT(p.space, (prime1, v[2], v[3], v[4], v[5]))
+    l0 = v[1] * p.space.eps
+    return l0, NontrivialKT(p.space, (v[0] - l0, v[2], v[3], v[4], v[5]))
 
 
 def reconstruct(l0: Fraction, nt: NontrivialKT) -> KTParams:

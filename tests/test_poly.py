@@ -65,7 +65,7 @@ def test_compiled_evaluation_matches_evaluation(p, q, a, b):
     expected = tuple(f.evaluate({s: point[s] for s in f.used_variables()})
                      for f in (p, q))
     assert compile_table((p, q), ("y", "x"))((b, a)) == expected
-    assert p.evaluator(("x", "y"))((a, b)) == expected[0]
+    assert compile_table((p,), ("x", "y"))((a, b)) == expected[:1]
 
 
 # Symbols from every block of the universe, so merged variable lists must be
@@ -136,12 +136,13 @@ def test_hash_agrees_with_equality():
 
 def test_compiled_evaluation_edge_cases():
     assert compile_table((), ())(()) == ()
-    assert MultiPoly.zero().evaluator(())(()) == 0
-    assert poly(Fraction(3, 4)).evaluator(("x",))((5,)) == Fraction(3, 4)
+    assert compile_table((MultiPoly.zero(),), ())(()) == (0,)
+    assert compile_table((poly(Fraction(3, 4)),), ("x",))((5,)) \
+        == (Fraction(3, 4),)
     with pytest.raises(PolynomialError):
-        var("y").evaluator(("x",))
+        compile_table((var("y"),), ("x",))
     with pytest.raises(PolynomialError):
-        var("x").evaluator(("x", "x"))
+        compile_table((var("x"),), ("x", "x"))
 
 
 def test_unknown_symbols_raise_polynomial_error():
