@@ -11,17 +11,12 @@ honestly as merged tags.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .invariants import InvariantReport, invariant_report, slice_invariant_i2
-from .poly import compile_table
 from .signs import SignClass
-from .spaces import (DomainError, KTParams, NontrivialKT, Space, decompose,
-                     embed_nontrivial, field_discriminant,
-                     symbolic_killing_tensor)
+from .spaces import (DomainError, KTParams, NontrivialKT, decompose,
+                     embed_nontrivial)
 
 class WebClass(NamedTuple):
     tag: str
@@ -164,44 +159,46 @@ def _minkowski_web(p: KTParams, inv: InvariantReport
     return WebClass("EC6_or_EC8", subtag), tuple(caveats)
 
 
-# The sampled grid: u, w in {-2, -3/2, ..., 2}, scaled by 2 to integers.
-_GRID = tuple((i - 4, j - 4) for i in range(9) for j in range(9))
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
 
 
-@lru_cache(maxsize=None)
-def _discriminant_grid(space: Space):
-    """The eigenvalue discriminant's coefficients in the point variables,
-    compiled as a table in the parameters, and for each grid point the
-    integer weights that turn those coefficients into 2^degree times the
-    discriminant's value there."""
-    disc = field_discriminant(symbolic_killing_tensor(space))
-    coeffs = disc.coefficients_in(space.point_vars)
-    degree = disc.total_degree(restrict=space.point_vars)
-    weights = tuple(tuple(u ** i * w ** j * 2 ** (degree - i - j)
-                          for i, j in coeffs)
-                    for u, w in _GRID)
-    return compile_table(tuple(coeffs.values()), space.param_vars), weights
+def _signs(a: Fraction, b: Fraction, c: Fraction) -> set[int]:
+    """The signs that a s^2 + 2 b s + c takes as s runs over the reals."""
+    d = b * b - a * c
+    if d > 0:                   # a simple real root
+        return {-1, 0, 1}
+    if a == 0:                  # then b = 0: the constant c
+        return {_sign(c)}
+    return {_sign(a), 0} if d == 0 else {_sign(a)}
 
 
 def _eigen_precondition(p: KTParams) -> str:
-    """Sample the eigenvalue discriminant on a rational grid over [-2, 2]^2.
+    """Decide the sign of the eigenvalue discriminant over the whole plane:
+    "complex" if it is negative somewhere, else "degenerate" if it vanishes
+    somewhere, else "satisfied".
 
-    Values are compared to zero only, so each is taken as an integer
-    multiple of the true value: coefficients over their common denominator,
-    point coordinates doubled.
+    Euclidean: disc = (k00 - k11)^2 + 4 k01^2 is never negative.  The two
+    squared quadratics share a real zero unless v4 = v5 = v6 = 0 (for
+    v6 != 0 they reduce to v6 z^2 = const in z = y + ix about the centre;
+    for v6 = 0 the affine system has determinant 2 (v4^2 + v5^2)), and then
+    disc is the constant (v1 - v2)^2 + 4 v3^2.
+
+    Minkowski: disc = f(t - x) g(t + x) with f(s) = v6 s^2 + 2 (v5 - v4) s
+    + v1 + v2 - 2 v3 and g(s) = v6 s^2 + 2 (v5 + v4) s + v1 + v2 + 2 v3.
+    The null coordinates t - x and t + x run over R independently, so disc
+    takes exactly the products of the signs f and g take.
     """
-    table, weights = _discriminant_grid(p.space)
-    coeffs = table(p.values)
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    seen_zero = False
-    for row in weights:
-        value = sum(map(mul, ints, row))
-        if value < 0:
-            return "complex"
-        if value == 0:
-            seen_zero = True
-    return "degenerate" if seen_zero else "satisfied on sampled region"
+    v1, v2, v3, v4, v5, v6 = p.values
+    if p.space.eps > 0:
+        if v4 == v5 == v6 == 0 and (v1 != v2 or v3 != 0):
+            return "satisfied"
+        return "degenerate"
+    signs = {x * y for x in _signs(v6, v5 - v4, v1 + v2 - 2 * v3)
+             for y in _signs(v6, v5 + v4, v1 + v2 + 2 * v3)}
+    if -1 in signs:
+        return "complex"
+    return "degenerate" if 0 in signs else "satisfied"
 
 
 def classify_full(p: KTParams) -> ClassificationReport:
@@ -221,6 +218,6 @@ def classify_full(p: KTParams) -> ClassificationReport:
         caveats.extend(tree_caveats)
         if precondition == "complex":
             caveats.append(
-                "eigenvalues complex on part of the sampled region; the "
+                "eigenvalues complex on an open region of the plane; the "
                 "tensor does not generate a web there")
     return ClassificationReport(p, l0, inv, web, precondition, tuple(caveats))

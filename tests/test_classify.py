@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from killingwebs.classify import (ClassificationReport, classify_euclidean,
-                                  classify_full, classify_minkowski)
-from killingwebs.isometry import (act_kt_params, discrete_act_params,
-                                  discrete_group_elements)
+from killingwebs.classify import (ClassificationReport, _eigen_precondition,
+                                  classify_euclidean, classify_full,
+                                  classify_minkowski)
+from killingwebs.isometry import (IsometryElement, act_kt_params,
+                                  discrete_act_params,
+                                  discrete_group_elements, identity)
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 NontrivialKT, embed_nontrivial,
                                 metric_params, reconstruct)
@@ -129,21 +133,55 @@ def test_full_report_shape():
     assert data["class"] == "EC7"
     assert data["invariants"]["I3"] == "1/4"
     assert data["sign_classes"]["C2"] == "positive"
-    assert data["eigen_precondition"] in (
-        "satisfied on sampled region", "degenerate", "complex")
+    assert data["eigen_precondition"] == "complex"
+    assert "eigenvalues complex on an open region of the plane; the tensor " \
+        "does not generate a web there" in data["caveats"]
     assert "auxiliary" in data
 
 
 def test_eigen_precondition_states():
-    distinct = classify_full(embed_nontrivial(canonical(EUCLIDEAN, "EC4")))
-    assert distinct.eigen_precondition in ("satisfied on sampled region",
-                                           "degenerate")
-    degenerate = classify_full(KTParams(EUCLIDEAN, (0, 0, 0, 0, 0, 1)))
-    assert degenerate.eigen_precondition == "degenerate"
+    """Cartesian tensors are constant with distinct eigenvalues; every other
+    Euclidean class has a focus or a centre where the eigenvalues meet."""
+    expected = {"EC1": "satisfied", "EC2": "degenerate", "EC3": "degenerate",
+                "EC4": "degenerate"}
+    for ec, verdict in expected.items():
+        report = classify_full(embed_nontrivial(canonical(EUCLIDEAN, ec)))
+        assert report.eigen_precondition == verdict
+    trivial = classify_full(metric_params(EUCLIDEAN))
+    assert trivial.eigen_precondition == "degenerate"
     complex_case = classify_full(KTParams(MINKOWSKI, (0, 0, 1, 0, 0, 0)))
     assert complex_case.eigen_precondition == "complex"
-    if complex_case.web is not None:
-        assert any("complex" in c for c in complex_case.caveats)
+    assert complex_case.web is not None
+    assert any("complex" in c for c in complex_case.caveats)
+
+
+small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+nonzero_small = small.filter(bool)
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI], ids=str)
+@given(st.tuples(*[small] * 6), st.randoms(use_true_random=False),
+       nonzero_small, small)
+@settings(max_examples=100, deadline=None)
+def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
+    """The verdict is unchanged by the connected group, the discrete group,
+    nonzero scaling and adding a multiple of the metric."""
+    p = KTParams(space, vals)
+    verdict = _eigen_precondition(p)
+    metric = metric_params(space).values
+    images = [act_kt_params(random_element(space, rng), p), p.scale(lam),
+              KTParams(space, tuple(v + l0 * g for v, g in zip(vals, metric)))]
+    if space.kind == "minkowski":
+        images += [discrete_act_params(r, p) for r in discrete_group_elements()]
+    assert {_eigen_precondition(q) for q in images} == {verdict}
+
+
+def test_eigen_precondition_does_not_depend_on_where_the_input_sits():
+    p = embed_nontrivial(canonical(MINKOWSKI, "EC5", Fraction(4)))
+    verdicts = {_eigen_precondition(act_kt_params(IsometryElement(
+        MINKOWSKI, identity(MINKOWSKI).rot, (Fraction(dt), Fraction(0))), p))
+        for dt in (0, 3, 10)}
+    assert verdicts == {"complex"}
 
 
 def test_euclidean_tables_cross_check_each_other():

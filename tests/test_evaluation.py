@@ -2,15 +2,17 @@
 compute-once shape of `classify_full`.
 
 Invariants, covariants, the exact group actions on Killing tensors and
-Killing vectors, the joint invariants and the sampled eigenvalue grid are
-evaluated from tables compiled once per space.  Each must agree exactly with
-substituting into (or evaluating) the symbolic polynomials, on sparse and
-dense rationals with heights up to 10^6.  The float action, compiled the
+Killing vectors and the joint invariants are evaluated from tables compiled
+once per space.  Each must agree exactly with substituting into (or
+evaluating) the symbolic polynomials, on sparse and dense rationals with
+heights up to 10^6.  The closed-form eigenvalue verdict must have a witness
+point where the evaluated discriminant takes the sign it names.  The float action, compiled the
 same way, must agree bit for bit with `MultiPoly.evaluate`.  The
 parameter-space generators are derived once per (space, valence) and
 shared.
 """
 
+import cmath
 import importlib.util
 import random
 from fractions import Fraction
@@ -150,6 +152,8 @@ def test_generators_are_derived_once_and_shared(space, valence):
 
 
 def _grid_oracle(p):
+    """The discriminant's signs on the 81 points of a rational grid over
+    [-2, 2]^2, read as a verdict."""
     disc = eigen_discriminant(p)
     u, w = p.space.point_vars
     seen = []
@@ -160,21 +164,107 @@ def _grid_oracle(p):
                 {s: point[s] for s in disc.used_variables()}))
     if min(seen) < 0:
         return "complex"
-    return "degenerate" if 0 in seen else "satisfied on sampled region"
+    return "degenerate" if 0 in seen else "satisfied"
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 @given(values)
 @settings(max_examples=100, deadline=None)
 def test_grid_verdict_matches_pointwise_evaluation(space, vals):
+    """A grid sees part of the plane only: a negative value on it must make
+    the exact verdict "complex", and a zero must rule out "satisfied"."""
     p = KTParams(space, vals)
-    assert _eigen_precondition(p) == _grid_oracle(p)
+    grid, exact = _grid_oracle(p), _eigen_precondition(p)
+    if grid == "complex":
+        assert exact == "complex"
+    elif grid == "degenerate":
+        assert exact != "satisfied"
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _candidates(a, b, c):
+    """Rational s at which a s^2 + 2 b s + c takes each sign it takes, and
+    its zero unless that is an irrational simple root: the vertex and both
+    sides far out, or a linear root and either side of it."""
+    if a:
+        far = 1 + (2 * abs(b) + abs(c)) / abs(a)
+        return [-b / a, far, -far]
+    if b:
+        return [(e - c) / (2 * b) for e in (-1, 0, 1)]
+    return [Fraction(0)]
+
+
+def _minkowski_signs(p):
+    """The discriminant's signs at the products of the candidate null
+    coordinates t - x of f and t + x of g."""
+    v1, v2, v3, v4, v5, v6 = p.values
+    disc = eigen_discriminant(p)
+    signs = set()
+    for sigma in _candidates(v6, v5 - v4, v1 + v2 - 2 * v3):
+        for tau in _candidates(v6, v5 + v4, v1 + v2 + 2 * v3):
+            signs.add(_sign(disc.evaluate(
+                {"t": (sigma + tau) / 2, "x": (tau - sigma) / 2})))
+    return signs
+
+
+def _euclidean_zero(p):
+    """A common zero of k00 - k11 and k01: exact when I3 = v6 = 0 (an
+    affine system) or when it is the centre, else the float root of
+    v6 z^2 = const with z = y + ix about the centre."""
+    v1, v2, v3, v4, v5, v6 = p.values
+    if v4 == v5 == v6 == 0:
+        return Fraction(0), Fraction(0)
+    if v6 == 0:
+        det = 2 * (v4 * v4 + v5 * v5)
+        return (((v1 - v2) * v5 + 2 * v3 * v4) / det,
+                (2 * v3 * v5 - (v1 - v2) * v4) / det)
+    cx, cy = -v5 / v6, -v4 / v6
+    ca = (v1 - v2) + (v5 * v5 - v4 * v4) / v6
+    cb = v3 + v4 * v5 / v6
+    if ca == cb == 0:
+        return cx, cy
+    z = cmath.sqrt(complex(-float(ca), 2 * float(cb)) / float(v6))
+    return float(cx) + z.imag, float(cy) + z.real
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(values)
+@settings(max_examples=100, deadline=None)
+def test_verdict_has_a_pointwise_witness(space, vals):
+    p = KTParams(space, vals)
+    verdict = _eigen_precondition(p)
+    disc = eigen_discriminant(p)
+    if space.kind == "minkowski":
+        signs = _minkowski_signs(p)
+        if verdict == "complex":
+            assert -1 in signs
+        else:
+            assert -1 not in signs
+            assert (0 in signs) == (verdict == "degenerate")
+        return
+    assert verdict != "complex"
+    if verdict == "satisfied":
+        assert disc.is_constant() and disc.constant_value() > 0
+        return
+    x, y = _euclidean_zero(p)
+    value = disc.evaluate({"x": x, "y": y})
+    if isinstance(value, Fraction):
+        assert value == 0
+    else:
+        assert p.values[5] != 0         # I3 = 0 gives an exact zero
+        scale = sum(abs(float(c)) * abs(x) ** i * abs(y) ** j
+                    for (i, j), c in disc.on_variables(("x", "y"))
+                    .terms.items())
+        assert abs(value) <= 1e-9 * scale
 
 
 def test_grid_verdict_reaches_every_state():
     seen = {_eigen_precondition(KTParams(MINKOWSKI, v)) for v in
             ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))}
-    assert seen == {"complex", "degenerate", "satisfied on sampled region"}
+    assert seen == {"complex", "degenerate", "satisfied"}
 
 
 def _load_spans():
@@ -202,8 +292,9 @@ def _records():
 
 
 def test_warm_classify_full_computes_each_quantity_once():
-    """Traced with the benchmark's own spans: no substitution, one covariant
-    build per record, and the group action is never derived or evaluated."""
+    """Traced with the benchmark's own spans: no substitution, product or
+    polynomial evaluation, one covariant build per record, and the group
+    action is never derived or evaluated."""
     records = _records()
     for p in records:
         classify_full(p)
@@ -219,6 +310,8 @@ def test_warm_classify_full_computes_each_quantity_once():
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["poly.subst.calls_per_record"] == 0
+    assert metrics["poly.mul.calls_per_record"] == 0
+    assert metrics["poly.evaluate.calls_per_record"] == 0
     assert metrics["invariants.fundamental_covariants.calls_per_record"] == 1
     assert metrics["invariants.covariant_builds_useful_ratio"] == 1.0
     assert (derived_kt_action.cache_info(),

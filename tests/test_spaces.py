@@ -12,6 +12,7 @@ from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, NontrivialKT, TensorField, decompose,
                                 dtt_dimension, eigen_discriminant,
                                 embed_nontrivial, extract_kt_params,
+                                field_discriminant,
                                 general_killing_tensor,
                                 geodesic_poisson_check, killing_residual,
                                 kt_components, kv_components,
@@ -184,3 +185,24 @@ def test_decompose_matches_the_literal_per_space_forms(values):
                               (MINKOWSKI, -v2, v1 + v2)):
         assert decompose(KTParams(space, values)) == (
             l0, NontrivialKT(space, (prime1,) + tuple(values[2:])))
+
+
+# The closed-form eigenvalue verdict in `classify` rests on these two
+# factorizations of the symbolic discriminant.
+
+def test_euclidean_discriminant_is_a_sum_of_two_squares():
+    v1, v2, v3, v4, v5, v6 = (var(s) for s in EUCLIDEAN.param_vars)
+    x, y = var("x"), var("y")
+    a = (v1 - v2) + 2 * v4 * y - 2 * v5 * x + v6 * (y * y - x * x)
+    b = v3 - v4 * x - v5 * y - v6 * x * y
+    disc = field_discriminant(symbolic_killing_tensor(EUCLIDEAN))
+    assert disc == a * a + 4 * b * b
+
+
+def test_minkowski_discriminant_factors_in_null_coordinates():
+    v1, v2, v3, v4, v5, v6 = (var(s) for s in MINKOWSKI.param_vars)
+    sigma, tau = var("t") - var("x"), var("t") + var("x")
+    f = v6 * sigma * sigma + 2 * (v5 - v4) * sigma + (v1 + v2 - 2 * v3)
+    g = v6 * tau * tau + 2 * (v5 + v4) * tau + (v1 + v2 + 2 * v3)
+    disc = field_discriminant(symbolic_killing_tensor(MINKOWSKI))
+    assert disc == f * g
