@@ -159,35 +159,28 @@ def _minkowski_web(p: KTParams, inv: InvariantReport
     return WebClass("EC6_or_EC8", subtag), tuple(caveats)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _signs(a: Fraction, b: Fraction, c: Fraction) -> set[int]:
     """The signs that a s^2 + 2 b s + c takes as s runs over the reals."""
     d = b * b - a * c
     if d > 0:                   # a simple real root
         return {-1, 0, 1}
-    if a == 0:                  # then b = 0: the constant c
-        return {_sign(c)}
-    return {_sign(a), 0} if d == 0 else {_sign(a)}
+    # Else the sign of a, or of c when a = 0 (which forces b = 0), and 0 at
+    # a double root.
+    lead = a or c
+    sign = (lead > 0) - (lead < 0)
+    return {sign, 0} if d == 0 and a else {sign}
 
 
 def _eigen_precondition(p: KTParams) -> str:
-    """Decide the sign of the eigenvalue discriminant over the whole plane:
-    "complex" if it is negative somewhere, else "degenerate" if it vanishes
-    somewhere, else "satisfied".
+    """The sign of the eigenvalue discriminant over the whole plane:
+    "complex" if negative somewhere, else "degenerate" if zero somewhere,
+    else "satisfied".
 
-    Euclidean: disc = (k00 - k11)^2 + 4 k01^2 is never negative.  The two
-    squared quadratics share a real zero unless v4 = v5 = v6 = 0 (for
-    v6 != 0 they reduce to v6 z^2 = const in z = y + ix about the centre;
-    for v6 = 0 the affine system has determinant 2 (v4^2 + v5^2)), and then
-    disc is the constant (v1 - v2)^2 + 4 v3^2.
-
-    Minkowski: disc = f(t - x) g(t + x) with f(s) = v6 s^2 + 2 (v5 - v4) s
-    + v1 + v2 - 2 v3 and g(s) = v6 s^2 + 2 (v5 + v4) s + v1 + v2 + 2 v3.
-    The null coordinates t - x and t + x run over R independently, so disc
-    takes exactly the products of the signs f and g take.
+    Euclidean: disc = (k00 - k11)^2 + 4 k01^2, and the two quadratics share
+    a real zero unless v4 = v5 = v6 = 0, when disc is constant.  Minkowski:
+    disc = f(t - x) g(t + x) for the two quadratics below, and the null
+    coordinates t - x, t + x are independent, so disc takes exactly the
+    products of their signs.
     """
     v1, v2, v3, v4, v5, v6 = p.values
     if p.space.eps > 0:

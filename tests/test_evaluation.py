@@ -255,7 +255,9 @@ def test_verdict_has_a_pointwise_witness(space, vals):
         assert value == 0
     else:
         assert p.values[5] != 0         # I3 = 0 gives an exact zero
-        scale = sum(abs(float(c)) * abs(x) ** i * abs(y) ** j
+        # Against the size of the terms, with the point's coordinates
+        # taken as at least 1 so that a root at the origin is no exception.
+        scale = sum(abs(float(c)) * max(1, abs(x)) ** i * max(1, abs(y)) ** j
                     for (i, j), c in disc.on_variables(("x", "y"))
                     .terms.items())
         assert abs(value) <= 1e-9 * scale
