@@ -11,6 +11,7 @@ honestly as merged tags.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .invariants import InvariantReport, invariant_report, slice_invariant_i2
@@ -159,7 +160,7 @@ def _minkowski_web(p: KTParams, inv: InvariantReport
     return WebClass("EC6_or_EC8", subtag), tuple(caveats)
 
 
-def _signs(a: Fraction, b: Fraction, c: Fraction) -> set[int]:
+def _signs(a: int, b: int, c: int) -> set[int]:
     """The signs that a s^2 + 2 b s + c takes as s runs over the reals."""
     d = b * b - a * c
     if d > 0:                   # a simple real root
@@ -182,11 +183,16 @@ def _eigen_precondition(p: KTParams) -> str:
     coordinates t - x, t + x are independent, so disc takes exactly the
     products of their signs.
     """
-    v1, v2, v3, v4, v5, v6 = p.values
     if p.space.eps > 0:
+        v1, v2, v3, v4, v5, v6 = p.values
         if v4 == v5 == v6 == 0 and (v1 != v2 or v3 != 0):
             return "satisfied"
         return "degenerate"
+    # Scaling by the common denominator keeps every sign; integers are
+    # cheaper than Fractions.
+    den = lcm(*(v.denominator for v in p.values))
+    v1, v2, v3, v4, v5, v6 = (v.numerator * (den // v.denominator)
+                              for v in p.values)
     signs = {x * y for x in _signs(v6, v5 - v4, v1 + v2 - 2 * v3)
              for y in _signs(v6, v5 + v4, v1 + v2 + 2 * v3)}
     if -1 in signs:
