@@ -5,11 +5,11 @@ Invariants, covariants, the exact group actions on Killing tensors and
 Killing vectors and the joint invariants are evaluated from tables compiled
 once per space.  Each must agree exactly with substituting into (or
 evaluating) the symbolic polynomials, on sparse and dense rationals with
-heights up to 10^6.  The closed-form eigenvalue verdict must have a witness
-point where the evaluated discriminant takes the sign it names.  The float action, compiled the
-same way, must agree bit for bit with `MultiPoly.evaluate`.  The
-parameter-space generators are derived once per (space, valence) and
-shared.
+heights up to 10^6.  The float action, compiled the same way, must agree
+bit for bit with `MultiPoly.evaluate`.  The parameter-space generators are
+derived once per (space, valence) and shared.  The closed-form eigenvalue
+verdict must have a witness point where the evaluated discriminant takes
+the sign it names.
 """
 
 import cmath
@@ -198,8 +198,8 @@ def _candidates(a, b, c):
 
 
 def _minkowski_signs(p):
-    """The discriminant's signs at the products of the candidate null
-    coordinates t - x of f and t + x of g."""
+    """The discriminant's signs at every pair of candidate null
+    coordinates: t - x for f and t + x for g."""
     v1, v2, v3, v4, v5, v6 = p.values
     disc = eigen_discriminant(p)
     signs = set()
