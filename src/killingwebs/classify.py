@@ -11,10 +11,10 @@ honestly as merged tags.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Optional
 
 from .invariants import InvariantReport, invariant_report, slice_invariant_i2
+from .poly import common_numerators
 from .signs import SignClass
 from .spaces import (DomainError, KTParams, NontrivialKT, decompose,
                      embed_nontrivial)
@@ -188,11 +188,8 @@ def _eigen_precondition(p: KTParams) -> str:
         if v4 == v5 == v6 == 0 and (v1 != v2 or v3 != 0):
             return "satisfied"
         return "degenerate"
-    # Scaling by the common denominator keeps every sign; integers are
-    # cheaper than Fractions.
-    den = lcm(*(v.denominator for v in p.values))
-    v1, v2, v3, v4, v5, v6 = (v.numerator * (den // v.denominator)
-                              for v in p.values)
+    # Integers over the common denominator: the same signs, cheaper.
+    v1, v2, v3, v4, v5, v6 = common_numerators(p.values)
     signs = {x * y for x in _signs(v6, v5 - v4, v1 + v2 - 2 * v3)
              for y in _signs(v6, v5 + v4, v1 + v2 + 2 * v3)}
     if -1 in signs:

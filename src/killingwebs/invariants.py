@@ -86,9 +86,10 @@ def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
     monos1, monos2, table = _covariant_table(p.space)
     values = table(p.values)
-    point_vars = p.space.point_vars
-    return (MultiPoly(point_vars, dict(zip(monos1, values))),
-            MultiPoly(point_vars, dict(zip(monos2, values[len(monos1):]))))
+    # `coefficients_in` keyed them over the sorted point variables.
+    pv = p.space.point_vars
+    return (MultiPoly._trusted(pv, dict(zip(monos1, values))),
+            MultiPoly._trusted(pv, dict(zip(monos2, values[len(monos1):]))))
 
 
 def _sign_classes(space: Space, c1: MultiPoly, c2: MultiPoly

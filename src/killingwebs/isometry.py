@@ -133,15 +133,24 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
         # IsometryElement), so the product is formed on the numerators.
         (c1, s1), (c2, s2) = g1.rot, g2.rot
         p1, r1, p2, r2 = c1.numerator, s1.numerator, c2.numerator, s2.numerator
-        q = c1.denominator * c2.denominator
-        cc = p1 * p2 - g1.space.eps * r1 * r2
-        rot = ExactRotation(Fraction(cc, q), Fraction(r1 * p2 + p1 * r2, q))
+        q1, eps = c1.denominator, g1.space.eps
+        q = q1 * c2.denominator
+        rot = ExactRotation(Fraction(p1 * p2 - eps * r1 * r2, q),
+                            Fraction(r1 * p2 + p1 * r2, q))
+        # g1.rot (a2, b2) + (a1, b1), as one fraction per coordinate.
+        (a1, b1), (a2, b2) = g1.trans, g2.trans
+        x, y = a2.numerator * b2.denominator, b2.numerator * a2.denominator
+        d = q1 * a2.denominator * b2.denominator
+        trans = tuple(Fraction(n * t.denominator + t.numerator * d,
+                               d * t.denominator)
+                      for n, t in ((p1 * x - eps * r1 * y, a1),
+                                   (r1 * x + p1 * y, b1)))
     else:
         rot = FloatAngle(g1.rot.value + g2.rot.value)
-    (j00, j01), (j10, j11) = g1.matrix()
-    a2, b2 = g2.trans
-    a1, b1 = g1.trans
-    trans = (j00 * a2 + j01 * b2 + a1, j10 * a2 + j11 * b2 + b1)
+        (j00, j01), (j10, j11) = g1.matrix()
+        a2, b2 = g2.trans
+        a1, b1 = g1.trans
+        trans = (j00 * a2 + j01 * b2 + a1, j10 * a2 + j11 * b2 + b1)
     return IsometryElement(g1.space, rot, trans)
 
 

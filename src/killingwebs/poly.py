@@ -51,6 +51,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def common_numerators(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The values times the lcm of their denominators.  The scale is
+    positive, so the sign of every homogeneous form in them is kept."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 def rational_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if value < 0:

@@ -295,8 +295,9 @@ def _records():
 
 def test_warm_classify_full_computes_each_quantity_once():
     """Traced with the benchmark's own spans: no substitution, product or
-    polynomial evaluation, one covariant build per record, and the group
-    action is never derived or evaluated."""
+    polynomial evaluation, one covariant build and two sign decisions (C1,
+    C2) through the public entry per record, and the group action is never
+    derived or evaluated."""
     records = _records()
     for p in records:
         classify_full(p)
@@ -315,6 +316,7 @@ def test_warm_classify_full_computes_each_quantity_once():
     assert metrics["poly.mul.calls_per_record"] == 0
     assert metrics["poly.evaluate.calls_per_record"] == 0
     assert metrics["invariants.fundamental_covariants.calls_per_record"] == 1
+    assert metrics["signs.quadratic_sign_class.calls_per_record"] == 2
     assert metrics["invariants.covariant_builds_useful_ratio"] == 1.0
     assert (derived_kt_action.cache_info(),
             _exact_kt_action.cache_info()) == action_calls
