@@ -118,9 +118,9 @@ def _minkowski_web(p: KTParams, inv: InvariantReport
     caveats: list[str] = []
     i1, i3, s2 = inv.i1, inv.i3, inv.sign_c2
     if i3 < 0:
-        # K and -K generate the same web; fix the overall sign so that the
-        # tabulated sign predicates read off a normalized representative.
-        p = p.scale(Fraction(-1))
+        # K and -K generate the same web; the tabulated sign predicates
+        # read off the normalized representative -K.  Of the quantities
+        # below only I3 is odd, and `p` is read again only when I3 = 0.
         i3 = -i3
         caveats.append("parameters negated to normalize I3 > 0")
 

@@ -15,7 +15,8 @@ import sys
 from typing import Optional
 
 from .classify import classify_full
-from .invariants import invariant_report, joint_invariants
+from .invariants import (covariant_sign_classes, fundamental_covariants,
+                         invariant_report, joint_invariants)
 from .poly import PolynomialError, parse_rational
 from .spaces import (DomainError, KTParams, KVParams, NontrivialKT, decompose,
                      embed_nontrivial, parse_values, space_by_name)
@@ -106,21 +107,23 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_covariants(args) -> int:
-    rep = invariant_report(_parse_kt(args))
+    p = _parse_kt(args)
+    c1, c2 = fundamental_covariants(p)
+    s1, s2 = covariant_sign_classes(p)
     data = {
-        "space": rep.space.kind,
-        "C1": rep.c1.pretty(),
-        "C2": rep.c2.pretty(),
-        "sign_classes": {"C1": rep.sign_c1.value, "C2": rep.sign_c2.value},
+        "space": p.space.kind,
+        "C1": c1.pretty(),
+        "C2": c2.pretty(),
+        "sign_classes": {"C1": s1.value, "C2": s2.value},
     }
-    lines = [f"C1 = {data['C1']}  [{rep.sign_c1.value}]",
-             f"C2 = {data['C2']}  [{rep.sign_c2.value}]"]
+    lines = [f"C1 = {data['C1']}  [{s1.value}]",
+             f"C2 = {data['C2']}  [{s2.value}]"]
     if args.point is not None:
-        u, w = rep.space.point_vars
+        u, w = p.space.point_vars
         pu, pw = parse_values(args.point, 2)
         point = {u: pu, w: pw}
         vals = {}
-        for name, poly in (("C1", rep.c1), ("C2", rep.c2)):
+        for name, poly in (("C1", c1), ("C2", c2)):
             value = poly.evaluate({s: point[s] for s in poly.used_variables()})
             vals[name] = _fmt(value, args.mode)
             lines.append(f"{name}({pu}, {pw}) = {vals[name]}")

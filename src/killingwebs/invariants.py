@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .poly import MultiPoly, compile_table, rational_sqrt, var
-from .signs import SignClass, quadratic_sign_class
+from .signs import MONOMIALS, SignClass, row_sign_class
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, Space, general_killing_tensor,
                      symbolic_killing_tensor)
@@ -70,36 +70,34 @@ def _invariant_table(space: Space):
 
 @lru_cache(maxsize=None)
 def _covariant_table(space: Space):
-    """The point monomials of C1 and of C2, and their coefficients (in the
-    parameters) compiled as one table."""
-    c1, c2 = (c.coefficients_in(space.point_vars)
-              for c in covariant_polynomials(space))
-    coeffs = tuple(c1.values()) + tuple(c2.values())
-    return tuple(c1), tuple(c2), compile_table(coeffs, space.param_vars)
+    """C1 and C2 as two rows of their coefficients of the point monomials
+    `MONOMIALS`, in the parameters, compiled as one table."""
+    rows = [c.coefficients_in(space.point_vars)
+            for c in covariant_polynomials(space)]
+    return compile_table([row.get(m, MultiPoly.zero())
+                          for row in rows for m in MONOMIALS],
+                         space.param_vars)
 
 
 def fundamental_invariants(p: KTParams) -> tuple[Fraction, Fraction, Fraction]:
-    return _invariant_table(p.space)(p.values)
+    nums, den = _invariant_table(p.space)(p.values)
+    return tuple([Fraction(n, den) for n in nums])
 
 
 def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
-    monos1, monos2, table = _covariant_table(p.space)
-    values = table(p.values)
-    # `coefficients_in` keyed them over the sorted point variables.
+    nums, den = _covariant_table(p.space)(p.values)
     pv = p.space.point_vars
-    return (MultiPoly._trusted(pv, dict(zip(monos1, values))),
-            MultiPoly._trusted(pv, dict(zip(monos2, values[len(monos1):]))))
-
-
-def _sign_classes(space: Space, c1: MultiPoly, c2: MultiPoly
-                  ) -> tuple[SignClass, SignClass]:
-    return (quadratic_sign_class(c1, space.point_vars),
-            quadratic_sign_class(c2, space.point_vars))
+    return tuple(MultiPoly._trusted(pv, {m: Fraction(n, den) for m, n in
+                                         zip(MONOMIALS, nums[k:k + 6])})
+                 for k in (0, 6))
 
 
 def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
-    return _sign_classes(p.space, *fundamental_covariants(p))
+    """The sign classes of C1 and C2, read off the table's integer rows:
+    their common denominator is positive, so it keeps every sign."""
+    nums, _ = _covariant_table(p.space)(p.values)
+    return row_sign_class(nums[:6]), row_sign_class(nums[6:])
 
 
 def trace_identity_check(p: KTParams | None = None) -> MultiPoly:
@@ -204,7 +202,8 @@ def _joint_table():
 def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
     if kv.space.kind != "euclidean" or kt.space.kind != "euclidean":
         raise DomainError("joint invariants are defined for the Euclidean plane")
-    return _joint_table()(kv.values + kt.values)
+    nums, den = _joint_table()(kv.values + kt.values)
+    return tuple([Fraction(n, den) for n in nums])
 
 
 # -- auxiliary Minkowski invariants -----------------------------------------
@@ -292,8 +291,6 @@ class InvariantReport(NamedTuple):
     i1: Fraction
     i2: Fraction
     i3: Fraction
-    c1: MultiPoly
-    c2: MultiPoly
     sign_c1: SignClass
     sign_c2: SignClass
     aux: Optional[AuxInvariants]
@@ -302,7 +299,6 @@ class InvariantReport(NamedTuple):
 def invariant_report(p: KTParams, k2: Fraction | None = None) -> InvariantReport:
     """Every per-input quantity, each computed once."""
     i1, i2, i3 = fundamental_invariants(p)
-    c1, c2 = fundamental_covariants(p)
-    s1, s2 = _sign_classes(p.space, c1, c2)
+    s1, s2 = covariant_sign_classes(p)
     aux = _auxiliary(p, i1, i3, k2) if p.space.kind == "minkowski" else None
-    return InvariantReport(p.space, i1, i2, i3, c1, c2, s1, s2, aux)
+    return InvariantReport(p.space, i1, i2, i3, s1, s2, aux)

@@ -208,8 +208,8 @@ def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
     """
     if not g.is_exact:
         raise DomainError("exact action requires an exact group element")
-    action = _exact_kt_action(g.space)
-    return KTParams(g.space, action(p.values + g.cs() + g.trans))
+    nums, den = _exact_kt_action(g.space)(p.values + g.cs() + g.trans)
+    return KTParams(g.space, [Fraction(n, den) for n in nums])
 
 
 def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
@@ -218,8 +218,8 @@ def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
     test oracle."""
     if not g.is_exact:
         raise DomainError("exact action requires an exact group element")
-    action = _exact_kv_action(g.space)
-    return KVParams(g.space, action(p.values + g.cs() + g.trans))
+    nums, den = _exact_kv_action(g.space)(p.values + g.cs() + g.trans)
+    return KVParams(g.space, [Fraction(n, den) for n in nums])
 
 
 def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:

@@ -346,22 +346,24 @@ class MultiPoly:
 
 
 def compile_table(polys: Sequence[MultiPoly], variables: Sequence[str]
-                  ) -> Callable[[Sequence[Scalar]], tuple[Fraction, ...]]:
+                  ) -> Callable[[Sequence[Scalar]],
+                                tuple[tuple[int, ...], int]]:
     """Compile fixed polynomials into one function of a tuple of exact
     values (ints or Fractions, one for each name in `variables`) that
-    returns their values as a tuple of Fractions.
+    returns their values as integer numerators over one positive
+    denominator: (n_0, ..., n_k), den, with P_j(x) = n_j / den.
 
-    The reading of the polynomials is done once, here.  Each polynomial's
-    coefficients become integers over one denominator.  At call time the
+    The reading of the polynomials is done once, here.  Their coefficients
+    become integers over one table denominator D.  At call time the
     arguments are brought to a common denominator d, so x_i = n_i / d, and
     every polynomial is summed as one straight-line integer expression
     homogenized to the table's total degree m:
 
-        P(x) = sum_e c_e n^e d^(m - |e|) / (den d^m).
+        P(x) = sum_e (D c_e) n^e d^(m - |e|) / (D d^m).
 
-    The only rational arithmetic left per call is the final reduction of
-    each result; no floats are involved.  `subst` and `evaluate` give the
-    same values and remain the reference.
+    No gcd is taken and no floats are involved; a caller that reports the
+    values makes the Fractions.  `subst` and `evaluate` give the same
+    values and remain the reference.
     """
     names = tuple(variables)
     if len(set(names)) != len(names):
@@ -371,10 +373,10 @@ def compile_table(polys: Sequence[MultiPoly], variables: Sequence[str]
             if v not in names:
                 raise PolynomialError(f"unbound variable {v!r} in evaluation")
     degree = max((p.total_degree() for p in polys), default=0)
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     top = {}                                  # argument index -> max exponent
     sums = []
     for p in polys:
-        den = lcm(*(c.denominator for c in p.terms.values()))
         pos = [names.index(v) if v in names else -1 for v in p.variables]
         parts = []
         for exps, coeff in p.terms.items():
@@ -386,7 +388,7 @@ def compile_table(polys: Sequence[MultiPoly], variables: Sequence[str]
             if degree - sum(exps):
                 factors.append(f"d_{degree - sum(exps)}")
             parts.append("*".join(factors))
-        sums.append((parts, den))
+        sums.append(parts)
 
     src = ["def table(values):"]
     if names:
@@ -399,16 +401,15 @@ def compile_table(polys: Sequence[MultiPoly], variables: Sequence[str]
         src += [f"    n{i}_{k} = n{i}_{k - 1} * n{i}_1" for k in range(2, e + 1)]
     src.append("    d_0 = 1")
     src += [f"    d_{k} = d_{k - 1} * d" for k in range(1, degree + 1)]
-    for j, (parts, den) in enumerate(sums):
+    for j, parts in enumerate(sums):
         parts = parts or ["0"]
         # Statements of bounded length keep the compiler's recursion shallow.
         for start in range(0, len(parts), 32):
             op = "=" if start == 0 else "+="
             src.append(f"    s{j} {op} " + " + ".join(parts[start:start + 32]))
-    src.append("    return (" + "".join(
-        f"Fraction(s{j}, {den} * d_{degree}), "
-        for j, (_, den) in enumerate(sums)) + ")")
-    namespace = {"lcm": lcm, "Fraction": Fraction}
+    src.append("    return (" + "".join(f"s{j}, " for j in range(len(sums)))
+               + f"), {den} * d_{degree}")
+    namespace = {"lcm": lcm}
     exec("\n".join(src), namespace)
     return namespace["table"]
 

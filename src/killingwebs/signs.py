@@ -7,13 +7,15 @@ coordinates is identically zero, a nonzero constant, everywhere nonnegative
 polynomials such as (t-x)^2: the classification tables place such
 squares-of-linear-forms in their positive rows.
 
-The decision is on integers: the six coefficients are scaled by the lcm of
-their denominators, and each test is a homogeneous inequality in them.
+The decision is on an integer row of the six coefficients: each test is a
+homogeneous inequality in them, so any positive multiple of the row (by the
+lcm of the denominators, or a compiled table's) gives the same class.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Sequence
 
 from .poly import MultiPoly, PolynomialError, common_numerators
 
@@ -24,6 +26,11 @@ class SignClass(enum.Enum):
     POS = "positive"
     NEG = "negative"
     INDEF = "indefinite"
+
+
+# The exponents in the point variables (u, w) of the six coefficients of a
+# row (A, B, C, D, E, F): u^2, uw, w^2, u, w, 1.
+MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 
 def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass:
@@ -39,13 +46,16 @@ def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass
     if extra:
         raise PolynomialError(f"non-point symbols present: {extra}")
     # Only the point variables occur, so each key holds one term.
-    if not coeffs:
-        return SignClass.ZERO
-    if coeffs.keys() == {(0, 0)}:
-        return SignClass.NONZERO_CONST
-    A, B, C, D, E, F = common_numerators([coeffs.get(m, 0) for m in (
-        (2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))])
+    return row_sign_class(common_numerators(
+        [coeffs.get(m, 0) for m in MONOMIALS]))
 
+
+def row_sign_class(row: Sequence[int]) -> SignClass:
+    """The class of A u^2 + B uw + C w^2 + D u + E w + F from its integer
+    row (A, B, C, D, E, F), or from any positive multiple of the row."""
+    A, B, C, D, E, F = row
+    if not (A or B or C or D or E):
+        return SignClass.NONZERO_CONST if F else SignClass.ZERO
     if _nonnegative(A, B, C, D, E, F):
         return SignClass.POS
     if _nonnegative(-A, -B, -C, -D, -E, -F):

@@ -31,6 +31,10 @@ class Space(NamedTuple):
     def __str__(self) -> str:
         return self.kind
 
+    def __hash__(self) -> int:
+        # Agrees with ==, and the per-space caches skip hashing two Fractions.
+        return hash(self.kind)
+
     @property
     def eps(self) -> int:
         """The signature g11: +1 on the Euclidean, -1 on the Minkowski plane."""

@@ -5,7 +5,8 @@ Invariants, covariants, the exact group actions on Killing tensors and
 Killing vectors and the joint invariants are evaluated from tables compiled
 once per space.  Each must agree exactly with substituting into (or
 evaluating) the symbolic polynomials, on sparse and dense rationals with
-heights up to 10^6.  The float action, compiled the same way, must agree
+heights up to 10^6, and the covariant sign classes decided on the
+compiled integer rows must agree with deciding them on the polynomials.  The float action, compiled the same way, must agree
 bit for bit with `MultiPoly.evaluate`.  The parameter-space generators are
 derived once per (space, valence) and shared.  The closed-form eigenvalue
 verdict must have a witness point where the evaluated discriminant takes
@@ -26,10 +27,12 @@ from killingwebs import classify
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
 from killingwebs.generators import sigma_generators
-from killingwebs.invariants import (covariant_polynomials,
+from killingwebs.invariants import (_covariant_table, _invariant_table,
+                                    covariant_polynomials,
+                                    covariant_sign_classes,
                                     fundamental_covariants,
                                     fundamental_invariants,
-                                    invariant_polynomials,
+                                    invariant_polynomials, invariant_report,
                                     joint_invariant_polynomials,
                                     joint_invariants)
 from killingwebs.isometry import (IsometryElement, _exact_kt_action,
@@ -38,9 +41,11 @@ from killingwebs.isometry import (IsometryElement, _exact_kt_action,
                                   act_kt_params_float, act_kv_params,
                                   derived_kt_action, float_element,
                                   rotation_from_parameter)
+from killingwebs.signs import SignClass, quadratic_sign_class
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
-                                KVParams, eigen_discriminant, embed_nontrivial,
-                                extract_kt_params, extract_kv_params)
+                                KVParams, Space, eigen_discriminant,
+                                embed_nontrivial, extract_kt_params,
+                                extract_kv_params)
 
 SPACES = [EUCLIDEAN, MINKOWSKI]
 BIG = 10 ** 6
@@ -81,6 +86,56 @@ def test_covariants_match_substitution(space, vals):
         assert fast.variables == oracle.variables
         assert fast.terms == oracle.terms
         assert fast.pretty() == oracle.pretty()
+
+
+covariant_inputs = st.one_of(
+    values,
+    values.map(lambda v: v[:5] + (Fraction(0),)),  # p6 = 0: constant C1, C2
+    st.just((Fraction(0),) * 6))                   # the zero tensor
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@given(covariant_inputs)
+@settings(max_examples=200, deadline=None)
+def test_sign_classes_from_rows_match_the_polynomial_oracles(space, vals):
+    """The classes decided on the table's integer rows equal
+    `quadratic_sign_class` on the covariants as polynomials, built from
+    the same rows and, as the oracle, by substitution."""
+    p = KTParams(space, vals)
+    rows = covariant_sign_classes(p)
+    substituted = [c.subst(_assignment(p)) for c in covariant_polynomials(space)]
+    for polys in (fundamental_covariants(p), substituted):
+        assert rows == tuple(quadratic_sign_class(c, space.point_vars)
+                             for c in polys)
+    if vals[5] == 0:
+        assert set(rows) <= {SignClass.ZERO, SignClass.NONZERO_CONST}
+    if not any(vals):
+        assert rows == (SignClass.ZERO, SignClass.ZERO)
+
+
+def test_tables_are_cached_once_per_space():
+    """`Space` hashes by its kind, which agrees with equality, so an equal
+    copy of a space finds the tables already compiled for it."""
+    copies = [Space(*space) for space in SPACES]
+    everything = SPACES + copies
+    for a in everything:
+        for b in everything:
+            assert (a == b) == (a.kind == b.kind)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len(set(everything)) == 2
+    assert [hash(s) for s in SPACES] == [hash(s.kind) for s in SPACES]
+    vals = (1, 2, 3, 4, 5, 6)
+    tables = (_invariant_table, _covariant_table)
+    for space in SPACES:
+        invariant_report(KTParams(space, vals))
+    before = [t.cache_info() for t in tables]
+    for copy in copies:
+        invariant_report(KTParams(copy, vals))
+    after = [t.cache_info() for t in tables]
+    assert [a.misses for a in after] == [b.misses for b in before]
+    assert [a.currsize for a in after] == [b.currsize for b in before]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2]
 
 
 @st.composite
@@ -295,9 +350,10 @@ def _records():
 
 def test_warm_classify_full_computes_each_quantity_once():
     """Traced with the benchmark's own spans: no substitution, product or
-    polynomial evaluation, one covariant build and two sign decisions (C1,
-    C2) through the public entry per record, and the group action is never
-    derived or evaluated."""
+    polynomial evaluation, one invariant evaluation and one decision of
+    both covariant sign classes per record, from the table's integer rows
+    with no covariant built and no polynomial sign decision, and the group
+    action is never derived or evaluated."""
     records = _records()
     for p in records:
         classify_full(p)
@@ -315,8 +371,15 @@ def test_warm_classify_full_computes_each_quantity_once():
     assert metrics["poly.subst.calls_per_record"] == 0
     assert metrics["poly.mul.calls_per_record"] == 0
     assert metrics["poly.evaluate.calls_per_record"] == 0
-    assert metrics["invariants.fundamental_covariants.calls_per_record"] == 1
-    assert metrics["signs.quadratic_sign_class.calls_per_record"] == 2
-    assert metrics["invariants.covariant_builds_useful_ratio"] == 1.0
+    assert metrics["invariants.fundamental_invariants.calls_per_record"] == 1
+    assert metrics["invariants.fundamental_covariants.calls_per_record"] == 0
+    assert metrics["signs.quadratic_sign_class.calls_per_record"] == 0
+    assert len(tracer.durations("invariants.covariant_sign_classes")) \
+        == len(records)
+    assert sorted(r for n, r in zip(tracer.name, tracer.record)
+                  if tracer.names[n] == "invariants.covariant_sign_classes") \
+        == list(range(len(records)))
+    assert len(tracer.durations("invariants.invariant_report")) \
+        == len(records)
     assert (derived_kt_action.cache_info(),
             _exact_kt_action.cache_info()) == action_calls

@@ -64,8 +64,13 @@ def test_compiled_evaluation_matches_evaluation(p, q, a, b):
     point = {"x": a, "y": b}
     expected = tuple(f.evaluate({s: point[s] for s in f.used_variables()})
                      for f in (p, q))
-    assert compile_table((p, q), ("y", "x"))((b, a)) == expected
-    assert compile_table((p,), ("x", "y"))((a, b)) == expected[:1]
+    for table, args, want in ((compile_table((p, q), ("y", "x")), (b, a),
+                               expected),
+                              (compile_table((p,), ("x", "y")), (a, b),
+                               expected[:1])):
+        nums, den = table(args)
+        assert den > 0 and all(type(n) is int for n in nums)
+        assert tuple(Fraction(n, den) for n in nums) == want
 
 
 # Symbols from every block of the universe, so merged variable lists must be
@@ -135,10 +140,14 @@ def test_hash_agrees_with_equality():
 
 
 def test_compiled_evaluation_edge_cases():
-    assert compile_table((), ())(()) == ()
-    assert compile_table((MultiPoly.zero(),), ())(()) == (0,)
-    assert compile_table((poly(Fraction(3, 4)),), ("x",))((5,)) \
-        == (Fraction(3, 4),)
+    assert compile_table((), ())(()) == ((), 1)
+    assert compile_table((MultiPoly.zero(),), ())(()) == ((0,), 1)
+    assert compile_table((poly(Fraction(3, 4)),), ("x",))((5,)) == ((3,), 4)
+    # One denominator for the table, homogenized to its degree: 1/2 and
+    # x/3 at x = 5/7 are 21/42 and 10/42.
+    table = compile_table((poly(Fraction(1, 2)), Fraction(1, 3) * var("x")),
+                          ("x",))
+    assert table((Fraction(5, 7),)) == ((21, 10), 42)
     with pytest.raises(PolynomialError):
         compile_table((var("y"),), ("x",))
     with pytest.raises(PolynomialError):
