@@ -5,10 +5,12 @@ the argument list, the exit status and the exact stdout and stderr.  The
 tests replay every invocation in-process and compare all four.  The
 goldens pin the JSON lines of `classify`, the table-gap error message and
 status, the text output of `classify`, `covariants --point` and
-`invariants`, the `verify` suite's report (JSON and text), `joint`
-(exact and float), `generators`, `orbit-dim` and `frame` (whose float
-`repr`s pin the float parameter action), so a faster evaluation path has
-to reproduce them byte for byte.
+`invariants`, the JSON output of `invariants` (the only output that prints
+the Minkowski auxiliary record's notes and `Istar_canonical`), the
+`verify` suite's report (JSON and text), `joint` (exact and float),
+`generators`, `orbit-dim` and `frame` (whose float `repr`s pin the float
+parameter action), so a faster evaluation path has to reproduce them byte
+for byte.
 
 Regenerate (only when an output change is intended, and say so in the
 change log) with
@@ -109,6 +111,7 @@ def _inputs() -> list[tuple[str, list[str]]]:
                  "--params=0,0,-1,0,0,1/4", "--k2", "1/2"]))
     out += _suite_inputs()
     out += _frame_inputs()
+    out += _invariants_json_inputs()
     return out
 
 
@@ -193,6 +196,66 @@ def _frame_inputs() -> list[tuple[str, list[str]]]:
     return out
 
 
+def _invariants_json_inputs() -> list[tuple[str, list[str]]]:
+    """`invariants --output json`, from a generator of its own.  The
+    Minkowski inputs cover both signs of I3 with I1 != 0 (the note reads
+    the sign pair), I1 = 0, and I3 = 0 on and off the slice where I2' is
+    defined, with perfect-square and non-square |I1|; some pass `--k2` or
+    `--mode float`."""
+    rng = random.Random(20040719)
+    out = []
+
+    def invariants(space, values, *extra):
+        out.append(("invariants-json",
+                    ["invariants", "--space", space,
+                     f"--params={_text(values)}", "--output", "json",
+                     *extra]))
+
+    def canonical(ec, k2=None, scale=Fraction(1)):
+        p = embed_nontrivial(canonical_form(space_by_name("minkowski"), ec,
+                                            k2))
+        return p.scale(scale).values
+
+    def nonzero(height=9, den_height=4):
+        return _rational(rng, height, den_height) or Fraction(1)
+
+    for ec, k2 in (("EC8", Fraction(2)), ("EC8", Fraction(1, 3)),
+                   ("EC5", Fraction(4)), ("EC9", Fraction(1)),
+                   ("EC10", Fraction(1, 16))):      # |I1| a square
+        invariants("minkowski", canonical(ec, k2))
+        invariants("minkowski", canonical(ec, k2, -abs(nonzero())))
+    for k2 in (Fraction(2), Fraction(3, 5)):        # Istar_canonical = 0
+        invariants("minkowski", canonical("EC8", k2), "--k2", str(k2))
+    invariants("minkowski", canonical("EC6"))       # |I1| not a square
+    invariants("minkowski", canonical("EC6", scale=Fraction(-1)))
+    invariants("minkowski", canonical("EC6", scale=Fraction(-2)),
+               "--mode", "float")
+    for ec in ("EC2", "EC7"):                       # I1 = 0, both signs of I3
+        invariants("minkowski", canonical(ec))
+        invariants("minkowski", canonical(ec, scale=-abs(nonzero())))
+    for ec in ("EC1", "EC3", "EC4"):                # I3 = 0
+        invariants("minkowski", canonical(ec))
+    for sign in (1, -1, 1):                         # I3 = 0 on the slice
+        a4 = nonzero()
+        invariants("minkowski", [_rational(rng, 12, 5) for _ in range(3)]
+                   + [a4, sign * a4, 0])
+    invariants("minkowski", [nonzero(), 0, nonzero(), 3, -3, 0],
+               "--mode", "float")
+    for extra in ((), ("--k2", "3/2"), ("--mode", "float"),
+                  ("--k2", "5", "--mode", "float")):  # dense
+        invariants("minkowski", [_rational(rng, 12, 5) for _ in range(5)]
+                   + [-abs(nonzero())])
+        invariants("minkowski", [_rational(rng, 12, 5) for _ in range(6)],
+                   *extra)
+    for _ in range(2):                              # heights up to 10^6
+        invariants("minkowski", [_rational(rng, 10 ** 6, 10 ** 6)
+                                 for _ in range(6)])
+    for extra in ((), ("--mode", "float"), ("--k2", "2")):
+        invariants("euclidean", [_rational(rng, 12, 5) for _ in range(6)],
+                   *extra)
+    return out
+
+
 def _invoke(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
@@ -231,7 +294,8 @@ def test_golden_inventory():
 @pytest.mark.parametrize("section", ["classify-json", "table-gap",
                                      "classify-text", "covariants-text",
                                      "invariants-text", "verify", "joint",
-                                     "generators", "orbit-dim", "frame"])
+                                     "generators", "orbit-dim", "frame",
+                                     "invariants-json"])
 def test_outputs_match_goldens(section):
     _replay(section)
 
