@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .invariants import InvariantReport, invariant_report, slice_invariant_i2
+from .invariants import InvariantReport, invariant_report
 from .poly import common_numerators
 from .signs import SignClass
 from .spaces import (DomainError, KTParams, NontrivialKT, decompose,
@@ -94,13 +94,13 @@ def classify_euclidean(nt: NontrivialKT) -> WebClass:
 
 def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
     """Table-based decision tree; returns the class and any caveats."""
-    p = _checked_input(nt, "minkowski")
-    return _minkowski_web(p, invariant_report(p))
+    return _minkowski_web(invariant_report(_checked_input(nt, "minkowski")))
 
 
-# The decision procedures read I1, I3 and the covariant sign classes from a
-# report on the input.  None of these changes when a metric multiple is
-# added, and I1, C1, C2 are even in the parameters, so one report on the
+# The decision procedures read I1, I3, the covariant sign classes and
+# (Minkowski, on I3 = I1 = 0) whether I2' vanishes from a report on the
+# input.  None of these changes when a metric multiple is added, and I1,
+# C1, C2 are even in the parameters and I2' is odd, so one report on the
 # full input serves the nontrivial part and its negation too.
 
 def _euclidean_web(inv: InvariantReport) -> WebClass:
@@ -113,22 +113,22 @@ def _euclidean_web(inv: InvariantReport) -> WebClass:
     return WebClass(by_inv)
 
 
-def _minkowski_web(p: KTParams, inv: InvariantReport
-                   ) -> tuple[WebClass, tuple[str, ...]]:
+def _minkowski_web(inv: InvariantReport) -> tuple[WebClass, tuple[str, ...]]:
     caveats: list[str] = []
     i1, i3, s2 = inv.i1, inv.i3, inv.sign_c2
     if i3 < 0:
         # K and -K generate the same web; the tabulated sign predicates
         # read off the normalized representative -K.  Of the quantities
-        # below only I3 is odd, and `p` is read again only when I3 = 0.
+        # below only I3 is odd.
         i3 = -i3
         caveats.append("parameters negated to normalize I3 > 0")
 
     if i3 == 0:
         if i1 != 0:
             return WebClass("EC4"), tuple(caveats)
-        # Here I1 = (alpha4^2 - alpha5^2)^2, so the slice condition holds.
-        i2p = slice_invariant_i2(p)
+        # Here I1 = (alpha4^2 - alpha5^2)^2, so the input lies on the slice
+        # where I2' is defined.
+        i2p = inv.aux.i2_prime
         return WebClass("EC1" if i2p == 0 else "EC3"), tuple(caveats)
 
     if i1 == 0:
@@ -210,7 +210,7 @@ def classify_full(p: KTParams) -> ClassificationReport:
     if p.space.kind == "euclidean":
         web = _euclidean_web(inv)
     else:
-        web, tree_caveats = _minkowski_web(p, inv)
+        web, tree_caveats = _minkowski_web(inv)
         caveats.extend(tree_caveats)
         if precondition == "complex":
             caveats.append(

@@ -281,21 +281,24 @@ def build_parser() -> argparse.ArgumentParser:
                                  "coordinate webs in the plane.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, mode=False, **kwargs):
+        # --mode goes only to the subcommands whose handlers read it.
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--output", choices=("json", "text"), default="text")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"),
+                           default="exact")
         return p
 
-    p = add("invariants", _cmd_invariants,
+    p = add("invariants", _cmd_invariants, mode=True,
             help="fundamental invariants and covariant sign classes")
     p.add_argument("--space", required=True)
     p.add_argument("--params", required=True,
                    help="6 comma-separated rationals")
     p.add_argument("--k2", help="canonical scale for the auxiliary record")
 
-    p = add("covariants", _cmd_covariants,
+    p = add("covariants", _cmd_covariants, mode=True,
             help="covariant polynomials, optionally evaluated at a point")
     p.add_argument("--space", required=True)
     p.add_argument("--params", required=True)
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--params", required=True)
 
-    p = add("joint", _cmd_joint,
+    p = add("joint", _cmd_joint, mode=True,
             help="joint invariants of a vector/tensor pair (Euclidean)")
     p.add_argument("--space", default="euclidean")
     p.add_argument("--kv", required=True, help="3 comma-separated rationals")

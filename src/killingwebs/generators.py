@@ -303,11 +303,6 @@ def _exact_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def annihilation_check(V: LinearVectorField, F: MultiPoly) -> MultiPoly:
-    """V(F); identically zero certifies invariance under the connected group."""
-    return V.apply(F)
-
-
 def jacobian_rank(functions: Sequence[MultiPoly], symbols: Sequence[str],
                   at: Mapping[str, Fraction]) -> int:
     """Exact rank of the Jacobian of the functions at a rational point."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .poly import MultiPoly, compile_table, rational_sqrt, var
+from .poly import MultiPoly, compile_table, var
 from .signs import MONOMIALS, SignClass, row_sign_class
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, Space, general_killing_tensor,
@@ -208,39 +208,39 @@ def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
 
 # -- auxiliary Minkowski invariants -----------------------------------------
 
-class K2Candidate(NamedTuple):
-    value: Fraction | float
-    exact: bool          # True when the radicand was a perfect rational square
-
-
 class AuxInvariants(NamedTuple):
     i1_prime: Fraction
     i2_prime: Optional[Fraction]          # None off the defining slice
-    k2_candidates: tuple[K2Candidate, ...]
     istar_literal: Optional[Fraction]     # from the I1 < 0 branch k, rational
-    istar_canonical: Optional[Fraction | float]  # k^4 I3 + I1 with supplied k2
+    istar_canonical: Optional[Fraction]   # k^4 I3 + I1 with supplied k2
     notes: tuple[str, ...] = ()
+
+
+def _i2_prime(values) -> Optional[Fraction]:
+    """The second auxiliary invariant on {alpha6 = 0, I1' = 0}, else None."""
+    a1, a2, a3, a4, a5, a6 = values
+    if a6 != 0 or a4 * a4 != a5 * a5:
+        return None
+    return 2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4
 
 
 def slice_invariant_i2(p: KTParams) -> Fraction:
     """The second auxiliary invariant, defined only on {I3 = 0, I1' = 0}."""
     if p.space.kind != "minkowski":
         raise DomainError("auxiliary invariants live on the Minkowski plane")
-    a1, a2, a3, a4, a5, a6 = p.values
-    if a6 != 0 or a4 * a4 - a5 * a5 != 0:
+    i2p = _i2_prime(p.values)
+    if i2p is None:
         raise SubmanifoldError("not on invariant submanifold")
-    return 2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4
+    return i2p
 
 
 def auxiliary_invariants(p: KTParams,
                          k2: Fraction | None = None) -> AuxInvariants:
-    """Auxiliary data used by the Minkowski classification.
+    """Auxiliary data used by the Minkowski classification, all exact.
 
-    The k^2 candidate follows the published square-root formulas; it is kept
-    exact when the radicand is a perfect rational square and surfaced as a
-    float otherwise, never rounded silently.  Both readings of the EC6/EC8
-    separator are reported: the literal one (a function of I1, I3 alone) and,
-    when a canonical k^2 is supplied, the canonical-form one.
+    Both readings of the EC6/EC8 separator are reported: the literal one
+    (a function of I1, I3 alone) and, when a canonical k^2 is supplied, the
+    canonical-form one.
     """
     if p.space.kind != "minkowski":
         raise DomainError("auxiliary invariants live on the Minkowski plane")
@@ -250,28 +250,14 @@ def auxiliary_invariants(p: KTParams,
 
 def _auxiliary(p: KTParams, i1: Fraction, i3: Fraction,
                k2: Fraction | None) -> AuxInvariants:
-    a1, a2, a3, a4, a5, a6 = p.values
-    i1p = a4 * a4 - a5 * a5
-    notes = []
-    try:
-        i2p: Optional[Fraction] = slice_invariant_i2(p)
-    except SubmanifoldError:
-        i2p = None
-
-    candidates = []
-    if i1 != 0 and i3 != 0:
-        radicand = i1 if i1 > 0 else -i1
-        root = rational_sqrt(radicand)
-        if root is not None:
-            candidates.append(K2Candidate(root / i3, True))
-        else:
-            candidates.append(K2Candidate(float(radicand) ** 0.5 / float(i3),
-                                          False))
-        if candidates[0].value < 0:
-            notes.append("k2 formula yields a negative value here "
-                         "(the published square-root formula does not "
-                         "produce a positive k2 for this sign pattern)")
-
+    a4, a5 = p.values[3:5]
+    notes = ()
+    if i1 != 0 and i3 < 0:
+        # The published recovery formula k^2 = sqrt(|I1|) / I3 has the
+        # sign of I3.
+        notes = ("k2 formula yields a negative value here "
+                 "(the published square-root formula does not "
+                 "produce a positive k2 for this sign pattern)",)
     istar_literal = None
     if i1 < 0 and i3 != 0:
         # k^4 = -I1 / I3^2 from the I1 < 0 branch, so the literal separator
@@ -280,8 +266,8 @@ def _auxiliary(p: KTParams, i1: Fraction, i3: Fraction,
     istar_canonical = None
     if k2 is not None and i3 != 0:
         istar_canonical = k2 * k2 * i3 + i1
-    return AuxInvariants(i1p, i2p, tuple(candidates), istar_literal,
-                         istar_canonical, tuple(notes))
+    return AuxInvariants(a4 * a4 - a5 * a5, _i2_prime(p.values),
+                         istar_literal, istar_canonical, notes)
 
 
 # -- report container --------------------------------------------------------

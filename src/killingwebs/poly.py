@@ -10,7 +10,7 @@ a polynomial at a float assignment.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -56,17 +56,6 @@ def common_numerators(values: Sequence[Fraction]) -> tuple[int, ...]:
     positive, so the sign of every homogeneous form in them is kept."""
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values)
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        raise PolynomialError("negative radicand")
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def _check_vars(variables: Iterable[str]) -> tuple[str, ...]:

@@ -129,6 +129,71 @@ def test_batch_stops_at_first_bad_record(tmp_path, capsys):
     assert "expected 6 comma-separated rationals" in err
 
 
+BEYOND_FLOAT = [f"1,2,3,{10 ** 200},5,7", f"1,2,3,5,3,1/{10 ** 400}"]
+
+
+def _minkowski_invariants(a1, a2, a3, a4, a5, a6):
+    """I1, I2, I3 written out for the Minkowski plane."""
+    quad = -(a6 * a1 - a4 ** 2) - (a6 * a2 - a5 ** 2)
+    cross = a3 * a6 - a4 * a5
+    return quad ** 2 - 4 * cross ** 2, a6 * (a1 - a2) - a4 ** 2 + a5 ** 2, a6
+
+
+@pytest.mark.parametrize("params", BEYOND_FLOAT, ids=["big", "tiny"])
+def test_inputs_beyond_float_range_get_exact_answers(capsys, params):
+    values = [parse_rational(v) for v in params.split(",")]
+    invariants = dict(zip(("I1", "I2", "I3"), map(
+        str, _minkowski_invariants(*values))))
+    i1_prime = str(values[3] ** 2 - values[4] ** 2)
+    status, out, err = invoke(capsys, "invariants", "--space", "minkowski",
+                              f"--params={params}", "--output", "json")
+    assert (status, err) == (0, "")
+    assert json.loads(out) == {
+        "space": "minkowski", "invariants": invariants,
+        "sign_classes": {"C1": "indefinite", "C2": "positive"},
+        "auxiliary": {"I1_prime": i1_prime, "I2_prime": None,
+                      "Istar_literal": None, "Istar_canonical": None,
+                      "notes": []}}
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              f"--params={params}", "--output", "json")
+    assert (status, err) == (0, "")
+    data = json.loads(out)
+    assert data["input"] == [str(v) for v in values]
+    assert data["invariants"] == invariants
+    assert data["class"] == "EC5_or_EC10"
+    assert data["auxiliary"] == {"I1_prime": i1_prime, "I2_prime": None,
+                                 "Istar_literal": None}
+
+
+def test_batch_classifies_a_record_beyond_float_range(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(["0,0,0,0,1", BEYOND_FLOAT[0], "1,0,0,0,0"]))
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch", str(batch))
+    assert (status, err) == (0, "")
+    assert [json.loads(line)["class"] for line in out.splitlines()] == [
+        "EC2", "EC5_or_EC10", "EC1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--space", "minkowski", "--params=1,2,3,4,5,6"],
+    ["decompose", "--space", "euclidean", "--params=1,2,3,4,5,6"],
+    ["verify", "--trials", "1"]])
+def test_mode_is_rejected_where_it_is_not_read(capsys, argv):
+    status, out, err = invoke(capsys, *argv, "--mode", "float")
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments: --mode float" in err
+
+
+def test_covariants_at_a_point_in_float_mode(capsys):
+    status, out, _ = invoke(capsys, "covariants", "--space", "euclidean",
+                            "--params=0,0,0,0,0,1/2", "--point", "3,4",
+                            "--output", "json", "--mode", "float")
+    assert status == 0
+    assert json.loads(out)["at_point"] == {"point": ["3", "4"],
+                                           "C1": 6.25, "C2": 0.0}
+
+
 def test_canonical_and_decompose(capsys):
     status, out, _ = invoke(capsys, "canonical", "--space", "minkowski",
                             "--ec", "EC8", "--k2", "2/3", "--output", "json")

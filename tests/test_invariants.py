@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from killingwebs.frames import canonical_form
 from killingwebs.invariants import (SubmanifoldError, auxiliary_invariants,
@@ -228,22 +230,45 @@ def test_elliptic_class_auxiliary_values():
     assert aux.istar_literal != 0
 
 
-def test_k2_candidate_exactness_flag():
-    # On the EC8 canonical form the published square-root recovery formula
-    # returns twice the canonical k^2 (sqrt(-I1)/I3 = (k^2/2) * 4); both
-    # the value and its exactness flag are surfaced rather than repaired.
-    p = embed_nontrivial(canonical_form(MINKOWSKI, "EC8", Fraction(2)))
-    aux = auxiliary_invariants(p)
-    assert len(aux.k2_candidates) == 1
-    assert aux.k2_candidates[0].exact
-    assert aux.k2_candidates[0].value == 4
-    q = embed_nontrivial(canonical_form(MINKOWSKI, "EC8", Fraction(3)))
-    candidate = auxiliary_invariants(q).k2_candidates[0]
-    assert candidate.exact and candidate.value == 6
-    r = KTParams(MINKOWSKI, (1, 1, 1, 0, 0, 1))
-    aux_r = auxiliary_invariants(r)
-    if aux_r.k2_candidates:
-        assert isinstance(aux_r.k2_candidates[0].exact, bool)
+BIG = 10 ** 6
+nonzero = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool),
+              st.integers(1, BIG)))
+slot = st.one_of(st.just(Fraction(0)), nonzero)
+on_slice = st.builds(lambda a, s: (a[0], a[1], a[2], a[3], s * a[3], 0),
+                     st.tuples(*[slot] * 4), st.sampled_from((1, -1)))
+
+
+@given(st.one_of(st.tuples(*[nonzero] * 6), st.tuples(*[slot] * 6),
+                 on_slice))
+def test_auxiliary_record_is_exact_and_notes_follow_the_sign_pair(values):
+    p = KTParams(MINKOWSKI, values)
+    i1, _, i3 = fundamental_invariants(p)
+    aux = auxiliary_invariants(p, Fraction(3, 2))
+    assert bool(aux.notes) == (i1 != 0 and i3 < 0)
+    assert all(isinstance(v, Fraction) for v in aux[:4] if v is not None)
+    a4, a5, a6 = values[3:]
+    if a6 == 0 and a4 * a4 == a5 * a5:
+        assert aux.i2_prime == slice_invariant_i2(p)
+    else:
+        assert aux.i2_prime is None
+
+
+T = Fraction(1, 10 ** 100)
+
+
+@pytest.mark.parametrize("values", [
+    (0, 0, T, T, 0, -T),                       # I1 = -3 T^4 underflows to 0.0
+    (-1, -2, -3, -10 ** 200, -5, -7),          # I1 overflows a float
+    (1, 2, 3, 5, 3, Fraction(-1, 10 ** 400))])  # I3 underflows to -0.0
+def test_note_beyond_float_range(values):
+    p = KTParams(MINKOWSKI, values)
+    i1, _, i3 = fundamental_invariants(p)
+    assert i1 != 0 and i3 < 0
+    aux = auxiliary_invariants(p, Fraction(2))
+    assert len(aux.notes) == 1
+    assert aux.istar_canonical == 4 * i3 + i1
 
 
 def test_auxiliary_invariants_reject_euclidean_input():

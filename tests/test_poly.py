@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from killingwebs.poly import (SYMBOLS, MultiPoly, PolynomialError,
                               compile_table, format_rational, parse_rational,
-                              poly, rational_sqrt, var)
+                              poly, var)
 
 VARS = ("x", "y")
 
@@ -178,11 +178,6 @@ def test_rational_parsing_round_trip():
         assert parse_rational(format_rational(value)) == value
     with pytest.raises(PolynomialError):
         parse_rational("not a number")
-
-
-def test_rational_square_root():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
 
 
 def test_pretty_is_deterministic():
