@@ -119,7 +119,7 @@ def _minkowski_web(inv: InvariantReport) -> tuple[WebClass, tuple[str, ...]]:
     if i3 < 0:
         # K and -K generate the same web; the tabulated sign predicates
         # read off the normalized representative -K.  Of the quantities
-        # below only I3 is odd.
+        # below only I3 is odd and read for its sign.
         i3 = -i3
         caveats.append("parameters negated to normalize I3 > 0")
 
@@ -128,8 +128,8 @@ def _minkowski_web(inv: InvariantReport) -> tuple[WebClass, tuple[str, ...]]:
             return WebClass("EC4"), tuple(caveats)
         # Here I1 = (alpha4^2 - alpha5^2)^2, so the input lies on the slice
         # where I2' is defined.
-        i2p = inv.aux.i2_prime
-        return WebClass("EC1" if i2p == 0 else "EC3"), tuple(caveats)
+        return (WebClass("EC1" if inv.aux.i2_prime == 0 else "EC3"),
+                tuple(caveats))
 
     if i1 == 0:
         if s2 == SignClass.ZERO:
