@@ -21,7 +21,6 @@ from .spaces import (DomainError, KTParams, NontrivialKT, decompose,
 
 class WebClass(NamedTuple):
     tag: str
-    subtag: Optional[str] = None
 
 
 class ClassificationReport(NamedTuple):
@@ -43,7 +42,6 @@ class ClassificationReport(NamedTuple):
                            "I3": str(inv.i3)},
             "sign_classes": {"C1": inv.sign_c1.value, "C2": inv.sign_c2.value},
             "class": self.web.tag if self.web else "trivial",
-            "subtag": self.web.subtag if self.web else None,
             "caveats": list(self.caveats),
             "eigen_precondition": self.eigen_precondition,
         }
@@ -51,8 +49,6 @@ class ClassificationReport(NamedTuple):
             data["auxiliary"] = {
                 "I1_prime": str(aux.i1_prime),
                 "I2_prime": None if aux.i2_prime is None else str(aux.i2_prime),
-                "Istar_literal": None if aux.istar_literal is None
-                else str(aux.istar_literal),
             }
         return data
 
@@ -119,8 +115,7 @@ def _minkowski_web(inv: InvariantReport) -> tuple[WebClass, tuple[str, ...]]:
     if i3 < 0:
         # K and -K generate the same web; the tabulated sign predicates
         # read off the normalized representative -K.  Of the quantities
-        # below only I3 is odd and read for its sign.
-        i3 = -i3
+        # below only I3 is odd, and only whether it vanishes is read.
         caveats.append("parameters negated to normalize I3 > 0")
 
     if i3 == 0:
@@ -147,17 +142,7 @@ def _minkowski_web(inv: InvariantReport) -> tuple[WebClass, tuple[str, ...]]:
             return WebClass("EC9"), tuple(caveats)
         raise DomainError(
             f"sign pattern (I1>0, C2={s2.value}) matches no tabulated row")
-    # I1 < 0: the tables separate EC6 from EC8 via an auxiliary quantity
-    # that depends on external data (the canonical scale); the literal
-    # reading (auxiliary_invariants' istar_literal of the normalized input)
-    # is a function of I1 and I3 alone and cannot separate general
-    # representatives, so the pair is merged with an advisory subtag.
-    subtag = "EC8" if -i1 / i3 + i1 == 0 else "EC6"
-    caveats.append(
-        "EC6/EC8 separation relies on the canonical-form scale; the literal "
-        "auxiliary invariant used for the subtag depends only on I1 and I3 "
-        "and real boosts plus reflections connect the two canonical shapes")
-    return WebClass("EC6_or_EC8", subtag), tuple(caveats)
+    return WebClass("EC6_or_EC8"), tuple(caveats)        # I1 < 0
 
 
 def _signs(a: int, b: int, c: int) -> set[int]:

@@ -64,7 +64,11 @@ def _emit(args, data: dict, text_lines: list[str]) -> None:
 
 def _fmt(value, mode: str) -> str | float:
     if mode == "float":
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError("a value lies beyond the float range; "
+                              "use --mode exact") from None
     return str(value)
 
 
@@ -73,8 +77,7 @@ def _parse_kt(args) -> KTParams:
 
 
 def _cmd_invariants(args) -> int:
-    rep = invariant_report(_parse_kt(args),
-                           None if args.k2 is None else parse_rational(args.k2))
+    rep = invariant_report(_parse_kt(args))
     data = {
         "space": rep.space.kind,
         "invariants": {"I1": _fmt(rep.i1, args.mode),
@@ -87,11 +90,6 @@ def _cmd_invariants(args) -> int:
             "I1_prime": _fmt(rep.aux.i1_prime, args.mode),
             "I2_prime": None if rep.aux.i2_prime is None
             else _fmt(rep.aux.i2_prime, args.mode),
-            "Istar_literal": None if rep.aux.istar_literal is None
-            else _fmt(rep.aux.istar_literal, args.mode),
-            "Istar_canonical": None if rep.aux.istar_canonical is None
-            else _fmt(rep.aux.istar_canonical, args.mode),
-            "notes": list(rep.aux.notes),
         }
     lines = [f"I1 = {data['invariants']['I1']}",
              f"I2 = {data['invariants']['I2']}",
@@ -101,7 +99,6 @@ def _cmd_invariants(args) -> int:
     if rep.aux is not None:
         lines.append(f"I1' = {data['auxiliary']['I1_prime']}")
         lines.append(f"I2' = {data['auxiliary']['I2_prime']}")
-        lines.append(f"I* (literal) = {data['auxiliary']['Istar_literal']}")
     _emit(args, data, lines)
     return 0
 
@@ -161,10 +158,7 @@ def _cmd_classify(args) -> int:
     p = _classify_params(space, args.params)
     report = classify_full(p)
     data = report.to_json_dict()
-    lines = [f"class: {data['class']}"]
-    if data["subtag"]:
-        lines.append(f"subtag: {data['subtag']}")
-    lines.append(f"l0: {data['l0']}")
+    lines = [f"class: {data['class']}", f"l0: {data['l0']}"]
     lines.append("invariants: " + ", ".join(
         f"{k} = {v}" for k, v in data["invariants"].items()))
     lines.append("sign classes: " + ", ".join(
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--params", required=True,
                    help="6 comma-separated rationals")
-    p.add_argument("--k2", help="canonical scale for the auxiliary record")
 
     p = add("covariants", _cmd_covariants, mode=True,
             help="covariant polynomials, optionally evaluated at a point")

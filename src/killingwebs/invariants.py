@@ -17,8 +17,7 @@ from typing import NamedTuple, Optional
 from .poly import MultiPoly, compile_table, var
 from .signs import MONOMIALS, SignClass, row_sign_class
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
-                     KVParams, Space, general_killing_tensor,
-                     symbolic_killing_tensor)
+                     KVParams, Space)
 
 
 class SubmanifoldError(DomainError):
@@ -59,10 +58,6 @@ def covariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly]:
             (lu ** 2 - eps * lw ** 2) * quad + 4 * lu * lw * cross)
 
 
-def _param_assignment(p: KTParams) -> dict[str, Fraction]:
-    return dict(zip(p.space.param_vars, p.values))
-
-
 @lru_cache(maxsize=None)
 def _invariant_table(space: Space):
     return compile_table(invariant_polynomials(space), space.param_vars)
@@ -98,30 +93,6 @@ def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
     their common denominator is positive, so it keeps every sign."""
     nums, _ = _covariant_table(p.space)(p.values)
     return row_sign_class(nums[:6]), row_sign_class(nums[6:])
-
-
-def trace_identity_check(p: KTParams | None = None) -> MultiPoly:
-    """C1 - (I3 tr(K g^{-1}) - I2), identically zero for the Euclidean plane.
-
-    With no argument the identity is checked fully symbolically.
-    """
-    space = EUCLIDEAN if p is None else p.space
-    if space.kind != "euclidean":
-        raise DomainError("the trace identity is a Euclidean statement")
-    if p is None:
-        comps = symbolic_killing_tensor(space).components
-        assignment = None
-    else:
-        comps = general_killing_tensor(p).components
-        assignment = _param_assignment(p)
-    g0, g1 = space.metric_diag
-    trace = g0 * comps[0] + g1 * comps[2]
-    i1, i2, i3 = invariant_polynomials(space)
-    c1 = covariant_polynomials(space)[0]
-    if assignment is not None:
-        i2, i3 = i2.subst(assignment), i3.subst(assignment)
-        c1 = c1.subst(assignment)
-    return c1 - (i3 * trace - i2)
 
 
 # -- joint invariants -------------------------------------------------------
@@ -211,9 +182,6 @@ def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
 class AuxInvariants(NamedTuple):
     i1_prime: Fraction
     i2_prime: Optional[Fraction]          # None off the defining slice
-    istar_literal: Optional[Fraction]     # from the I1 < 0 branch k, rational
-    istar_canonical: Optional[Fraction]   # k^4 I3 + I1 with supplied k2
-    notes: tuple[str, ...] = ()
 
 
 def _i2_prime(values) -> Optional[Fraction]:
@@ -234,40 +202,16 @@ def slice_invariant_i2(p: KTParams) -> Fraction:
     return i2p
 
 
-def auxiliary_invariants(p: KTParams,
-                         k2: Fraction | None = None) -> AuxInvariants:
-    """Auxiliary data used by the Minkowski classification, all exact.
-
-    Both readings of the EC6/EC8 separator are reported: the literal one
-    (a function of I1, I3 alone) and, when a canonical k^2 is supplied, the
-    canonical-form one.
-    """
+def auxiliary_invariants(p: KTParams) -> AuxInvariants:
+    """The auxiliary Minkowski invariants I1' and I2', both exact."""
     if p.space.kind != "minkowski":
         raise DomainError("auxiliary invariants live on the Minkowski plane")
-    i1, _, i3 = fundamental_invariants(p)
-    return _auxiliary(p, i1, i3, k2)
+    return _auxiliary(p.values)
 
 
-def _auxiliary(p: KTParams, i1: Fraction, i3: Fraction,
-               k2: Fraction | None) -> AuxInvariants:
-    a4, a5 = p.values[3:5]
-    notes = ()
-    if i1 != 0 and i3 < 0:
-        # The published recovery formula k^2 = sqrt(|I1|) / I3 has the
-        # sign of I3.
-        notes = ("k2 formula yields a negative value here "
-                 "(the published square-root formula does not "
-                 "produce a positive k2 for this sign pattern)",)
-    istar_literal = None
-    if i1 < 0 and i3 != 0:
-        # k^4 = -I1 / I3^2 from the I1 < 0 branch, so the literal separator
-        # depends on (I1, I3) only.
-        istar_literal = -i1 / i3 + i1
-    istar_canonical = None
-    if k2 is not None and i3 != 0:
-        istar_canonical = k2 * k2 * i3 + i1
-    return AuxInvariants(a4 * a4 - a5 * a5, _i2_prime(p.values),
-                         istar_literal, istar_canonical, notes)
+def _auxiliary(values) -> AuxInvariants:
+    a4, a5 = values[3:5]
+    return AuxInvariants(a4 * a4 - a5 * a5, _i2_prime(values))
 
 
 # -- report container --------------------------------------------------------
@@ -282,9 +226,9 @@ class InvariantReport(NamedTuple):
     aux: Optional[AuxInvariants]
 
 
-def invariant_report(p: KTParams, k2: Fraction | None = None) -> InvariantReport:
+def invariant_report(p: KTParams) -> InvariantReport:
     """Every per-input quantity, each computed once."""
     i1, i2, i3 = fundamental_invariants(p)
     s1, s2 = covariant_sign_classes(p)
-    aux = _auxiliary(p, i1, i3, k2) if p.space.kind == "minkowski" else None
+    aux = _auxiliary(p.values) if p.space.kind == "minkowski" else None
     return InvariantReport(p.space, i1, i2, i3, s1, s2, aux)

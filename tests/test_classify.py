@@ -26,16 +26,16 @@ EUCLIDEAN_EXPECTED = {
 }
 
 MINKOWSKI_EXPECTED = {
-    "EC1": ("EC1", None),
-    "EC2": ("EC2", None),
-    "EC3": ("EC3", None),
-    "EC4": ("EC4", None),
-    "EC5": ("EC5_or_EC10", None),
-    "EC6": ("EC6_or_EC8", "EC6"),
-    "EC7": ("EC7", None),
-    "EC8": ("EC6_or_EC8", "EC6"),
-    "EC9": ("EC9", None),
-    "EC10": ("EC5_or_EC10", None),
+    "EC1": "EC1",
+    "EC2": "EC2",
+    "EC3": "EC3",
+    "EC4": "EC4",
+    "EC5": "EC5_or_EC10",
+    "EC6": "EC6_or_EC8",
+    "EC7": "EC7",
+    "EC8": "EC6_or_EC8",
+    "EC9": "EC9",
+    "EC10": "EC5_or_EC10",
 }
 
 
@@ -48,17 +48,13 @@ def test_euclidean_canonical_forms_reproduce_their_rows(ec, expected):
 
 @pytest.mark.parametrize("ec", sorted(MINKOWSKI_EXPECTED))
 def test_minkowski_canonical_forms_reproduce_their_rows(ec):
-    expected_tag, expected_subtag = MINKOWSKI_EXPECTED[ec]
     web, caveats = classify_minkowski(canonical(MINKOWSKI, ec))
-    assert web.tag == expected_tag
-    assert web.subtag == expected_subtag
-    if expected_tag in ("EC5_or_EC10", "EC6_or_EC8"):
+    assert web.tag == MINKOWSKI_EXPECTED[ec]
+    if web.tag == "EC5_or_EC10":
         assert caveats
 
 
 def test_merged_rows_carry_their_caveats():
-    _, caveats = classify_minkowski(canonical(MINKOWSKI, "EC6"))
-    assert any("EC6/EC8" in c for c in caveats)
     _, caveats = classify_minkowski(canonical(MINKOWSKI, "EC5"))
     assert any("disjoint regions" in c for c in caveats)
 
@@ -107,6 +103,16 @@ def test_classification_is_scale_robust():
     q = embed_nontrivial(canonical(MINKOWSKI, "EC9"))
     assert classify_tag(q.scale(Fraction(-5, 3))) == "EC9"
     assert classify_tag(q.scale(Fraction(1, 7))) == "EC9"
+    r = KTParams(MINKOWSKI, (0, 0, Fraction(1, 4), Fraction(1, 4), 0,
+                             Fraction(1, 4)))
+    # Every field but the values that scale with the input: the class, the
+    # caveats, the sign classes and the eigenvalue verdict.
+    reports = [{k: v for k, v in classify_full(r.scale(c)).to_json_dict()
+                .items() if k not in ("input", "l0", "invariants",
+                                      "auxiliary")}
+               for c in (Fraction(1), Fraction(4), Fraction(1, 16))]
+    assert reports[0]["class"] == "EC6_or_EC8"
+    assert reports[1] == reports[0] == reports[2]
 
 
 # -- the two-step full procedure ---------------------------------------------

@@ -151,9 +151,7 @@ def test_inputs_beyond_float_range_get_exact_answers(capsys, params):
     assert json.loads(out) == {
         "space": "minkowski", "invariants": invariants,
         "sign_classes": {"C1": "indefinite", "C2": "positive"},
-        "auxiliary": {"I1_prime": i1_prime, "I2_prime": None,
-                      "Istar_literal": None, "Istar_canonical": None,
-                      "notes": []}}
+        "auxiliary": {"I1_prime": i1_prime, "I2_prime": None}}
     status, out, err = invoke(capsys, "classify", "--space", "minkowski",
                               f"--params={params}", "--output", "json")
     assert (status, err) == (0, "")
@@ -161,8 +159,21 @@ def test_inputs_beyond_float_range_get_exact_answers(capsys, params):
     assert data["input"] == [str(v) for v in values]
     assert data["invariants"] == invariants
     assert data["class"] == "EC5_or_EC10"
-    assert data["auxiliary"] == {"I1_prime": i1_prime, "I2_prime": None,
-                                 "Istar_literal": None}
+    assert data["auxiliary"] == {"I1_prime": i1_prime, "I2_prime": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--space", "minkowski", f"--params={BEYOND_FLOAT[0]}"],
+    ["covariants", "--space", "euclidean", f"--params=0,0,0,0,0,{10 ** 200}",
+     "--point", "3,4"],
+    ["joint", "--kv", "1,0,0", f"--kt=0,0,0,0,0,{10 ** 200}"]],
+    ids=["invariants", "covariants", "joint"])
+def test_float_mode_beyond_float_range_is_a_domain_error(capsys, argv):
+    status, out, err = invoke(capsys, *argv, "--output", "json",
+                              "--mode", "float")
+    assert (status, out) == (1, "")
+    assert err == ("killingwebs: a value lies beyond the float range; "
+                   "use --mode exact\n")
 
 
 def test_batch_classifies_a_record_beyond_float_range(tmp_path, capsys):
@@ -183,6 +194,13 @@ def test_mode_is_rejected_where_it_is_not_read(capsys, argv):
     status, out, err = invoke(capsys, *argv, "--mode", "float")
     assert (status, out) == (2, "")
     assert "unrecognized arguments: --mode float" in err
+
+
+def test_invariants_rejects_k2(capsys):
+    status, out, err = invoke(capsys, "invariants", "--space", "minkowski",
+                              "--params=0,0,-1,0,0,1/4", "--k2", "1")
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments: --k2 1" in err
 
 
 def test_covariants_at_a_point_in_float_mode(capsys):

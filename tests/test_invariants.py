@@ -14,13 +14,14 @@ from killingwebs.invariants import (SubmanifoldError, auxiliary_invariants,
                                     fundamental_invariants,
                                     invariant_polynomials, j2_oracle,
                                     joint_invariant_polynomials,
-                                    joint_invariants, slice_invariant_i2,
-                                    trace_identity_check)
+                                    joint_invariants, slice_invariant_i2)
 from killingwebs.isometry import (act_kt_params, act_kv_params, act_point,
                                   discrete_group_elements)
 from killingwebs.poly import MultiPoly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                KVParams, embed_nontrivial, metric_params)
+                                KVParams, embed_nontrivial,
+                                general_killing_tensor, metric_params,
+                                symbolic_killing_tensor)
 from samplers import random_element, random_params
 
 A = {i: var(f"alpha{i}") for i in range(1, 7)}
@@ -44,6 +45,34 @@ def test_covariant_values_on_printed_examples():
     assert c1.evaluate({"x": Fraction(3), "y": Fraction(4)}) == 25
     c1z, c2z = fundamental_covariants(KTParams(EUCLIDEAN, (0,) * 6))
     assert c1z.is_zero() and c2z.is_zero()
+
+
+def _param_assignment(p: KTParams) -> dict[str, Fraction]:
+    return dict(zip(p.space.param_vars, p.values))
+
+
+def trace_identity_check(p: KTParams | None = None) -> MultiPoly:
+    """C1 - (I3 tr(K g^{-1}) - I2), identically zero for the Euclidean plane.
+
+    With no argument the identity is checked fully symbolically.
+    """
+    space = EUCLIDEAN if p is None else p.space
+    if space.kind != "euclidean":
+        raise DomainError("the trace identity is a Euclidean statement")
+    if p is None:
+        comps = symbolic_killing_tensor(space).components
+        assignment = None
+    else:
+        comps = general_killing_tensor(p).components
+        assignment = _param_assignment(p)
+    g0, g1 = space.metric_diag
+    trace = g0 * comps[0] + g1 * comps[2]
+    i1, i2, i3 = invariant_polynomials(space)
+    c1 = covariant_polynomials(space)[0]
+    if assignment is not None:
+        i2, i3 = i2.subst(assignment), i3.subst(assignment)
+        c1 = c1.subst(assignment)
+    return c1 - (i3 * trace - i2)
 
 
 def test_trace_identity():
@@ -214,20 +243,13 @@ def test_canonical_value_reproduction_for_hyperbolic_classes():
         p = embed_nontrivial(canonical_form(MINKOWSKI, "EC8", k2))
         i1, _, i3 = fundamental_invariants(p)
         assert (i1, i3) == (-k2 * k2 / 4, Fraction(1, 4))
-        aux = auxiliary_invariants(p, k2)
-        assert aux.istar_literal == 3 * k2 * k2 / 4
-        assert aux.istar_canonical == 0
 
 
 def test_elliptic_class_auxiliary_values():
     p = embed_nontrivial(canonical_form(MINKOWSKI, "EC6"))
     i1, _, i3 = fundamental_invariants(p)
     assert (i1, i3) == (Fraction(-3, 256), Fraction(1, 4))
-    aux = auxiliary_invariants(p)
-    assert aux.istar_literal == Fraction(9, 256)
-    # The canonical separator needs the irrational k^2 = sqrt(3)/8; the
-    # literal one is nonzero, which is what the classifier reports.
-    assert aux.istar_literal != 0
+    assert auxiliary_invariants(p) == (0, None)
 
 
 BIG = 10 ** 6
@@ -242,13 +264,12 @@ on_slice = st.builds(lambda a, s: (a[0], a[1], a[2], a[3], s * a[3], 0),
 
 @given(st.one_of(st.tuples(*[nonzero] * 6), st.tuples(*[slot] * 6),
                  on_slice))
-def test_auxiliary_record_is_exact_and_notes_follow_the_sign_pair(values):
+def test_auxiliary_record_is_exact_and_i2_prime_lives_on_the_slice(values):
     p = KTParams(MINKOWSKI, values)
-    i1, _, i3 = fundamental_invariants(p)
-    aux = auxiliary_invariants(p, Fraction(3, 2))
-    assert bool(aux.notes) == (i1 != 0 and i3 < 0)
-    assert all(isinstance(v, Fraction) for v in aux[:4] if v is not None)
+    aux = auxiliary_invariants(p)
+    assert all(isinstance(v, Fraction) for v in aux if v is not None)
     a4, a5, a6 = values[3:]
+    assert aux.i1_prime == a4 * a4 - a5 * a5
     if a6 == 0 and a4 * a4 == a5 * a5:
         assert aux.i2_prime == slice_invariant_i2(p)
     else:
@@ -262,13 +283,12 @@ T = Fraction(1, 10 ** 100)
     (0, 0, T, T, 0, -T),                       # I1 = -3 T^4 underflows to 0.0
     (-1, -2, -3, -10 ** 200, -5, -7),          # I1 overflows a float
     (1, 2, 3, 5, 3, Fraction(-1, 10 ** 400))])  # I3 underflows to -0.0
-def test_note_beyond_float_range(values):
+def test_auxiliary_record_beyond_float_range(values):
     p = KTParams(MINKOWSKI, values)
     i1, _, i3 = fundamental_invariants(p)
     assert i1 != 0 and i3 < 0
-    aux = auxiliary_invariants(p, Fraction(2))
-    assert len(aux.notes) == 1
-    assert aux.istar_canonical == 4 * i3 + i1
+    a4, a5 = values[3:5]
+    assert auxiliary_invariants(p) == (a4 * a4 - a5 * a5, None)
 
 
 def test_auxiliary_invariants_reject_euclidean_input():
