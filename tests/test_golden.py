@@ -5,9 +5,8 @@ the argument list, the exit status and the exact stdout and stderr.  The
 tests replay every invocation in-process and compare all four.  The
 goldens pin the JSON lines of `classify`, the table-gap error message and
 status, the text output of `classify`, `covariants --point` and
-`invariants`, the JSON output of `invariants` (the only output that prints
-the Minkowski auxiliary record's notes and `Istar_canonical`), the
-`verify` suite's report (JSON and text), `joint` (exact and float),
+`invariants`, the JSON output of `invariants` (exact and `--mode float`),
+the `verify` suite's report (JSON and text), `joint` (exact and float),
 `generators`, `orbit-dim` and `frame` (whose float `repr`s pin the float
 parameter action), so a faster evaluation path has to reproduce them byte
 for byte.
@@ -108,7 +107,7 @@ def _inputs() -> list[tuple[str, list[str]]]:
                         ["invariants", "--space", space, f"--params={text}"]))
     out.append(("invariants-text",
                 ["invariants", "--space", "minkowski",
-                 "--params=0,0,-1,0,0,1/4", "--k2", "1/2"]))
+                 "--params=0,0,-1,0,0,1/4"]))
     out += _suite_inputs()
     out += _frame_inputs()
     out += _invariants_json_inputs()
@@ -198,10 +197,9 @@ def _frame_inputs() -> list[tuple[str, list[str]]]:
 
 def _invariants_json_inputs() -> list[tuple[str, list[str]]]:
     """`invariants --output json`, from a generator of its own.  The
-    Minkowski inputs cover both signs of I3 with I1 != 0 (the note reads
-    the sign pair), I1 = 0, and I3 = 0 on and off the slice where I2' is
-    defined, with perfect-square and non-square |I1|; some pass `--k2` or
-    `--mode float`."""
+    Minkowski inputs cover both signs of I3 with I1 != 0, I1 = 0, and
+    I3 = 0 on and off the slice where I2' is defined, with perfect-square
+    and non-square |I1|; some pass `--mode float`."""
     rng = random.Random(20040719)
     out = []
 
@@ -224,8 +222,8 @@ def _invariants_json_inputs() -> list[tuple[str, list[str]]]:
                    ("EC10", Fraction(1, 16))):      # |I1| a square
         invariants("minkowski", canonical(ec, k2))
         invariants("minkowski", canonical(ec, k2, -abs(nonzero())))
-    for k2 in (Fraction(2), Fraction(3, 5)):        # Istar_canonical = 0
-        invariants("minkowski", canonical("EC8", k2), "--k2", str(k2))
+    for k2 in (Fraction(2), Fraction(3, 5)):
+        invariants("minkowski", canonical("EC8", k2))
     invariants("minkowski", canonical("EC6"))       # |I1| not a square
     invariants("minkowski", canonical("EC6", scale=Fraction(-1)))
     invariants("minkowski", canonical("EC6", scale=Fraction(-2)),
@@ -241,8 +239,7 @@ def _invariants_json_inputs() -> list[tuple[str, list[str]]]:
                    + [a4, sign * a4, 0])
     invariants("minkowski", [nonzero(), 0, nonzero(), 3, -3, 0],
                "--mode", "float")
-    for extra in ((), ("--k2", "3/2"), ("--mode", "float"),
-                  ("--k2", "5", "--mode", "float")):  # dense
+    for extra in ((), (), ("--mode", "float"), ("--mode", "float")):  # dense
         invariants("minkowski", [_rational(rng, 12, 5) for _ in range(5)]
                    + [-abs(nonzero())])
         invariants("minkowski", [_rational(rng, 12, 5) for _ in range(6)],
@@ -250,7 +247,7 @@ def _invariants_json_inputs() -> list[tuple[str, list[str]]]:
     for _ in range(2):                              # heights up to 10^6
         invariants("minkowski", [_rational(rng, 10 ** 6, 10 ** 6)
                                  for _ in range(6)])
-    for extra in ((), ("--mode", "float"), ("--k2", "2")):
+    for extra in ((), ("--mode", "float"), ()):
         invariants("euclidean", [_rational(rng, 12, 5) for _ in range(6)],
                    *extra)
     return out
