@@ -2,7 +2,8 @@
 
 The frame maps are float-only by design: the classification path never
 depends on them, and the success criterion is always the post-hoc residual
-of the constrained parameters after applying the frame element.
+of the constrained parameters after applying the float action at the
+frame's rotation/boost entries and translation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 from .poly import MultiPoly, Q
 from .spaces import (DomainError, KTParams, NontrivialKT, Space,
                      embed_nontrivial)
-from .isometry import IsometryElement, act_kt_params_float, float_element
+from .isometry import act_kt_params_float
 
 RESIDUAL_TOL = 1e-9
 
@@ -24,7 +25,6 @@ class FrameDomainError(DomainError):
 
 
 class MovingFrameResult(NamedTuple):
-    element: IsometryElement       # float representation
     angle: float                   # rotation angle / boost rapidity
     a: float
     b: float
@@ -36,13 +36,11 @@ class MovingFrameResult(NamedTuple):
         return self.residual <= RESIDUAL_TOL
 
 
-def _apply_and_residual(space: Space, p: KTParams, angle: float,
-                        avals: tuple[float, float]) -> tuple[float, tuple]:
-    g = float_element(space, angle, avals)
-    moved = act_kt_params_float(g, p)
+def _apply_and_residual(p: KTParams, cs: tuple[float, float],
+                        avals: tuple[float, float]) -> float:
+    moved = act_kt_params_float(p, cs, avals)
     # Constrained slots: the mixed term and both linear terms.
-    residual = max(abs(moved[2]), abs(moved[3]), abs(moved[4]))
-    return residual, moved
+    return max(abs(moved[2]), abs(moved[3]), abs(moved[4]))
 
 
 def _euclidean_frame(p: KTParams) -> MovingFrameResult:
@@ -68,12 +66,11 @@ def _euclidean_frame(p: KTParams) -> MovingFrameResult:
         c, s = math.cos(theta), math.sin(theta)
         a = (float(b5) * c - float(b4) * s) / float(b6)
         b = (float(b4) * c + float(b5) * s) / float(b6)
-        residual, _ = _apply_and_residual(p.space, p, theta, (a, b))
+        residual = _apply_and_residual(p, (c, s), (a, b))
         if best is None or residual < best[0]:
             best = (residual, theta, a, b)
     residual, theta, a, b = best
-    return MovingFrameResult(float_element(p.space, theta, (a, b)),
-                             theta, a, b, residual, tuple(notes))
+    return MovingFrameResult(theta, a, b, residual, tuple(notes))
 
 
 def _minkowski_frame(p: KTParams) -> MovingFrameResult:
@@ -90,16 +87,16 @@ def _minkowski_frame(p: KTParams) -> MovingFrameResult:
                 "outside arctanh domain: normalization argument is infinite")
     else:
         arg = num / den
-        if abs(arg) >= 1:
+        # |arg| < 1 can still round to 1.0, where atanh is infinite.
+        if abs(arg) >= 1 or abs(float(arg)) == 1:
             raise FrameDomainError(
                 f"outside arctanh domain: argument = {arg}")
         phi = 0.5 * math.atanh(float(arg))
     ch, sh = math.cosh(phi), math.sinh(phi)
     a = (float(a4) * sh + float(a5) * ch) / float(a6)
     b = (float(a4) * ch + float(a5) * sh) / float(a6)
-    residual, _ = _apply_and_residual(p.space, p, phi, (a, b))
-    return MovingFrameResult(float_element(p.space, phi, (a, b)),
-                             phi, a, b, residual)
+    residual = _apply_and_residual(p, (ch, sh), (a, b))
+    return MovingFrameResult(phi, a, b, residual)
 
 
 def moving_frame(p: KTParams) -> MovingFrameResult:
@@ -109,9 +106,14 @@ def moving_frame(p: KTParams) -> MovingFrameResult:
     translations, which depend on it) and validates by applying the element:
     the residual on the constrained parameters is the success criterion.
     """
-    if p.space.kind == "euclidean":
-        return _euclidean_frame(p)
-    return _minkowski_frame(p)
+    try:
+        if p.space.kind == "euclidean":
+            return _euclidean_frame(p)
+        return _minkowski_frame(p)
+    except (OverflowError, ZeroDivisionError):
+        # Every division is by a value that is nonzero exactly, so a zero
+        # divisor is one that underflowed.
+        raise FrameDomainError("a value lies beyond the float range") from None
 
 
 # -- coordinate cross-sections ----------------------------------------------

@@ -308,8 +308,6 @@ def jacobian_rank(functions: Sequence[MultiPoly], symbols: Sequence[str],
     """Exact rank of the Jacobian of the functions at a rational point."""
     rows = []
     for f in functions:
-        assignment = {sym: Fraction(at.get(sym, 0))
-                      for sym in f.used_variables()}
         row = []
         for sym in symbols:
             d = f.diff(sym)

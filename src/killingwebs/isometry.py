@@ -1,20 +1,19 @@
 """Isometry groups of the two planes and their induced parameter actions.
 
-Group elements carry either an exact rational point on the rotation/boost
-curve (c, s with c^2 +/- s^2 = 1) or a float angle/rapidity; the two
-representations never mix.  The action on Killing tensor and Killing vector
-parameters is *derived* from the point map by exact polynomial substitution
-and re-extraction, once per space, symbolically in the group coordinates,
-then compiled and evaluated; the closed-form parameter laws printed
-elsewhere serve only as test oracles.
+Group elements carry an exact rational point on the rotation/boost curve
+(c, s with c^2 +/- s^2 = 1) and a rational translation.  The action on
+Killing tensor and Killing vector parameters is *derived* from the point map
+by exact polynomial substitution and re-extraction, once per space,
+symbolically in the group coordinates, then compiled and evaluated; the
+closed-form parameter laws printed elsewhere serve only as test oracles.
+A float action, evaluated at float (c, s, a, b), serves the moving frames.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .poly import MultiPoly, Q, compile_table, poly, var
 from .spaces import (KV_PARAM_VARS, DomainError, KTParams, KVParams, Space,
@@ -27,49 +26,29 @@ class ExactRotation(NamedTuple):
     s: Fraction
 
 
-class FloatAngle(NamedTuple):
-    value: float   # radians (Euclidean) or rapidity (Minkowski)
-
-
-Rotation = Union[ExactRotation, FloatAngle]
-
-
 class IsometryElement(NamedTuple("IsometryElement",
-                                 [("space", Space), ("rot", Rotation),
+                                 [("space", Space), ("rot", ExactRotation),
                                   ("trans", tuple)])):
-    """rot, then trans = (a, b): Fractions if rot is exact, else floats."""
+    """rot, then the translation trans = (a, b), all exact."""
     __slots__ = ()
 
-    def __new__(cls, space: Space, rot: Rotation, trans: tuple):
-        if isinstance(rot, ExactRotation):
-            c, s = fraction_tuple(rot)
-            # In lowest terms c^2 +/- s^2 = 1 forces c = p/q and s = r/q to
-            # share q, so the identity is checked on integers.
-            p, q, r = c.numerator, c.denominator, s.numerator
-            if space.kind == "euclidean":
-                if s.denominator != q or p * p + r * r != q * q:
-                    raise DomainError(
-                        "exact rotation must satisfy c^2 + s^2 = 1")
-            elif s.denominator != q or p * p - r * r != q * q or p < q:
-                raise DomainError(
-                    "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
-            rot = ExactRotation(c, s)
-            trans = fraction_tuple(trans)
-        else:
-            trans = tuple(float(v) for v in trans)
-        return super().__new__(cls, space, rot, trans)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.rot, ExactRotation)
+    def __new__(cls, space: Space, rot: ExactRotation, trans: tuple):
+        c, s = fraction_tuple(rot)
+        # In lowest terms c^2 +/- s^2 = 1 forces c = p/q and s = r/q to
+        # share q, so the identity is checked on integers.
+        p, q, r = c.numerator, c.denominator, s.numerator
+        if space.kind == "euclidean":
+            if s.denominator != q or p * p + r * r != q * q:
+                raise DomainError("exact rotation must satisfy c^2 + s^2 = 1")
+        elif s.denominator != q or p * p - r * r != q * q or p < q:
+            raise DomainError(
+                "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
+        return super().__new__(cls, space, ExactRotation(c, s),
+                               fraction_tuple(trans))
 
     def cs(self) -> tuple:
         """The rotation/boost matrix entries (c, s)."""
-        if isinstance(self.rot, ExactRotation):
-            return self.rot.c, self.rot.s
-        if self.space.kind == "euclidean":
-            return math.cos(self.rot.value), math.sin(self.rot.value)
-        return math.cosh(self.rot.value), math.sinh(self.rot.value)
+        return self.rot
 
     def matrix(self):
         c, s = self.cs()
@@ -110,11 +89,6 @@ def rotation_from_parameter(space: Space, u: Fraction,
     return IsometryElement(space, rot, trans)
 
 
-def float_element(space: Space, angle: float,
-                  trans: tuple = (0.0, 0.0)) -> IsometryElement:
-    return IsometryElement(space, FloatAngle(float(angle)), trans)
-
-
 def act_point(g: IsometryElement, pt: Sequence) -> tuple:
     (j00, j01), (j10, j11) = g.matrix()
     a, b = g.trans
@@ -126,41 +100,31 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
     """Semidirect-product law: act_point(compose(g1, g2)) = g1 after g2."""
     if g1.space is not g2.space:
         raise DomainError("cannot compose elements of different spaces")
-    if g1.is_exact != g2.is_exact:
-        raise DomainError("cannot mix exact and float representations")
-    if g1.is_exact:
-        # c_i = p_i/q_i and s_i = r_i/q_i share their denominator (see
-        # IsometryElement), so the product is formed on the numerators.
-        (c1, s1), (c2, s2) = g1.rot, g2.rot
-        p1, r1, p2, r2 = c1.numerator, s1.numerator, c2.numerator, s2.numerator
-        q1, eps = c1.denominator, g1.space.eps
-        q = q1 * c2.denominator
-        rot = ExactRotation(Fraction(p1 * p2 - eps * r1 * r2, q),
-                            Fraction(r1 * p2 + p1 * r2, q))
-        # g1.rot (a2, b2) + (a1, b1), as one fraction per coordinate.
-        (a1, b1), (a2, b2) = g1.trans, g2.trans
-        x, y = a2.numerator * b2.denominator, b2.numerator * a2.denominator
-        d = q1 * a2.denominator * b2.denominator
-        trans = tuple(Fraction(n * t.denominator + t.numerator * d,
-                               d * t.denominator)
-                      for n, t in ((p1 * x - eps * r1 * y, a1),
-                                   (r1 * x + p1 * y, b1)))
-    else:
-        rot = FloatAngle(g1.rot.value + g2.rot.value)
-        (j00, j01), (j10, j11) = g1.matrix()
-        a2, b2 = g2.trans
-        a1, b1 = g1.trans
-        trans = (j00 * a2 + j01 * b2 + a1, j10 * a2 + j11 * b2 + b1)
+    # c_i = p_i/q_i and s_i = r_i/q_i share their denominator (see
+    # IsometryElement), so the product is formed on the numerators.
+    (c1, s1), (c2, s2) = g1.rot, g2.rot
+    p1, r1, p2, r2 = c1.numerator, s1.numerator, c2.numerator, s2.numerator
+    q1, eps = c1.denominator, g1.space.eps
+    q = q1 * c2.denominator
+    rot = ExactRotation(Fraction(p1 * p2 - eps * r1 * r2, q),
+                        Fraction(r1 * p2 + p1 * r2, q))
+    # g1.rot (a2, b2) + (a1, b1), as one fraction per coordinate.
+    (a1, b1), (a2, b2) = g1.trans, g2.trans
+    x, y = a2.numerator * b2.denominator, b2.numerator * a2.denominator
+    d = q1 * a2.denominator * b2.denominator
+    trans = tuple(Fraction(n * t.denominator + t.numerator * d,
+                           d * t.denominator)
+                  for n, t in ((p1 * x - eps * r1 * y, a1),
+                               (r1 * x + p1 * y, b1)))
     return IsometryElement(g1.space, rot, trans)
 
 
 def inverse(g: IsometryElement) -> IsometryElement:
     c, s = g.cs()
-    rot = ExactRotation(c, -s) if g.is_exact else FloatAngle(-g.rot.value)
     (i00, i01), (i10, i11) = _matrix(g.space, c, -s)
     a, b = g.trans
-    return IsometryElement(g.space, rot, (-(i00 * a + i01 * b),
-                                          -(i10 * a + i11 * b)))
+    return IsometryElement(g.space, ExactRotation(c, -s),
+                           (-(i00 * a + i01 * b), -(i10 * a + i11 * b)))
 
 
 # -- parameter actions ------------------------------------------------------
@@ -206,8 +170,6 @@ def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
     (`_transformed_components`, `extract_kt_params`) gives the same values
     and is the test oracle.
     """
-    if not g.is_exact:
-        raise DomainError("exact action requires an exact group element")
     nums, den = _exact_kt_action(g.space)(p.values + g.cs() + g.trans)
     return KTParams(g.space, [Fraction(n, den) for n in nums])
 
@@ -216,8 +178,6 @@ def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
     """Induced action on the three Killing vector parameters, evaluated like
     `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
     test oracle."""
-    if not g.is_exact:
-        raise DomainError("exact action requires an exact group element")
     nums, den = _exact_kv_action(g.space)(p.values + g.cs() + g.trans)
     return KVParams(g.space, [Fraction(n, den) for n in nums])
 
@@ -303,11 +263,13 @@ def _float_kt_action(space: Space):
     return namespace["action"]
 
 
-def act_kt_params_float(g: IsometryElement, p: KTParams) -> tuple[float, ...]:
-    """Float-mode parameter action: the derived map compiled for floats,
+def act_kt_params_float(p: KTParams, cs: tuple,
+                        trans: tuple) -> tuple[float, ...]:
+    """Float-mode parameter action at the rotation/boost entries cs = (c, s)
+    and the translation trans = (a, b): the derived map compiled for floats,
     bit-identical to evaluating it with `MultiPoly.evaluate`."""
-    return _float_kt_action(g.space)(tuple(
-        float(v) for v in p.values + g.cs() + g.trans))
+    return _float_kt_action(p.space)(tuple(
+        float(v) for v in p.values + cs + trans))
 
 
 # -- the discrete group of the Minkowski plane ------------------------------

@@ -86,57 +86,46 @@ KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
 _VECTOR = [("space", Space), ("values", tuple[Fraction, ...])]
 
 
-class KTParams(NamedTuple("KTParams", _VECTOR)):
-    """A valence-2 Killing tensor as its six parameters."""
+class _ParamVector(NamedTuple("_ParamVector", _VECTOR)):
+    """Exactly `size` rational parameters, coerced to Fractions."""
     __slots__ = ()
+    size = 0
 
     def __new__(cls, space: Space, values: Sequence):
-        if len(values) != 6:
-            raise PolynomialError("KTParams needs exactly 6 values")
+        if len(values) != cls.size:
+            raise PolynomialError(
+                f"{cls.__name__} needs exactly {cls.size} values")
         return super().__new__(cls, space, fraction_tuple(values))
 
-    @staticmethod
-    def parse(space: Space, text: str) -> "KTParams":
-        return KTParams(space, parse_values(text, 6))
+    @classmethod
+    def parse(cls, space: Space, text: str):
+        return cls(space, parse_values(text, cls.size))
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for v in self.values)
+
+
+class KTParams(_ParamVector):
+    """A valence-2 Killing tensor as its six parameters."""
+    __slots__ = ()
+    size = 6
 
     def scale(self, factor: Fraction) -> "KTParams":
         return KTParams(self.space, tuple(factor * v for v in self.values))
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
-
-class KVParams(NamedTuple("KVParams", _VECTOR)):
+class KVParams(_ParamVector):
     """A Killing vector: Euclidean (2.25)-style parameters, or coefficients
     on the translation/translation/hyperbolic-rotation basis for Minkowski."""
     __slots__ = ()
-
-    def __new__(cls, space: Space, values: Sequence):
-        if len(values) != 3:
-            raise PolynomialError("KVParams needs exactly 3 values")
-        return super().__new__(cls, space, fraction_tuple(values))
-
-    @staticmethod
-    def parse(space: Space, text: str) -> "KVParams":
-        return KVParams(space, parse_values(text, 3))
+    size = 3
 
 
-class NontrivialKT(NamedTuple("NontrivialKT", _VECTOR)):
+class NontrivialKT(_ParamVector):
     """Element of the 5-dimensional trace-adjusted (non-metric) subspace,
     with values (prime1, p3, p4, p5, p6)."""
     __slots__ = ()
-
-    def __new__(cls, space: Space, values: Sequence):
-        if len(values) != 5:
-            raise PolynomialError("NontrivialKT needs exactly 5 values")
-        return super().__new__(cls, space, fraction_tuple(values))
-
-    @staticmethod
-    def parse(space: Space, text: str) -> "NontrivialKT":
-        return NontrivialKT(space, parse_values(text, 5))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+    size = 5
 
 
 class TensorField(NamedTuple):

@@ -28,7 +28,7 @@ from killingwebs.invariants import (auxiliary_invariants,
 from killingwebs.isometry import (act_kt_params, act_kt_params_float,
                                   act_kv_params, act_point,
                                   discrete_act_params,
-                                  discrete_group_elements, float_element)
+                                  discrete_group_elements)
 from killingwebs.poly import MultiPoly, parse_rational, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, KVParams,
                                 dtt_dimension, embed_nontrivial,
@@ -292,7 +292,8 @@ def test_acceptance_08():
 def test_acceptance_09():
     p = embed_nontrivial(canonical(MINKOWSKI, "EC6"))
     phi = 0.5 * math.atanh(-0.5)
-    moved = act_kt_params_float(float_element(MINKOWSKI, phi), p)
+    moved = act_kt_params_float(p, (math.cosh(phi), math.sinh(phi)),
+                                (0.0, 0.0))
     reflected = (moved[0], moved[1], -moved[2], -moved[3], moved[4], moved[5])
     k2 = math.sqrt(3) / 8
     expected = (0.125, -0.125, -k2, 0.0, 0.0, 0.25)

@@ -176,6 +176,17 @@ def test_float_mode_beyond_float_range_is_a_domain_error(capsys, argv):
                    "use --mode exact\n")
 
 
+@pytest.mark.parametrize("space", ["euclidean", "minkowski"])
+@pytest.mark.parametrize("params", [
+    f"1,2,3,{10 ** 200},5,7", f"1,2,3,4,5,1/{10 ** 200}",
+    f"1,2,3,4,5,1/{10 ** 400}"], ids=["big", "tiny", "underflow"])
+def test_frame_beyond_float_range_is_a_domain_error(capsys, space, params):
+    status, out, err = invoke(capsys, "frame", "--space", space,
+                              f"--params={params}", "--output", "json")
+    assert (status, out) == (1, "")
+    assert err == "killingwebs: a value lies beyond the float range\n"
+
+
 def test_batch_classifies_a_record_beyond_float_range(tmp_path, capsys):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps(["0,0,0,0,1", BEYOND_FLOAT[0], "1,0,0,0,0"]))

@@ -39,8 +39,7 @@ from killingwebs.isometry import (IsometryElement, _exact_kt_action,
                                   _transformed_components,
                                   _transformed_vector, act_kt_params,
                                   act_kt_params_float, act_kv_params,
-                                  derived_kt_action, float_element,
-                                  rotation_from_parameter)
+                                  derived_kt_action, rotation_from_parameter)
 from killingwebs.signs import SignClass, quadratic_sign_class
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, Space, eigen_discriminant,
@@ -176,14 +175,14 @@ floats = st.one_of(st.floats(-10, 10), st.floats(-BIG, BIG))
 @settings(max_examples=300, deadline=None)
 def test_float_action_matches_polynomial_evaluation(space, data, vals):
     p = KTParams(space, vals)
-    g = data.draw(st.one_of(
-        elements(space),
-        st.builds(float_element, st.just(space), st.floats(-4, 4),
-                  st.tuples(floats, floats))))
+    pair = st.tuples(floats, floats)
+    cs, trans = data.draw(st.one_of(
+        elements(space).map(lambda g: (g.cs(), g.trans)),
+        st.tuples(pair, pair)))
     assignment = dict(zip(space.param_vars + ("c", "s", "a", "b"),
-                          (float(v) for v in p.values + g.cs() + g.trans)))
+                          (float(v) for v in p.values + cs + trans)))
     oracle = [float(f.evaluate(assignment)) for f in derived_kt_action(space)]
-    assert [v.hex() for v in act_kt_params_float(g, p)] \
+    assert [v.hex() for v in act_kt_params_float(p, cs, trans)] \
         == [v.hex() for v in oracle]
 
 
@@ -225,7 +224,7 @@ def _grid_oracle(p):
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 @given(values)
 @settings(max_examples=100, deadline=None)
-def test_grid_verdict_matches_pointwise_evaluation(space, vals):
+def test_exact_verdict_agrees_with_sampled_signs(space, vals):
     """A grid sees part of the plane only: a negative value on it must make
     the exact verdict "complex", and a zero must rule out "satisfied"."""
     p = KTParams(space, vals)

@@ -13,7 +13,7 @@ from killingwebs.frames import (RESIDUAL_TOL, CrossSection, FrameDomainError,
                                 validate_coordinate_cross_section)
 from killingwebs.invariants import fundamental_invariants
 from killingwebs.isometry import (act_kt_params, act_kt_params_float,
-                                  float_element, rotation_from_parameter)
+                                  rotation_from_parameter)
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 decompose, embed_nontrivial)
 from samplers import random_params
@@ -59,6 +59,13 @@ def test_elliptic_canonical_form_is_outside_the_frame_domain():
     with pytest.raises(FrameDomainError,
                        match="outside arctanh domain: argument = -2"):
         moving_frame(p)
+
+
+def test_argument_rounding_to_one_is_outside_the_frame_domain():
+    """|arg| < 1 exactly, but its float is 1.0, where atanh is infinite."""
+    a3 = Fraction(10 ** 20 - 1, 2 * 10 ** 20)
+    with pytest.raises(FrameDomainError, match="outside arctanh domain"):
+        moving_frame(KTParams(MINKOWSKI, (-1, 0, a3, 0, 0, 1)))
 
 
 def test_degenerate_angle_branch_is_flagged():
@@ -136,8 +143,9 @@ def test_quarter_turn_exchanges_the_parabolic_representatives():
 
 def test_half_angle_float_witness_for_the_cartesian_pair():
     p = embed_nontrivial(canonical_form(EUCLIDEAN, "EC1"))
-    g = float_element(EUCLIDEAN, math.pi / 4)
-    moved = act_kt_params_float(g, p)
+    angle = math.pi / 4
+    moved = act_kt_params_float(p, (math.cos(angle), math.sin(angle)),
+                                (0.0, 0.0))
     expected = (0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
     assert max(abs(m - e) for m, e in zip(moved, expected)) < 1e-9
 
@@ -149,7 +157,8 @@ def test_boost_and_reflection_map_ec6_shape_to_ec8_shape():
     invariants agree: I1 = -3/256 = -(k^2)^2/4, I3 = 1/4."""
     p = embed_nontrivial(canonical_form(MINKOWSKI, "EC6"))
     phi = 0.5 * math.atanh(-0.5)
-    moved = act_kt_params_float(float_element(MINKOWSKI, phi), p)
+    moved = act_kt_params_float(p, (math.cosh(phi), math.sinh(phi)),
+                                (0.0, 0.0))
     reflected = (moved[0], moved[1], -moved[2], -moved[3], moved[4], moved[5])
     k2 = math.sqrt(3) / 8
     expected = (0.125, -0.125, -k2, 0.0, 0.0, 0.25)

@@ -7,7 +7,6 @@ diagonal Euclidean parameter) disagrees with the derived action by a sign;
 the test pins down that difference exactly instead of hiding it.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -21,8 +20,7 @@ from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   act_kt_params_float, act_kv_params,
                                   act_point, compose, derived_kt_action,
                                   discrete_act_params,
-                                  discrete_group_elements, float_element,
-                                  identity, inverse,
+                                  discrete_group_elements, identity, inverse,
                                   reduce_rotation_identity,
                                   rotation_from_parameter)
 from killingwebs.poly import var
@@ -192,11 +190,6 @@ def test_composition_examples():
     assert boosted.cs() == (Fraction(37, 12), Fraction(35, 12))
 
 
-def test_mixed_representations_do_not_compose():
-    with pytest.raises(DomainError):
-        compose(identity(EUCLIDEAN), float_element(EUCLIDEAN, 0.5))
-
-
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
 def test_group_law_on_points_and_parameters(space):
     rng = random.Random(11)
@@ -340,11 +333,7 @@ def test_float_action_agrees_with_exact_action():
             g = random_element(space, rng)
             p = random_params(space, rng)
             exact = act_kt_params(g, p).values
-            c, s = g.cs()
-            angle = math.atan2(float(s), float(c)) \
-                if space.kind == "euclidean" else math.asinh(float(s))
-            gf = float_element(space, angle, tuple(float(v) for v in g.trans))
-            approx = act_kt_params_float(gf, p)
+            approx = act_kt_params_float(p, g.cs(), g.trans)
             assert max(abs(float(e) - a)
                        for e, a in zip(exact, approx)) < 1e-9
 

@@ -19,7 +19,7 @@ from killingwebs.classify import WebClass
 from killingwebs.frames import CrossSection
 from killingwebs.generators import LinearVectorField, StructureConstants
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
-                                  FloatAngle, IsometryElement)
+                                  IsometryElement)
 from killingwebs.poly import PolynomialError, poly
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, NontrivialKT)
@@ -54,8 +54,7 @@ def _types(values):
      DomainError("one coefficient per domain symbol required")),
     (lambda: StructureConstants((((0, 0), (1, 0)), ((0, 0), (0, 0)))),
      DomainError("structure constants must be antisymmetric")),
-    # Coercion: sequences become tuples, ints become Fractions (floats in
-    # a float-mode element).
+    # Coercion: sequences become tuples, ints become Fractions.
     (lambda: _types(KTParams(EUCLIDEAN, [1, 2, 3, 4, 5, 6]).values),
      (tuple, {Fraction})),
     (lambda: _types(KVParams(MINKOWSKI, [1, 2, 3]).values),
@@ -65,9 +64,6 @@ def _types(values):
     (lambda: _types(IsometryElement(EUCLIDEAN, ExactRotation(1, 0),
                                     [1, 2]).trans),
      (tuple, {Fraction})),
-    (lambda: _types(IsometryElement(EUCLIDEAN, FloatAngle(0.5),
-                                    [1, 2]).trans),
-     (tuple, {float})),
     (lambda: [(type(i), type(v))
               for i, v in CrossSection([(0, 1), (3, 2)]).constraints],
      [(int, Fraction)] * 2),
