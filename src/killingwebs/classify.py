@@ -174,7 +174,7 @@ def _eigen_precondition(p: KTParams) -> str:
             return "satisfied"
         return "degenerate"
     # Integers over the common denominator: the same signs, cheaper.
-    v1, v2, v3, v4, v5, v6 = common_numerators(p.values)
+    (v1, v2, v3, v4, v5, v6), _ = common_numerators(p.values)
     signs = {x * y for x in _signs(v6, v5 - v4, v1 + v2 - 2 * v3)
              for y in _signs(v6, v5 + v4, v1 + v2 + 2 * v3)}
     if -1 in signs:

@@ -359,6 +359,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"killingwebs: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:       # str() of an int too long to print
+        if "integer string conversion" not in str(exc):
+            raise
+        print("killingwebs: a value has too many digits to print (over "
+              f"{sys.get_int_max_str_digits()})", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

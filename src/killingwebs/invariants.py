@@ -1,11 +1,11 @@
 """Fundamental invariants, covariants, joint and auxiliary invariants.
 
-All quantities are exact polynomial evaluations.  The symbolic versions of
-each invariant/covariant double as self-test material: the generator fields
-must annihilate them identically.  For the per-input quantities they are
-compiled once per space (`compile_table`) and evaluated at the parameters;
-substituting into the symbolic versions gives the same values and serves
-as the test oracle.
+I1-I3 and the covariants' coefficient rows are closed forms in epsilon and
+the parameters, written once for any ring: evaluated on the integer
+numerators of an input over their common denominator d (a form of degree
+k takes d^k times its value), or on `var` symbols for the symbolic
+versions, which the generators must annihilate and which serve as the
+substitution oracle.  The joint invariants are compiled (`compile_table`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .poly import MultiPoly, compile_table, var
+from .poly import MultiPoly, common_numerators, compile_table, var
 from .signs import MONOMIALS, SignClass, row_sign_class
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, Space)
@@ -24,75 +24,74 @@ class SubmanifoldError(DomainError):
     """Raised when a slice-only invariant is requested off its slice."""
 
 
-# -- symbolic invariant polynomials -----------------------------------------
+# -- invariants and covariants, in any ring ---------------------------------
 
-def _quad_cross(space: Space) -> tuple[MultiPoly, MultiPoly]:
-    """The quadratics quad and cross in the parameters; (quad, 2 cross)
-    turns with weight 2 under the rotation (Euclidean) or boost."""
-    eps = space.eps
-    p1, p2, p3, p4, p5, p6 = (var(v) for v in space.param_vars)
-    return (eps * (p6 * p1 - p4 ** 2) - (p6 * p2 - p5 ** 2),
+def _quad_cross(eps, p1, p2, p3, p4, p5, p6):
+    """The quadratics quad and cross; (quad, 2 cross) turns with weight 2
+    under the rotation (Euclidean) or boost."""
+    return (eps * (p6 * p1 - p4 * p4) - (p6 * p2 - p5 * p5),
             p3 * p6 + eps * p4 * p5)
+
+
+def _invariants(eps, p):
+    """(I1, I2, I3), homogeneous of degrees 4, 2 and 1."""
+    p1, p2, _, p4, p5, p6 = p
+    quad, cross = _quad_cross(eps, *p)
+    return (quad * quad + 4 * eps * cross * cross,
+            p6 * (p1 + eps * p2) - p4 * p4 - eps * p5 * p5,
+            p6)
+
+
+def _covariant_rows(eps, p):
+    """The coefficients of C1 and C2 at the point monomials `MONOMIALS`,
+    homogeneous of degrees 2 and 4.  With lu = p6 u + p5, lw = p6 w + p4:
+    C1 = lu^2 + eps lw^2 and C2 = (lu^2 - eps lw^2) quad + 4 lu lw cross."""
+    _, _, _, p4, p5, p6 = p
+    quad, cross = _quad_cross(eps, *p)
+    sq, x4 = p6 * p6, 4 * cross
+    return ((sq, 0, eps * sq, 2 * p6 * p5, 2 * eps * p6 * p4,
+             p5 * p5 + eps * p4 * p4),
+            (sq * quad, sq * x4, -eps * sq * quad,
+             p6 * (2 * p5 * quad + p4 * x4),
+             p6 * (p5 * x4 - 2 * eps * p4 * quad),
+             (p5 * p5 - eps * p4 * p4) * quad + p4 * p5 * x4))
 
 
 @lru_cache(maxsize=None)
 def invariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(I1, I2, I3) as polynomials in the six parameter symbols."""
-    eps = space.eps
-    p1, p2, _, p4, p5, p6 = (var(v) for v in space.param_vars)
-    quad, cross = _quad_cross(space)
-    return (quad ** 2 + 4 * eps * cross ** 2,
-            p6 * (p1 + eps * p2) - p4 ** 2 - eps * p5 ** 2,
-            p6)
+    return _invariants(space.eps, [var(v) for v in space.param_vars])
 
 
 @lru_cache(maxsize=None)
 def covariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly]:
     """(C1, C2) as polynomials in parameters and the point coordinates."""
-    eps = space.eps
     u, w = (var(v) for v in space.point_vars)
-    _, _, _, p4, p5, p6 = (var(v) for v in space.param_vars)
-    lu, lw = p6 * u + p5, p6 * w + p4
-    quad, cross = _quad_cross(space)
-    return (lu ** 2 + eps * lw ** 2,
-            (lu ** 2 - eps * lw ** 2) * quad + 4 * lu * lw * cross)
-
-
-@lru_cache(maxsize=None)
-def _invariant_table(space: Space):
-    return compile_table(invariant_polynomials(space), space.param_vars)
-
-
-@lru_cache(maxsize=None)
-def _covariant_table(space: Space):
-    """C1 and C2 as two rows of their coefficients of the point monomials
-    `MONOMIALS`, in the parameters, compiled as one table."""
-    rows = [c.coefficients_in(space.point_vars)
-            for c in covariant_polynomials(space)]
-    return compile_table([row.get(m, MultiPoly.zero())
-                          for row in rows for m in MONOMIALS],
-                         space.param_vars)
+    monomials = [u ** i * w ** j for i, j in MONOMIALS]
+    rows = _covariant_rows(space.eps, [var(v) for v in space.param_vars])
+    return tuple(sum((c * m for c, m in zip(row, monomials)), MultiPoly.zero())
+                 for row in rows)
 
 
 def fundamental_invariants(p: KTParams) -> tuple[Fraction, Fraction, Fraction]:
-    nums, den = _invariant_table(p.space)(p.values)
-    return tuple([Fraction(n, den) for n in nums])
+    nums, d = common_numerators(p.values)
+    i1, i2, i3 = _invariants(p.space.eps, nums)
+    return Fraction(i1, d ** 4), Fraction(i2, d * d), Fraction(i3, d)
 
 
 def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
-    nums, den = _covariant_table(p.space)(p.values)
+    nums, d = common_numerators(p.values)
     pv = p.space.point_vars
-    return tuple(MultiPoly._trusted(pv, {m: Fraction(n, den) for m, n in
-                                         zip(MONOMIALS, nums[k:k + 6])})
-                 for k in (0, 6))
+    return tuple(MultiPoly._trusted(pv, {m: Fraction(n, d ** k) for m, n in
+                                         zip(MONOMIALS, row)})
+                 for row, k in zip(_covariant_rows(p.space.eps, nums), (2, 4)))
 
 
 def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
-    """The sign classes of C1 and C2, read off the table's integer rows:
-    their common denominator is positive, so it keeps every sign."""
-    nums, _ = _covariant_table(p.space)(p.values)
-    return row_sign_class(nums[:6]), row_sign_class(nums[6:])
+    """The sign classes of C1 and C2, decided on their integer rows."""
+    nums, _ = common_numerators(p.values)
+    return tuple(map(row_sign_class, _covariant_rows(p.space.eps, nums)))
 
 
 # -- joint invariants -------------------------------------------------------
@@ -119,7 +118,7 @@ def _j2_candidates() -> dict[str, MultiPoly]:
     b = {i: var(f"beta{i}") for i in range(1, 7)}
     p = b[6] * a[1] - b[4] * a[3]
     q = b[6] * a[2] + b[5] * a[3]
-    dd, cross = _quad_cross(EUCLIDEAN)
+    dd, cross = _quad_cross(EUCLIDEAN.eps, *b.values())
     tail = 2 * cross * p
     s2 = b[6] * b[2] - b[5] ** 2
     return {
@@ -149,8 +148,7 @@ def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
         raise DomainError(
             f"J2 oracle selected {len(survivors)} candidate readings; "
             "expected exactly one")
-    name, j2 = survivors[0]
-    return (name, j2, tuple(rejected))
+    return (*survivors[0], tuple(rejected))
 
 
 @lru_cache(maxsize=None)
@@ -159,9 +157,8 @@ def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
     b = {i: var(f"beta{i}") for i in range(1, 7)}
     i1, i2, i3 = invariant_polynomials(EUCLIDEAN)
-    i4 = a[3]
     j1 = (b[6] * a[2] + b[5] * a[3]) ** 2 + (b[6] * a[1] - b[4] * a[3]) ** 2
-    return (i1, i2, i3, i4, j1, j2_oracle()[1])
+    return (i1, i2, i3, a[3], j1, j2_oracle()[1])
 
 
 @lru_cache(maxsize=None)
@@ -184,19 +181,9 @@ class AuxInvariants(NamedTuple):
     i2_prime: Optional[Fraction]          # None off the defining slice
 
 
-def _i2_prime(values) -> Optional[Fraction]:
-    """The second auxiliary invariant on {alpha6 = 0, I1' = 0}, else None."""
-    a1, a2, a3, a4, a5, a6 = values
-    if a6 != 0 or a4 * a4 != a5 * a5:
-        return None
-    return 2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4
-
-
 def slice_invariant_i2(p: KTParams) -> Fraction:
     """The second auxiliary invariant, defined only on {I3 = 0, I1' = 0}."""
-    if p.space.kind != "minkowski":
-        raise DomainError("auxiliary invariants live on the Minkowski plane")
-    i2p = _i2_prime(p.values)
+    i2p = auxiliary_invariants(p).i2_prime
     if i2p is None:
         raise SubmanifoldError("not on invariant submanifold")
     return i2p
@@ -210,8 +197,11 @@ def auxiliary_invariants(p: KTParams) -> AuxInvariants:
 
 
 def _auxiliary(values) -> AuxInvariants:
-    a4, a5 = values[3:5]
-    return AuxInvariants(a4 * a4 - a5 * a5, _i2_prime(values))
+    """I1', and I2' on its slice {alpha6 = 0, I1' = 0} (else None)."""
+    a1, a2, a3, a4, a5, a6 = values
+    i1p = a4 * a4 - a5 * a5
+    return AuxInvariants(i1p, None if a6 or i1p else
+                         2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4)
 
 
 # -- report container --------------------------------------------------------

@@ -38,7 +38,9 @@ class PolynomialError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" or "p" literal format used on every I/O boundary."""
+    """Parse the "p/q", "p" or decimal literal used on every I/O boundary."""
+    if "e" in text.lower():       # Fraction would build 10**exp first
+        raise PolynomialError(f"bad rational literal {text!r}: no exponents")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -51,11 +53,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def common_numerators(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """The values times the lcm of their denominators.  The scale is
-    positive, so the sign of every homogeneous form in them is kept."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values)
+def common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as numerators n_i over the lcm d of their denominators.
+    A form homogeneous of degree k takes d^k times its value at the n_i,
+    and d > 0 keeps every sign."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return [n * (den // q) for n, q in ratios], den
 
 
 def _check_vars(variables: Iterable[str]) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ squares-of-linear-forms in their positive rows.
 
 The decision is on an integer row of the six coefficients: each test is a
 homogeneous inequality in them, so any positive multiple of the row (by the
-lcm of the denominators, or a compiled table's) gives the same class.
+lcm of the denominators, or a power of it) gives the same class.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass
         raise PolynomialError(f"non-point symbols present: {extra}")
     # Only the point variables occur, so each key holds one term.
     return row_sign_class(common_numerators(
-        [coeffs.get(m, 0) for m in MONOMIALS]))
+        [coeffs.get(m, 0) for m in MONOMIALS])[0])
 
 
 def row_sign_class(row: Sequence[int]) -> SignClass:

@@ -18,8 +18,7 @@ from killingwebs.generators import (extended_generators, jacobian_rank,
                                     joint_generators, sigma_generators,
                                     sigma_structure_constants,
                                     verify_structure_constants)
-from killingwebs.invariants import (auxiliary_invariants,
-                                    covariant_polynomials,
+from killingwebs.invariants import (covariant_polynomials,
                                     fundamental_covariants,
                                     fundamental_invariants,
                                     invariant_polynomials, j2_oracle,

@@ -162,6 +162,44 @@ def test_inputs_beyond_float_range_get_exact_answers(capsys, params):
     assert data["auxiliary"] == {"I1_prime": i1_prime, "I2_prime": None}
 
 
+# N^4, as I1 and C2's coefficients grow, has about 4,400 digits.
+BEYOND_PRINTING = ",".join(["9" * 1100, "0", "0", "0", "0", "9" * 1100])
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default limit on printing integers, 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants", "covariants"])
+def test_values_beyond_the_printing_limit_are_a_domain_error(
+        capsys, int_digit_limit, command):
+    status, out, err = invoke(capsys, command, "--space", "minkowski",
+                              f"--params={BEYOND_PRINTING}", "--output",
+                              "json")
+    assert (status, out) == (1, "")
+    assert err == ("killingwebs: a value has too many digits to print "
+                   "(over 4300)\n")
+
+
+def test_batch_stops_at_a_record_beyond_the_printing_limit(
+        tmp_path, capsys, int_digit_limit):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(["0,0,0,0,1", BEYOND_PRINTING, "1,0,0,0,0"]))
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch", str(batch))
+    assert status == 1
+    assert [json.loads(line)["class"] for line in out.splitlines()] == ["EC2"]
+    assert err == ("killingwebs: a value has too many digits to print "
+                   "(over 4300)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "--space", "minkowski", f"--params={BEYOND_FLOAT[0]}"],
     ["covariants", "--space", "euclidean", f"--params=0,0,0,0,0,{10 ** 200}",

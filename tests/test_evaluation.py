@@ -1,13 +1,16 @@
-"""The compiled evaluation layer against the substitution oracle, and the
+"""The evaluation layer against the substitution oracle, and the
 compute-once shape of `classify_full`.
 
-Invariants, covariants, the exact group actions on Killing tensors and
-Killing vectors and the joint invariants are evaluated from tables compiled
-once per space.  Each must agree exactly with substituting into (or
-evaluating) the symbolic polynomials, on sparse and dense rationals with
-heights up to 10^6, and the covariant sign classes decided on the
-compiled integer rows must agree with deciding them on the polynomials.  The float action, compiled the same way, must agree
-bit for bit with `MultiPoly.evaluate`.  The parameter-space generators are
+The invariants and the covariants are closed forms evaluated on the
+integer numerators of the input; the exact group actions on Killing
+tensors and Killing vectors and the joint invariants are evaluated from
+tables compiled once per space.  Each must agree exactly with substituting
+into (or evaluating) the symbolic polynomials, on sparse and dense
+rationals with heights up to 10^6, and the covariant sign classes decided
+on the integer rows must agree with deciding them on the polynomials.
+`classify_full` derives no polynomial and does no polynomial arithmetic.
+The float action, compiled like the exact one, must agree bit for bit
+with `MultiPoly.evaluate`.  The parameter-space generators are
 derived once per (space, valence) and shared.  The closed-form eigenvalue
 verdict must have a witness point where the evaluated discriminant takes
 the sign it names.
@@ -27,12 +30,11 @@ from killingwebs import classify
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
 from killingwebs.generators import sigma_generators
-from killingwebs.invariants import (_covariant_table, _invariant_table,
-                                    covariant_polynomials,
+from killingwebs.invariants import (covariant_polynomials,
                                     covariant_sign_classes,
                                     fundamental_covariants,
                                     fundamental_invariants,
-                                    invariant_polynomials, invariant_report,
+                                    invariant_polynomials,
                                     joint_invariant_polynomials,
                                     joint_invariants)
 from killingwebs.isometry import (IsometryElement, _exact_kt_action,
@@ -40,6 +42,7 @@ from killingwebs.isometry import (IsometryElement, _exact_kt_action,
                                   _transformed_vector, act_kt_params,
                                   act_kt_params_float, act_kv_params,
                                   derived_kt_action, rotation_from_parameter)
+from killingwebs.poly import MultiPoly
 from killingwebs.signs import SignClass, quadratic_sign_class
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, Space, eigen_discriminant,
@@ -97,7 +100,7 @@ covariant_inputs = st.one_of(
 @given(covariant_inputs)
 @settings(max_examples=200, deadline=None)
 def test_sign_classes_from_rows_match_the_polynomial_oracles(space, vals):
-    """The classes decided on the table's integer rows equal
+    """The classes decided on the integer rows equal
     `quadratic_sign_class` on the covariants as polynomials, built from
     the same rows and, as the oracle, by substitution."""
     p = KTParams(space, vals)
@@ -114,7 +117,8 @@ def test_sign_classes_from_rows_match_the_polynomial_oracles(space, vals):
 
 def test_tables_are_cached_once_per_space():
     """`Space` hashes by its kind, which agrees with equality, so an equal
-    copy of a space finds the tables already compiled for it."""
+    copy of a space finds the polynomials already derived and the action
+    table already compiled for it."""
     copies = [Space(*space) for space in SPACES]
     everything = SPACES + copies
     for a in everything:
@@ -124,17 +128,37 @@ def test_tables_are_cached_once_per_space():
                 assert hash(a) == hash(b)
     assert len(set(everything)) == 2
     assert [hash(s) for s in SPACES] == [hash(s.kind) for s in SPACES]
-    vals = (1, 2, 3, 4, 5, 6)
-    tables = (_invariant_table, _covariant_table)
+    tables = (invariant_polynomials, covariant_polynomials, _exact_kt_action)
     for space in SPACES:
-        invariant_report(KTParams(space, vals))
+        for table in tables:
+            table(space)
     before = [t.cache_info() for t in tables]
     for copy in copies:
-        invariant_report(KTParams(copy, vals))
+        for table in tables:
+            table(copy)
     after = [t.cache_info() for t in tables]
     assert [a.misses for a in after] == [b.misses for b in before]
     assert [a.currsize for a in after] == [b.currsize for b in before]
-    assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2, 2]
+
+
+def test_classify_derives_no_polynomial(monkeypatch):
+    """A cold `classify_full` evaluates the closed forms on integers: it
+    derives neither the symbolic invariants nor the covariants, and no
+    polynomial arithmetic runs."""
+    caches = (invariant_polynomials, covariant_polynomials)
+    for cache in caches:
+        cache.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic while classifying")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__pow__", "subst", "evaluate", "coefficients_in"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    for space in SPACES:
+        classify_full(KTParams(space, (1, 2, 3, 4, 5, 6)))
+    assert [c.cache_info().currsize for c in caches] == [0, 0]
 
 
 @st.composite

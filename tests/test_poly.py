@@ -173,11 +173,16 @@ def test_degree_and_coefficient_queries():
 
 
 def test_rational_parsing_round_trip():
-    for text in ("3", "-5/7", "0", "12/4"):
+    for text in ("3", "-5/7", "0", "12/4", "1.25", "-.5"):
         value = parse_rational(text)
         assert parse_rational(format_rational(value)) == value
+    assert parse_rational("1.25") == Fraction(5, 4)
     with pytest.raises(PolynomialError):
         parse_rational("not a number")
+    # Exponents are refused before Fraction builds 10**exp.
+    for text in ("1e100000000", "1E3", "2.5e-3", "1e5000"):
+        with pytest.raises(PolynomialError, match="no exponents"):
+            parse_rational(text)
 
 
 def test_pretty_is_deterministic():
