@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .invariants import InvariantReport, invariant_report
-from .poly import common_numerators
 from .signs import SignClass
 from .spaces import (DomainError, KTParams, NontrivialKT, decompose,
                      embed_nontrivial)
@@ -157,8 +156,9 @@ def _signs(a: int, b: int, c: int) -> set[int]:
     return {sign, 0} if d == 0 and a else {sign}
 
 
-def _eigen_precondition(p: KTParams) -> str:
-    """The sign of the eigenvalue discriminant over the whole plane:
+def _eigen_precondition(inv: InvariantReport) -> str:
+    """The sign of the eigenvalue discriminant over the whole plane, read
+    from the report's integer numerators of the input (the same signs):
     "complex" if negative somewhere, else "degenerate" if zero somewhere,
     else "satisfied".
 
@@ -168,13 +168,11 @@ def _eigen_precondition(p: KTParams) -> str:
     coordinates t - x, t + x are independent, so disc takes exactly the
     products of their signs.
     """
-    if p.space.eps > 0:
-        v1, v2, v3, v4, v5, v6 = p.values
+    v1, v2, v3, v4, v5, v6 = inv.numerators
+    if inv.space.eps > 0:
         if v4 == v5 == v6 == 0 and (v1 != v2 or v3 != 0):
             return "satisfied"
         return "degenerate"
-    # Integers over the common denominator: the same signs, cheaper.
-    (v1, v2, v3, v4, v5, v6), _ = common_numerators(p.values)
     signs = {x * y for x in _signs(v6, v5 - v4, v1 + v2 - 2 * v3)
              for y in _signs(v6, v5 + v4, v1 + v2 + 2 * v3)}
     if -1 in signs:
@@ -186,7 +184,7 @@ def classify_full(p: KTParams) -> ClassificationReport:
     """The two-step procedure: strip the metric multiple, then classify."""
     l0, nt = decompose(p)
     inv = invariant_report(p)
-    precondition = _eigen_precondition(p)
+    precondition = _eigen_precondition(inv)
     caveats: list[str] = []
     if nt.is_zero():
         caveats.append("trivial (multiple of metric), no web")

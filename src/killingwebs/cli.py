@@ -9,40 +9,25 @@ error, 2 parse error.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 from typing import Optional
 
+from . import _lazy
 from .classify import classify_full
-from .invariants import (covariant_sign_classes, fundamental_covariants,
-                         invariant_report, joint_invariants)
-from .poly import PolynomialError, parse_rational
-from .spaces import (DomainError, KTParams, KVParams, NontrivialKT, decompose,
-                     embed_nontrivial, parse_values, space_by_name)
-
-
-def _lazy(name: str):
-    """The submodule `name` of this package, registered in sys.modules and
-    as a package attribute, but compiled and run only on first attribute
-    access.  A module that is already imported is returned as it is."""
-    full = f"{__package__}.{name}"
-    if full not in sys.modules:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return sys.modules[full]
-
+from .invariants import covariant_sign_classes, invariant_report
+from .spaces import (DomainError, KTParams, KVParams, NontrivialKT,
+                     PolynomialError, decompose, embed_nontrivial,
+                     parse_rational, parse_values, space_by_name)
 
 # Only the subcommands other than `classify` need these (`isometry` through
-# `frames` and `verify`), so a `classify` process never runs them.  Every
-# module of the package is still in sys.modules after this import.
+# `frames` and `verify`; the covariants and joint invariants in `symbolic`),
+# so a `classify` process never runs them.  Every module of the package is
+# still in sys.modules after this import.
 frames = _lazy("frames")
 generators = _lazy("generators")
 isometry = _lazy("isometry")
+symbolic = _lazy("symbolic")
 verify = _lazy("verify")
 
 JOINT_NAMES = ("I1", "I2", "I3", "I4", "J1", "J2")
@@ -105,7 +90,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_covariants(args) -> int:
     p = _parse_kt(args)
-    c1, c2 = fundamental_covariants(p)
+    c1, c2 = symbolic.fundamental_covariants(p)
     s1, s2 = covariant_sign_classes(p)
     data = {
         "space": p.space.kind,
@@ -235,7 +220,7 @@ def _cmd_joint(args) -> int:
     space = space_by_name(args.space)
     kv = KVParams.parse(space, args.kv)
     kt = KTParams.parse(space, args.kt)
-    values = joint_invariants(kv, kt)
+    values = symbolic.joint_invariants(kv, kt)
     data = {name: _fmt(v, args.mode)
             for name, v in zip(JOINT_NAMES, values)}
     _emit(args, data, [f"{name} = {data[name]}" for name in JOINT_NAMES])

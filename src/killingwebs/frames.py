@@ -16,6 +16,7 @@ from .poly import MultiPoly, Q
 from .spaces import (DomainError, KTParams, NontrivialKT, Space,
                      embed_nontrivial)
 from .isometry import act_kt_params_float
+from .symbolic import invariant_polynomials
 
 RESIDUAL_TOL = 1e-9
 
@@ -139,7 +140,6 @@ class CrossSection(NamedTuple("CrossSection",
 
 def nontrivial_invariant_polynomials(space: Space) -> tuple[MultiPoly, ...]:
     """(I1, I3) restricted to the 5-parameter nontrivial subspace."""
-    from .invariants import invariant_polynomials
     i1, _, i3 = invariant_polynomials(space)
     second = space.param_vars[1]
     bindings = {second: MultiPoly.zero()}

@@ -14,8 +14,9 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .poly import MultiPoly, Q, poly, var
-from .spaces import (KV_PARAM_VARS, DomainError, Space, extract_kt_params,
-                     extract_kv_params, kv_components, symbolic_killing_tensor)
+from .spaces import KV_PARAM_VARS, DomainError, Space
+from .symbolic import (extract_kt_params, extract_kv_params, kv_components,
+                       symbolic_killing_tensor)
 
 
 class LinearVectorField(NamedTuple("LinearVectorField",

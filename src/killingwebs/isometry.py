@@ -17,8 +17,9 @@ from typing import NamedTuple, Sequence
 
 from .poly import MultiPoly, Q, compile_table, poly, var
 from .spaces import (KV_PARAM_VARS, DomainError, KTParams, KVParams, Space,
-                     extract_kt_params, extract_kv_params, fraction_tuple,
-                     kt_components, kv_components)
+                     fraction_tuple)
+from .symbolic import (extract_kt_params, extract_kv_params, kt_components,
+                       kv_components)
 
 
 class ExactRotation(NamedTuple):

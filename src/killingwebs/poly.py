@@ -14,6 +14,9 @@ from math import lcm
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+# Re-exported: the exact layer has these from `spaces`, without this module.
+from .spaces import PolynomialError, common_numerators, parse_rational
+
 Q = Fraction
 
 # Every symbol a polynomial may mention.  Parameter symbols come first, then
@@ -33,33 +36,10 @@ _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 Scalar = Union[int, Fraction]
 
 
-class PolynomialError(ValueError):
-    pass
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q", "p" or decimal literal used on every I/O boundary."""
-    if "e" in text.lower():       # Fraction would build 10**exp first
-        raise PolynomialError(f"bad rational literal {text!r}: no exponents")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolynomialError(f"bad rational literal {text!r}") from exc
-
-
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as numerators n_i over the lcm d of their denominators.
-    A form homogeneous of degree k takes d^k times its value at the n_i,
-    and d > 0 keeps every sign."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*[q for _, q in ratios])
-    return [n * (den // q) for n, q in ratios], den
 
 
 def _check_vars(variables: Iterable[str]) -> tuple[str, ...]:

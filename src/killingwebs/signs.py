@@ -15,9 +15,12 @@ lcm of the denominators, or a power of it) gives the same class.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .poly import MultiPoly, PolynomialError, common_numerators
+from .spaces import PolynomialError, common_numerators
+
+if TYPE_CHECKING:
+    from .poly import MultiPoly
 
 
 class SignClass(enum.Enum):

@@ -1,0 +1,287 @@
+"""The symbolic layer: Killing tensors and vectors as polynomial fields,
+their residuals, the eigenvalue discriminant, the invariants and covariants
+as polynomials, and the joint invariants.  Verification and the other
+subcommands use it; classification does not.  `spaces`, `invariants` and
+the package serve its public names too."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple, Sequence, Union
+
+from .invariants import _covariant_rows, _invariants, _quad_cross
+from .poly import MultiPoly, Q, compile_table, poly, var
+from .signs import MONOMIALS
+from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
+                     KVParams, PolynomialError, Space, common_numerators)
+
+Coeff = Union[int, Fraction, MultiPoly]
+
+
+class TensorField(NamedTuple):
+    """Symmetric contravariant 2-tensor field with polynomial components.
+
+    Components are stored as (K^00, K^01, K^11) in the space's coordinate
+    order; symmetry is structural.
+    """
+    space: Space
+    components: tuple[MultiPoly, MultiPoly, MultiPoly]
+
+
+def kt_components(space: Space, values: Sequence[Coeff]
+                  ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Components of the general valence-2 Killing tensor for the given
+    parameter values (rationals or symbolic polynomials)."""
+    if len(values) != 6:
+        raise PolynomialError("need 6 parameter values")
+    v1, v2, v3, v4, v5, v6 = [v if isinstance(v, MultiPoly) else poly(v)
+                              for v in values]
+    u, w = (var(s) for s in space.point_vars)
+    k00 = v1 + 2 * v4 * w + v6 * w * w
+    k01 = v3 - space.eps * (v4 * u + v5 * w + v6 * u * w)
+    k11 = v2 + 2 * v5 * u + v6 * u * u
+    return (k00, k01, k11)
+
+
+def general_killing_tensor(params: KTParams) -> TensorField:
+    return TensorField(params.space, kt_components(params.space, params.values))
+
+
+def symbolic_killing_tensor(space: Space) -> TensorField:
+    """General form with the six parameters left symbolic."""
+    return TensorField(space, kt_components(
+        space, [var(s) for s in space.param_vars]))
+
+
+def kv_components(space: Space, values: Sequence[Coeff]
+                  ) -> tuple[MultiPoly, MultiPoly]:
+    """Components of the general Killing vector: v1 and v2 on the two
+    translations, v3 on the rotation (Euclidean) or boost (Minkowski)."""
+    if len(values) != 3:
+        raise PolynomialError("need 3 parameter values")
+    v1, v2, v3 = [v if isinstance(v, MultiPoly) else poly(v) for v in values]
+    u, w = (var(s) for s in space.point_vars)
+    return (v1 + v3 * w, v2 - space.eps * v3 * u)
+
+
+def extract_kt_params(space: Space, components: Sequence[MultiPoly]
+                      ) -> list[MultiPoly]:
+    """Recover the six parameters from tensor components.
+
+    Works for numeric and symbolic coefficients alike.  Raises DomainError
+    if the components do not fit the general Killing tensor pattern (the
+    residue is reported); callers treat that as an internal error.
+    """
+    k00, k01, k11 = components
+    u, w = space.point_vars
+    c00 = k00.coefficients_in([u, w])
+    c01 = k01.coefficients_in([u, w])
+    c11 = k11.coefficients_in([u, w])
+    zero = MultiPoly.zero()
+    v1 = c00.get((0, 0), zero)
+    v2 = c11.get((0, 0), zero)
+    v3 = c01.get((0, 0), zero)
+    v4 = Q(1, 2) * c00.get((0, 1), zero)
+    v5 = Q(1, 2) * c11.get((1, 0), zero)
+    v6 = c00.get((0, 2), zero)
+    rebuilt = kt_components(space, [v1, v2, v3, v4, v5, v6])
+    residues = [a - b for a, b in zip(components, rebuilt)]
+    if any(not r.is_zero() for r in residues):
+        raise DomainError(
+            "components do not fit the Killing tensor pattern; residue "
+            + "; ".join(r.pretty() for r in residues if not r.is_zero()))
+    return [v1, v2, v3, v4, v5, v6]
+
+
+def extract_kv_params(space: Space, components: Sequence[MultiPoly]
+                      ) -> list[MultiPoly]:
+    """Recover the three Killing vector parameters, with residue check."""
+    w0, w1 = components
+    u, w = space.point_vars
+    c0 = w0.coefficients_in([u, w])
+    zero = MultiPoly.zero()
+    v1 = c0.get((0, 0), zero)
+    v3 = c0.get((0, 1), zero)
+    v2 = w1.coefficients_in([u, w]).get((0, 0), zero)
+    rebuilt = kv_components(space, [v1, v2, v3])
+    residues = [a - b for a, b in zip(components, rebuilt)]
+    if any(not r.is_zero() for r in residues):
+        raise DomainError("components do not fit the Killing vector pattern")
+    return [v1, v2, v3]
+
+
+def lower_indices(field: TensorField) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Covariant components K_ij = g_ia g_jb K^ab (diagonal metric)."""
+    g0, g1 = field.space.metric_diag
+    k00, k01, k11 = field.components
+    return (g0 * g0 * k00, g0 * g1 * k01, g1 * g1 * k11)
+
+
+def killing_residual(field: TensorField
+                     ) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
+    """Fully symmetrized gradient of the covariant components.
+
+    In flat Cartesian coordinates the Killing tensor equation reduces to the
+    vanishing of d_(i K_jk).  A symmetric 3-index tensor in two dimensions
+    has four independent components, returned in index order
+    (111), (112), (122), (222); the field is a Killing tensor iff all four
+    are identically zero.
+    """
+    u, w = field.space.point_vars
+    K = {}
+    K[(0, 0)], K[(0, 1)], K[(1, 1)] = lower_indices(field)
+    K[(1, 0)] = K[(0, 1)]
+    d = {0: u, 1: w}
+
+    def sym(i: int, j: int, k: int) -> MultiPoly:
+        return (K[(j, k)].diff(d[i]) + K[(i, k)].diff(d[j])
+                + K[(i, j)].diff(d[k]))
+
+    return (sym(0, 0, 0), sym(0, 0, 1), sym(0, 1, 1), sym(1, 1, 1))
+
+
+def geodesic_poisson_check(field: TensorField) -> MultiPoly:
+    """Canonical Poisson bracket of the geodesic Hamiltonian with the
+    quadratic momentum function built from the field.
+
+    Zero iff the quadratic function is a first integral of geodesic flow,
+    which is the Killing tensor condition.
+    """
+    g0, g1 = field.space.metric_diag
+    p1, p2 = var("p1"), var("p2")
+    k00, k01, k11 = field.components
+    H = g0 * p1 * p1 + g1 * p2 * p2
+    F = k00 * p1 * p1 + 2 * k01 * p1 * p2 + k11 * p2 * p2
+    coords = field.space.point_vars
+    bracket = MultiPoly.zero()
+    for i in range(2):
+        # H has constant coefficients, so the dH/dq half of the canonical
+        # bracket drops.
+        bracket = bracket - H.diff(f"p{i+1}") * F.diff(coords[i])
+    return bracket
+
+
+def eigen_discriminant(params: KTParams) -> MultiPoly:
+    """Discriminant of the characteristic polynomial of K g^{-1}.
+
+    The tensor generates an orthogonal web on the open region where this is
+    positive (real distinct eigenvalues).
+    """
+    return field_discriminant(general_killing_tensor(params))
+
+
+def field_discriminant(field: TensorField) -> MultiPoly:
+    """The eigenvalue discriminant of any tensor field, symbolic or not."""
+    g0, g1 = field.space.metric_diag
+    k00, k01, k11 = field.components
+    trace = g0 * k00 + g1 * k11
+    det = g0 * g1 * (k00 * k11 - k01 * k01)
+    return trace * trace - 4 * det
+
+
+# -- invariants and covariants as polynomials -------------------------------
+
+@lru_cache(maxsize=None)
+def invariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(I1, I2, I3) as polynomials in the six parameter symbols."""
+    return _invariants(space.eps, [var(v) for v in space.param_vars])
+
+
+@lru_cache(maxsize=None)
+def covariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly]:
+    """(C1, C2) as polynomials in parameters and the point coordinates."""
+    u, w = (var(v) for v in space.point_vars)
+    monomials = [u ** i * w ** j for i, j in MONOMIALS]
+    rows = _covariant_rows(space.eps, [var(v) for v in space.param_vars])
+    return tuple(sum((c * m for c, m in zip(row, monomials)), MultiPoly.zero())
+                 for row in rows)
+
+
+def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
+    """C1, C2 with the parameters bound, as polynomials in the point vars."""
+    nums, d = common_numerators(p.values)
+    pv = p.space.point_vars
+    return tuple(MultiPoly._trusted(pv, {m: Fraction(n, d ** k) for m, n in
+                                         zip(MONOMIALS, row)})
+                 for row, k in zip(_covariant_rows(p.space.eps, nums), (2, 4)))
+
+
+# -- joint invariants -------------------------------------------------------
+
+def _j2_candidates() -> dict[str, MultiPoly]:
+    """Candidate expressions for the sixth fundamental joint invariant.
+
+    The tabulated closed form for this invariant is corrupt at the source:
+    it references a vector parameter that does not exist, and a weight
+    count under the rotation generator shows that no expression linear in
+    the vector parameters can be rotation invariant at all.  The plausible
+    one-symbol repairs of the tabulated form are therefore kept in the
+    pool (and expected to fail), alongside the completion derived by
+    solving the annihilation system directly: with
+
+        P = beta6 alpha1 - beta4 alpha3,   Q = beta6 alpha2 + beta5 alpha3,
+        D = beta6 (beta1 - beta2) + beta5^2 - beta4^2,
+        X = beta3 beta6 + beta4 beta5,
+
+    the pairs (P, Q) and (D, 2X) rotate with weights 1 and 2, so
+    (P^2 - Q^2) D + 4 P Q X closes the fundamental set.
+    """
+    a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
+    b = {i: var(f"beta{i}") for i in range(1, 7)}
+    p = b[6] * a[1] - b[4] * a[3]
+    q = b[6] * a[2] + b[5] * a[3]
+    dd, cross = _quad_cross(EUCLIDEAN.eps, *b.values())
+    tail = 2 * cross * p
+    s2 = b[6] * b[2] - b[5] ** 2
+    return {
+        "tabulated, alpha5 read as beta5": q * s2 + tail,
+        "tabulated, alpha5 read as beta4": (b[6] * a[2] + a[3] * b[4]) * s2 + tail,
+        "tabulated, alpha5 read as -beta5": (b[6] * a[2] - a[3] * b[5]) * s2 + tail,
+        "derived weight-matched completion": (p ** 2 - q ** 2) * dd + 4 * p * q * cross,
+    }
+
+
+@lru_cache(maxsize=None)
+def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
+    """Select J2 by exact annihilation under the joint generators.
+
+    Returns (selected name, polynomial, rejected names); raises if the
+    pool does not contain exactly one annihilated candidate.
+    """
+    from .generators import joint_generators
+    fields = joint_generators(EUCLIDEAN, (1, 2))
+    survivors, rejected = [], []
+    for name, j2 in _j2_candidates().items():
+        if all(f.apply(j2.on_variables(f.domain)).is_zero() for f in fields):
+            survivors.append((name, j2))
+        else:
+            rejected.append(name)
+    if len(survivors) != 1:
+        raise DomainError(
+            f"J2 oracle selected {len(survivors)} candidate readings; "
+            "expected exactly one")
+    return (*survivors[0], tuple(rejected))
+
+
+@lru_cache(maxsize=None)
+def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
+    """(I1, I2, I3, I4, J1, J2) on the 9-symbol Euclidean product space."""
+    a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
+    b = {i: var(f"beta{i}") for i in range(1, 7)}
+    i1, i2, i3 = invariant_polynomials(EUCLIDEAN)
+    j1 = (b[6] * a[2] + b[5] * a[3]) ** 2 + (b[6] * a[1] - b[4] * a[3]) ** 2
+    return (i1, i2, i3, a[3], j1, j2_oracle()[1])
+
+
+@lru_cache(maxsize=None)
+def _joint_table():
+    return compile_table(joint_invariant_polynomials(),
+                         KV_PARAM_VARS + EUCLIDEAN.param_vars)
+
+
+def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
+    if kv.space.kind != "euclidean" or kt.space.kind != "euclidean":
+        raise DomainError("joint invariants are defined for the Euclidean plane")
+    nums, den = _joint_table()(kv.values + kt.values)
+    return tuple([Fraction(n, den) for n in nums])

@@ -17,15 +17,16 @@ from .frames import FrameDomainError, canonical_form, moving_frame
 from .generators import (extended_generators, joint_generators,
                          sigma_generators, sigma_structure_constants,
                          verify_structure_constants)
-from .invariants import (covariant_polynomials, fundamental_invariants,
-                         invariant_polynomials, j2_oracle,
-                         joint_invariant_polynomials, joint_invariants)
+from .invariants import fundamental_invariants
 from .isometry import (IsometryElement, act_kt_params, act_kv_params,
                        compose, discrete_group_elements, discrete_act_params,
                        identity, inverse, rotation_from_parameter)
 from .spaces import (EUCLIDEAN, MINKOWSKI, KTParams, KVParams, decompose,
-                     embed_nontrivial, geodesic_poisson_check,
-                     killing_residual, reconstruct, symbolic_killing_tensor)
+                     embed_nontrivial, reconstruct)
+from .symbolic import (covariant_polynomials, geodesic_poisson_check,
+                       invariant_polynomials, j2_oracle,
+                       joint_invariant_polynomials, joint_invariants,
+                       killing_residual, symbolic_killing_tensor)
 
 
 class CheckResult(NamedTuple):

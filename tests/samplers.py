@@ -1,8 +1,8 @@
-"""Seeded samplers shared by the test modules.
+"""Seeded samplers and oracles shared by the test modules.
 
-Each draws from the `random.Random` it is given, so a test's inputs are
-fixed by its seed.  `killingwebs.verify` keeps a sampler of its own: its
-translation range differs, and its goldens pin its stream.
+Each sampler draws from the `random.Random` it is given, so a test's inputs
+are fixed by its seed.  `killingwebs.verify` keeps a sampler of its own:
+its translation range differs, and its goldens pin its stream.
 """
 
 from fractions import Fraction
@@ -43,3 +43,25 @@ def classify_tag(p: KTParams):
     if p.space.kind == "euclidean":
         return classify_euclidean(nt).tag
     return classify_minkowski(nt)[0].tag
+
+
+def literal_forms(space, p, point=(0, 0)):
+    """((I1, I2, I3), (C1, C2)) as written out for each space, in any ring:
+    `p` holds the six parameters and `point` the two point coordinates,
+    as numbers or `var` symbols.  The oracle for the closed forms, which
+    the package writes once, in the signature epsilon."""
+    v1, v2, v3, v4, v5, v6 = p
+    lu, lw = v6 * point[0] + v5, v6 * point[1] + v4
+    if space.kind == "minkowski":
+        quad = v4 ** 2 + v5 ** 2 - v6 * (v1 + v2)
+        cross = v3 * v6 - v4 * v5
+        return ((quad ** 2 - 4 * cross ** 2,
+                 v6 * (v1 - v2) - v4 ** 2 + v5 ** 2, v6),
+                (lu ** 2 - lw ** 2,
+                 (lu ** 2 + lw ** 2) * quad + 4 * lu * lw * cross))
+    quad = v6 * (v1 - v2) + v5 ** 2 - v4 ** 2
+    cross = v3 * v6 + v4 * v5
+    return ((quad ** 2 + 4 * cross ** 2,
+             v6 * (v1 + v2) - v4 ** 2 - v5 ** 2, v6),
+            (lu ** 2 + lw ** 2,
+             (lu ** 2 - lw ** 2) * quad + 4 * lu * lw * cross))

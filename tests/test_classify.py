@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from killingwebs.classify import (ClassificationReport, _eigen_precondition,
                                   classify_euclidean, classify_full,
                                   classify_minkowski)
+from killingwebs.invariants import invariant_report
 from killingwebs.isometry import (IsometryElement, act_kt_params,
                                   discrete_act_params,
                                   discrete_group_elements, identity)
@@ -173,19 +174,21 @@ def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
     """The verdict is unchanged by the connected group, the discrete group,
     nonzero scaling and adding a multiple of the metric."""
     p = KTParams(space, vals)
-    verdict = _eigen_precondition(p)
+    verdict = _eigen_precondition(invariant_report(p))
     metric = metric_params(space).values
     images = [act_kt_params(random_element(space, rng), p), p.scale(lam),
               KTParams(space, tuple(v + l0 * g for v, g in zip(vals, metric)))]
     if space.kind == "minkowski":
         images += [discrete_act_params(r, p) for r in discrete_group_elements()]
-    assert {_eigen_precondition(q) for q in images} == {verdict}
+    assert {_eigen_precondition(invariant_report(q)) for q in images} \
+        == {verdict}
 
 
 def test_eigen_precondition_does_not_depend_on_where_the_input_sits():
     p = embed_nontrivial(canonical(MINKOWSKI, "EC5", Fraction(4)))
-    verdicts = {_eigen_precondition(act_kt_params(IsometryElement(
-        MINKOWSKI, identity(MINKOWSKI).rot, (Fraction(dt), Fraction(0))), p))
+    verdicts = {_eigen_precondition(invariant_report(act_kt_params(
+        IsometryElement(MINKOWSKI, identity(MINKOWSKI).rot,
+                        (Fraction(dt), Fraction(0))), p)))
         for dt in (0, 3, 10)}
     assert verdicts == {"complex"}
 

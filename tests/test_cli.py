@@ -322,8 +322,11 @@ def test_version_matches_pyproject():
     assert killingwebs.__version__ == match.group(1)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-LAZY = ("frames", "generators", "isometry", "verify")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# The modules a `classify` process registers but does not run: those only
+# the other subcommands use, the polynomial type and the symbolic layer.
+LAZY = ("frames", "generators", "isometry", "poly", "symbolic", "verify")
 
 
 def fresh(code: str) -> list[str]:
@@ -336,9 +339,11 @@ def fresh(code: str) -> list[str]:
 
 
 def test_classify_leaves_subcommand_modules_unexecuted():
-    """The four modules only other subcommands use are registered but not
-    run by `classify`, and run on first use (here through `run_suite`).
-    The type check does not trigger a load."""
+    """The modules only other subcommands use, `poly` and `symbolic` are
+    registered but not run by `classify`, and run on first use (here
+    through `run_suite`).  The type check does not trigger a load.  The
+    package attribute `poly` stays the function: the module is registered
+    unbound, and running it binds nothing."""
     lines = fresh(f"""
 import types
 import killingwebs
@@ -347,7 +352,8 @@ from killingwebs import cli
 def state():
     for name in {LAZY!r}:
         module = sys.modules["killingwebs." + name]
-        assert vars(killingwebs)[name] is module
+        assert vars(killingwebs).get(name) is (
+            None if name == "poly" else module)
         print(name, type(module) is types.ModuleType)
 
 state()
@@ -356,12 +362,67 @@ assert cli.run(["classify", "--space", "euclidean",
 state()
 print("checks", len(cli.run_suite(trials=1, seed=0)))
 state()
+print(killingwebs.poly is sys.modules["killingwebs.poly"].poly)
 """)
+    n = len(LAZY)
     unexecuted = [f"{name} False" for name in LAZY]
-    assert lines[:4] == unexecuted
-    assert lines[5:9] == unexecuted
-    assert lines[9] == "checks 24"
-    assert lines[10:] == [f"{name} True" for name in LAZY]
+    assert lines[:n] == unexecuted
+    assert lines[n + 1:2 * n + 1] == unexecuted
+    assert lines[2 * n + 1] == "checks 24"
+    assert lines[2 * n + 2:] == [f"{name} True" for name in LAZY] + ["True"]
+
+
+def test_library_classify_leaves_symbolic_layer_unexecuted():
+    """Importing the classifier and classifying in each space runs neither
+    the polynomial type nor the symbolic layer."""
+    lines = fresh("""
+import types
+from killingwebs.classify import classify_full
+from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, KTParams
+for space in (EUCLIDEAN, MINKOWSKI):
+    print(classify_full(KTParams(space, (1, 2, 3, 4, 5, 6))).web.tag)
+for name in ("poly", "symbolic"):
+    print(name, type(sys.modules["killingwebs." + name]) is types.ModuleType)
+""")
+    assert lines == ["EllipticHyperbolic", "EC5_or_EC10", "poly False",
+                     "symbolic False"]
+
+
+def test_public_and_harness_names_resolve_before_and_after_loading():
+    """Every name in `__all__`, every benchmark span target and the caches
+    the benchmark clears resolve to the same objects while the symbolic
+    layer is unexecuted and after it has run."""
+    lines = fresh(f"""
+import types
+sys.path.insert(0, {str(ROOT / "bench")!r})
+import spans
+import killingwebs
+import killingwebs.cli
+
+def resolve():
+    found = [getattr(killingwebs, name) for name in killingwebs.__all__]
+    for module, attr, _ in spans.TARGETS:
+        owner = sys.modules[module]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        found.append(owner)
+    cached = [getattr(killingwebs.invariants, name) for name in
+              ("invariant_polynomials", "covariant_polynomials")]
+    cached.append(killingwebs.isometry.derived_kt_action)
+    assert all(callable(f.cache_clear) for f in cached)
+    return found + cached
+
+for name in ("poly", "symbolic"):
+    print(type(sys.modules["killingwebs." + name]) is types.ModuleType)
+before = resolve()
+killingwebs.cli.run_suite(trials=1, seed=0)
+after = resolve()
+print(len(before) == len(killingwebs.__all__) + len(spans.TARGETS) + 3,
+      all(a is b for a, b in zip(before, after)))
+print(killingwebs.poly is killingwebs.poly.__globals__["poly"],
+      isinstance(killingwebs.MultiPoly, type))
+""")
+    assert lines == ["False", "False", "True True", "True True"]
 
 
 def test_preimported_verify_module_is_reused():

@@ -1,13 +1,15 @@
-"""The evaluation layer against the substitution oracle, and the
-compute-once shape of `classify_full`.
+"""The evaluation layer against its oracles, and the compute-once shape of
+`classify_full`.
 
 The invariants and the covariants are closed forms evaluated on the
-integer numerators of the input; the exact group actions on Killing
-tensors and Killing vectors and the joint invariants are evaluated from
-tables compiled once per space.  Each must agree exactly with substituting
-into (or evaluating) the symbolic polynomials, on sparse and dense
-rationals with heights up to 10^6, and the covariant sign classes decided
-on the integer rows must agree with deciding them on the polynomials.
+integer numerators of the input; they must agree exactly with the literal
+per-space forms (`samplers.literal_forms`), which are written out apart
+from them.  The exact group actions on Killing tensors and Killing vectors
+and the joint invariants are evaluated from tables compiled once per
+space; they must agree exactly with substituting into (or evaluating) the
+symbolic polynomials.  Both hold on sparse and dense rationals with
+heights up to 10^6, and the covariant sign classes decided on the integer
+rows must agree with deciding them on the polynomials.
 `classify_full` derives no polynomial and does no polynomial arithmetic.
 The float action, compiled like the exact one, must agree bit for bit
 with `MultiPoly.evaluate`.  The parameter-space generators are
@@ -19,6 +21,7 @@ the sign it names.
 import cmath
 import importlib.util
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs import classify
+from killingwebs import classify, spaces
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
 from killingwebs.generators import sigma_generators
@@ -34,7 +37,7 @@ from killingwebs.invariants import (covariant_polynomials,
                                     covariant_sign_classes,
                                     fundamental_covariants,
                                     fundamental_invariants,
-                                    invariant_polynomials,
+                                    invariant_polynomials, invariant_report,
                                     joint_invariant_polynomials,
                                     joint_invariants)
 from killingwebs.isometry import (IsometryElement, _exact_kt_action,
@@ -42,12 +45,13 @@ from killingwebs.isometry import (IsometryElement, _exact_kt_action,
                                   _transformed_vector, act_kt_params,
                                   act_kt_params_float, act_kv_params,
                                   derived_kt_action, rotation_from_parameter)
-from killingwebs.poly import MultiPoly
+from killingwebs.poly import MultiPoly, var
 from killingwebs.signs import SignClass, quadratic_sign_class
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, Space, eigen_discriminant,
                                 embed_nontrivial, extract_kt_params,
                                 extract_kv_params)
+from samplers import literal_forms
 
 SPACES = [EUCLIDEAN, MINKOWSKI]
 BIG = 10 ** 6
@@ -70,21 +74,20 @@ def _assignment(p):
 @given(values)
 @settings(max_examples=100, deadline=None)
 def test_invariants_match_substitution(space, vals):
+    """Against the literal per-space forms, evaluated on the Fractions."""
     p = KTParams(space, vals)
-    oracle = tuple(f.subst(_assignment(p)).constant_value()
-                   if not f.is_zero() else Fraction(0)
-                   for f in invariant_polynomials(space))
-    assert fundamental_invariants(p) == oracle
+    assert fundamental_invariants(p) == literal_forms(space, p.values)[0]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 @given(values)
 @settings(max_examples=100, deadline=None)
 def test_covariants_match_substitution(space, vals):
+    """Against the literal per-space forms, with the parameters bound."""
     p = KTParams(space, vals)
-    for fast, symbolic in zip(fundamental_covariants(p),
-                              covariant_polynomials(space)):
-        oracle = symbolic.subst(_assignment(p))
+    point = [var(v) for v in space.point_vars]
+    for fast, oracle in zip(fundamental_covariants(p),
+                            literal_forms(space, p.values, point)[1]):
         assert fast.variables == oracle.variables
         assert fast.terms == oracle.terms
         assert fast.pretty() == oracle.pretty()
@@ -252,7 +255,8 @@ def test_exact_verdict_agrees_with_sampled_signs(space, vals):
     """A grid sees part of the plane only: a negative value on it must make
     the exact verdict "complex", and a zero must rule out "satisfied"."""
     p = KTParams(space, vals)
-    grid, exact = _grid_oracle(p), _eigen_precondition(p)
+    grid = _grid_oracle(p)
+    exact = _eigen_precondition(invariant_report(p))
     if grid == "complex":
         assert exact == "complex"
     elif grid == "degenerate":
@@ -313,7 +317,7 @@ def _euclidean_zero(p):
 @settings(max_examples=100, deadline=None)
 def test_verdict_has_a_pointwise_witness(space, vals):
     p = KTParams(space, vals)
-    verdict = _eigen_precondition(p)
+    verdict = _eigen_precondition(invariant_report(p))
     disc = eigen_discriminant(p)
     if space.kind == "minkowski":
         signs = _minkowski_signs(p)
@@ -342,8 +346,9 @@ def test_verdict_has_a_pointwise_witness(space, vals):
 
 
 def test_grid_verdict_reaches_every_state():
-    seen = {_eigen_precondition(KTParams(MINKOWSKI, v)) for v in
-            ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))}
+    seen = {_eigen_precondition(invariant_report(KTParams(MINKOWSKI, v)))
+            for v in ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0),
+                      (0, 0, 1, 0, 0, 0))}
     assert seen == {"complex", "degenerate", "satisfied"}
 
 
@@ -371,18 +376,30 @@ def _records():
     return out
 
 
-def test_warm_classify_full_computes_each_quantity_once():
+def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     """Traced with the benchmark's own spans: no substitution, product or
-    polynomial evaluation, one invariant evaluation and one decision of
-    both covariant sign classes per record, from the table's integer rows
-    with no covariant built and no polynomial sign decision, and the group
-    action is never derived or evaluated."""
+    polynomial evaluation, and one invariant report per record, which
+    brings the input to integer numerators once and evaluates the
+    invariants and decides both covariant sign classes on them, with no
+    call to the public per-quantity functions, no covariant built and no
+    polynomial sign decision; the group action is never derived or
+    evaluated."""
     records = _records()
     for p in records:
         classify_full(p)
     action_calls = (derived_kt_action.cache_info(),
                     _exact_kt_action.cache_info())
     tracer = _load_spans().Tracer()
+    original, numerators = spaces.common_numerators, []
+
+    def counted(values):
+        numerators.append(tracer.record_id)
+        return original(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("killingwebs") and \
+                vars(module).get("common_numerators") is original:
+            monkeypatch.setattr(module, "common_numerators", counted)
     tracer.install()
     try:
         for i, p in enumerate(records):
@@ -394,15 +411,13 @@ def test_warm_classify_full_computes_each_quantity_once():
     assert metrics["poly.subst.calls_per_record"] == 0
     assert metrics["poly.mul.calls_per_record"] == 0
     assert metrics["poly.evaluate.calls_per_record"] == 0
-    assert metrics["invariants.fundamental_invariants.calls_per_record"] == 1
+    assert metrics["invariants.fundamental_invariants.calls_per_record"] == 0
     assert metrics["invariants.fundamental_covariants.calls_per_record"] == 0
     assert metrics["signs.quadratic_sign_class.calls_per_record"] == 0
-    assert len(tracer.durations("invariants.covariant_sign_classes")) \
-        == len(records)
+    assert tracer.durations("invariants.covariant_sign_classes") == []
     assert sorted(r for n, r in zip(tracer.name, tracer.record)
-                  if tracer.names[n] == "invariants.covariant_sign_classes") \
+                  if tracer.names[n] == "invariants.invariant_report") \
         == list(range(len(records)))
-    assert len(tracer.durations("invariants.invariant_report")) \
-        == len(records)
+    assert sorted(numerators) == list(range(len(records)))
     assert (derived_kt_action.cache_info(),
             _exact_kt_action.cache_info()) == action_calls

@@ -22,7 +22,7 @@ from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, embed_nontrivial,
                                 general_killing_tensor, metric_params,
                                 symbolic_killing_tensor)
-from samplers import random_element, random_params
+from samplers import literal_forms, random_element, random_params
 
 A = {i: var(f"alpha{i}") for i in range(1, 7)}
 
@@ -299,22 +299,9 @@ def test_auxiliary_invariants_reject_euclidean_input():
 # -- the per-space forms, written out ------------------------------------------
 
 def test_invariants_and_covariants_match_the_literal_per_space_forms():
-    t, x, y = var("t"), var("x"), var("y")
-    a1, a2, a3, a4, a5, a6 = (A[i] for i in range(1, 7))
-    b1, b2, b3, b4, b5, b6 = (var(f"beta{i}") for i in range(1, 7))
-
-    quad = a4 ** 2 + a5 ** 2 - a6 * (a1 + a2)
-    cross = a3 * a6 - a4 * a5
-    lu, lw = a6 * t + a5, a6 * x + a4
-    assert invariant_polynomials(MINKOWSKI) == (
-        quad ** 2 - 4 * cross ** 2, a6 * (a1 - a2) - a4 ** 2 + a5 ** 2, a6)
-    assert covariant_polynomials(MINKOWSKI) == (
-        lu ** 2 - lw ** 2, (lu ** 2 + lw ** 2) * quad + 4 * lu * lw * cross)
-
-    quad = b6 * (b1 - b2) + b5 ** 2 - b4 ** 2
-    cross = b3 * b6 + b4 * b5
-    lu, lw = b6 * x + b5, b6 * y + b4
-    assert invariant_polynomials(EUCLIDEAN) == (
-        quad ** 2 + 4 * cross ** 2, b6 * (b1 + b2) - b4 ** 2 - b5 ** 2, b6)
-    assert covariant_polynomials(EUCLIDEAN) == (
-        lu ** 2 + lw ** 2, (lu ** 2 - lw ** 2) * quad + 4 * lu * lw * cross)
+    for space in (MINKOWSKI, EUCLIDEAN):
+        invariants, covariants = literal_forms(
+            space, [var(v) for v in space.param_vars],
+            [var(v) for v in space.point_vars])
+        assert invariant_polynomials(space) == invariants
+        assert covariant_polynomials(space) == covariants
