@@ -1,12 +1,13 @@
 """Isometry groups of the two planes and their induced parameter actions.
 
 Group elements carry an exact rational point on the rotation/boost curve
-(c, s with c^2 +/- s^2 = 1) and a rational translation.  The action on
-Killing tensor and Killing vector parameters is *derived* from the point map
-by exact polynomial substitution and re-extraction, once per space,
-symbolically in the group coordinates, then compiled and evaluated; the
-closed-form parameter laws printed elsewhere serve only as test oracles.
-A float action, evaluated at float (c, s, a, b), serves the moving frames.
+(c, s with c^2 +/- s^2 = 1) and a rational translation.  The actions on
+Killing tensor and Killing vector parameters are closed forms in epsilon,
+the parameters and (c, s, a, b), written once for any ring: evaluated on
+integer numerators for the exact actions and on floats for the moving
+frames.  The map derived from the point map by exact polynomial
+substitution and re-extraction (`derived_kt_action`) is their test oracle,
+as are the parameter laws printed elsewhere.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .poly import MultiPoly, Q, compile_table, poly, var
-from .spaces import (KV_PARAM_VARS, DomainError, KTParams, KVParams, Space,
-                     fraction_tuple)
-from .symbolic import (extract_kt_params, extract_kv_params, kt_components,
-                       kv_components)
+from .poly import MultiPoly, Q, poly, var
+from .spaces import (DomainError, KTParams, KVParams, Space,
+                     common_numerators, fraction_tuple)
+from .symbolic import extract_kt_params, kt_components, kv_components
 
 
 class ExactRotation(NamedTuple):
@@ -61,6 +61,7 @@ def _matrix(space: Space, c, s):
     return ((c, -space.eps * s), (s, c))
 
 
+@lru_cache(maxsize=None)
 def identity(space: Space) -> IsometryElement:
     return IsometryElement(space, ExactRotation(Q(1), Q(0)), (Q(0), Q(0)))
 
@@ -99,7 +100,7 @@ def act_point(g: IsometryElement, pt: Sequence) -> tuple:
 
 def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
     """Semidirect-product law: act_point(compose(g1, g2)) = g1 after g2."""
-    if g1.space is not g2.space:
+    if g1.space != g2.space:
         raise DomainError("cannot compose elements of different spaces")
     # c_i = p_i/q_i and s_i = r_i/q_i share their denominator (see
     # IsometryElement), so the product is formed on the numerators.
@@ -121,14 +122,92 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
 
 
 def inverse(g: IsometryElement) -> IsometryElement:
-    c, s = g.cs()
-    (i00, i01), (i10, i11) = _matrix(g.space, c, -s)
+    """(c, -s), then minus (c, -s) applied to the translation, formed on
+    the numerators as in `compose`."""
+    c, s = g.rot
+    p, r, eps = c.numerator, s.numerator, g.space.eps
     a, b = g.trans
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    d = c.denominator * a.denominator * b.denominator
     return IsometryElement(g.space, ExactRotation(c, -s),
-                           (-(i00 * a + i01 * b), -(i10 * a + i11 * b)))
+                           (Fraction(-p * x - eps * r * y, d),
+                            Fraction(r * x - p * y, d)))
 
 
-# -- parameter actions ------------------------------------------------------
+# -- parameter actions, in any ring ----------------------------------------
+
+def _kt_action(eps, p, c, s, a, b, one=1):
+    """The six parameters p moved by the element (c, s, a, b), homogeneous
+    of degrees 2, 2, 2, 1, 1 and 0 in (c, s, a, b, one).
+
+    At c = C/m, s = S/m, a = A/m, b = B/m the k-th value at (C, S, A, B)
+    with one = m is m^k times the value.  Each sum starts from 0 and runs
+    over the terms of `derived_kt_action` in its dict order, each a
+    coefficient times the parameter and the powers of (a, b, c, s) in
+    that order: at floats these are the operations, and so the rounding,
+    of `MultiPoly.evaluate` on the derived polynomials.
+    """
+    p1, p2, p3, p4, p5, p6 = p
+    one2, s2 = one * one, s ** 2
+    return (0 + p1 * one2 - eps * p1 * s2 - 2 * p4 * b * c + p6 * b ** 2
+            - 2 * eps * p3 * c * s - 2 * p5 * b * s + p2 * s2,
+            0 + p1 * s2 + 2 * p3 * c * s + 2 * eps * p4 * a * s + p2 * one2
+            - eps * p2 * s2 - 2 * p5 * a * c + p6 * a ** 2,
+            0 + p1 * c * s - p4 * b * s + p3 * one2 - 2 * eps * p3 * s2
+            + eps * p4 * a * c + eps * p5 * a * s + eps * p5 * b * c
+            - eps * p6 * a * b - eps * p2 * c * s,
+            0 + p4 * c - p6 * b + p5 * s,
+            0 - eps * p4 * s + p5 * c - p6 * a,
+            0 + p6)
+
+
+def _kv_action(eps, v, c, s, a, b):
+    """The three Killing vector parameters v moved by the element,
+    homogeneous of degrees 1, 1 and 0 in (c, s, a, b)."""
+    v1, v2, v3 = v
+    return (v1 * c - v3 * b - eps * v2 * s,
+            v1 * s + v2 * c + eps * v3 * a,
+            v3)
+
+
+def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
+    """Induced action on the six parameters, exact: `_kt_action` on the
+    numerators of p over d and of (c, s, a, b) over m.
+
+    Substituting the point map into the components and re-extracting
+    (`_transformed_components`, `extract_kt_params`) gives the same values
+    and is the test oracle.
+    """
+    nums, d = common_numerators(p.values)
+    (c, s, a, b), m = common_numerators(g.rot + g.trans)
+    dm = d * m
+    dens = (dm * m,) * 3 + (dm, dm, d)
+    return KTParams(g.space, [Fraction(n, den) for n, den in zip(
+        _kt_action(g.space.eps, nums, c, s, a, b, m), dens)])
+
+
+def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
+    """Induced action on the three Killing vector parameters, evaluated like
+    `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
+    test oracle."""
+    nums, d = common_numerators(p.values)
+    (c, s, a, b), m = common_numerators(g.rot + g.trans)
+    dens = (d * m, d * m, d)
+    return KVParams(g.space, [Fraction(n, den) for n, den in zip(
+        _kv_action(g.space.eps, nums, c, s, a, b), dens)])
+
+
+def act_kt_params_float(p: KTParams, cs: tuple,
+                        trans: tuple) -> tuple[float, ...]:
+    """Float-mode parameter action at the rotation/boost entries cs = (c, s)
+    and the translation trans = (a, b): `_kt_action` on floats,
+    bit-identical to evaluating `derived_kt_action` with
+    `MultiPoly.evaluate`."""
+    *values, c, s, a, b = (float(v) for v in p.values + cs + trans)
+    return _kt_action(p.space.eps, values, c, s, a, b)
+
+
+# -- the derived action: the oracle -----------------------------------------
 
 def _pullback(space: Space, cs, trans):
     """The Jacobian of the point map, and the bindings that substitute its
@@ -161,26 +240,6 @@ def _transformed_vector(space: Space, values, cs, trans):
     j, bindings = _pullback(space, cs, trans)
     v0, v1 = (v.subst(bindings) for v in kv_components(space, values))
     return (j[0][0] * v0 + j[0][1] * v1, j[1][0] * v0 + j[1][1] * v1)
-
-
-def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
-    """Induced action on the six parameters: the derived action, evaluated
-    exactly at the parameters and the element's (c, s, a, b).
-
-    Substituting the point map into the components and re-extracting
-    (`_transformed_components`, `extract_kt_params`) gives the same values
-    and is the test oracle.
-    """
-    nums, den = _exact_kt_action(g.space)(p.values + g.cs() + g.trans)
-    return KTParams(g.space, [Fraction(n, den) for n in nums])
-
-
-def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
-    """Induced action on the three Killing vector parameters, evaluated like
-    `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
-    test oracle."""
-    nums, den = _exact_kv_action(g.space)(p.values + g.cs() + g.trans)
-    return KVParams(g.space, [Fraction(n, den) for n in nums])
 
 
 def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:
@@ -216,61 +275,11 @@ def derived_kt_action(space: Space) -> tuple[MultiPoly, ...]:
     """The parameter action as six polynomials in the parameter symbols and
     the group coordinates (c, s, a, b), derived symbolically once.
 
-    This single map backs the exact and float-mode actions and the oracle
-    comparison against the printed closed-form laws.
+    The oracle of `_kt_action`, which equals it as a polynomial identity,
+    and of the printed closed-form laws; nothing evaluates it at run time.
     """
     return _derive(space, _transformed_components, extract_kt_params,
                    space.param_vars)
-
-
-@lru_cache(maxsize=None)
-def _exact_kt_action(space: Space):
-    return compile_table(derived_kt_action(space),
-                         space.param_vars + _GROUP_VARS)
-
-
-@lru_cache(maxsize=None)
-def _exact_kv_action(space: Space):
-    """The Killing vector action, three polynomials in alpha1..3 and
-    (c, s, a, b), derived symbolically once and compiled."""
-    action = _derive(space, _transformed_vector, extract_kv_params,
-                     KV_PARAM_VARS)
-    return compile_table(action, KV_PARAM_VARS + _GROUP_VARS)
-
-
-@lru_cache(maxsize=None)
-def _float_kt_action(space: Space):
-    """The derived action compiled for floats: a function of the float
-    parameters and (c, s, a, b), in that order.
-
-    Each polynomial is summed from 0.0, left to right, over its terms in
-    dict order, each term being its float coefficient times the powers
-    `x ** e` of its variables in their order: the operations, and so the
-    rounding, of `MultiPoly.evaluate` at a float assignment.
-    """
-    names = space.param_vars + _GROUP_VARS
-    sums = []
-    for p in derived_kt_action(space):
-        terms = ["0.0"]
-        for exps, coeff in p.terms.items():
-            terms.append("*".join([f"({float(coeff)!r})"] + [
-                f"x{names.index(v)}" + (f"**{e}" if e > 1 else "")
-                for v, e in zip(p.variables, exps) if e]))
-        sums.append(" + ".join(terms))
-    args = ", ".join(f"x{i}" for i in range(len(names)))
-    namespace = {}
-    exec(f"def action(values):\n    {args} = values\n"
-         f"    return ({', '.join(sums)},)", namespace)
-    return namespace["action"]
-
-
-def act_kt_params_float(p: KTParams, cs: tuple,
-                        trans: tuple) -> tuple[float, ...]:
-    """Float-mode parameter action at the rotation/boost entries cs = (c, s)
-    and the translation trans = (a, b): the derived map compiled for floats,
-    bit-identical to evaluating it with `MultiPoly.evaluate`."""
-    return _float_kt_action(p.space)(tuple(
-        float(v) for v in p.values + cs + trans))
 
 
 # -- the discrete group of the Minkowski plane ------------------------------

@@ -10,9 +10,8 @@ a polynomial at a float assignment.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 # Re-exported: the exact layer has these from `spaces`, without this module.
 from .spaces import PolynomialError, common_numerators, parse_rational
@@ -316,75 +315,6 @@ class MultiPoly:
         for part in parts[1:]:
             out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
         return out
-
-
-def compile_table(polys: Sequence[MultiPoly], variables: Sequence[str]
-                  ) -> Callable[[Sequence[Scalar]],
-                                tuple[tuple[int, ...], int]]:
-    """Compile fixed polynomials into one function of a tuple of exact
-    values (ints or Fractions, one for each name in `variables`) that
-    returns their values as integer numerators over one positive
-    denominator: (n_0, ..., n_k), den, with P_j(x) = n_j / den.
-
-    The reading of the polynomials is done once, here.  Their coefficients
-    become integers over one table denominator D.  At call time the
-    arguments are brought to a common denominator d, so x_i = n_i / d, and
-    every polynomial is summed as one straight-line integer expression
-    homogenized to the table's total degree m:
-
-        P(x) = sum_e (D c_e) n^e d^(m - |e|) / (D d^m).
-
-    No gcd is taken and no floats are involved; a caller that reports the
-    values makes the Fractions.  `subst` and `evaluate` give the same
-    values and remain the reference.
-    """
-    names = tuple(variables)
-    if len(set(names)) != len(names):
-        raise PolynomialError("duplicate variable in evaluator signature")
-    for p in polys:
-        for v in p.used_variables():
-            if v not in names:
-                raise PolynomialError(f"unbound variable {v!r} in evaluation")
-    degree = max((p.total_degree() for p in polys), default=0)
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    top = {}                                  # argument index -> max exponent
-    sums = []
-    for p in polys:
-        pos = [names.index(v) if v in names else -1 for v in p.variables]
-        parts = []
-        for exps, coeff in p.terms.items():
-            factors = [str((coeff * den).numerator)]
-            for i, e in zip(pos, exps):
-                if e:
-                    top[i] = max(top.get(i, 0), e)
-                    factors.append(f"n{i}_{e}")
-            if degree - sum(exps):
-                factors.append(f"d_{degree - sum(exps)}")
-            parts.append("*".join(factors))
-        sums.append(parts)
-
-    src = ["def table(values):"]
-    if names:
-        src.append("    " + "".join(f"v{i}, " if i in top else "_, "
-                                    for i in range(len(names))) + "= values")
-    src.append("    d = lcm(" + ", ".join(f"v{i}.denominator" for i in top)
-               + ")")
-    for i, e in top.items():
-        src.append(f"    n{i}_1 = v{i}.numerator * (d // v{i}.denominator)")
-        src += [f"    n{i}_{k} = n{i}_{k - 1} * n{i}_1" for k in range(2, e + 1)]
-    src.append("    d_0 = 1")
-    src += [f"    d_{k} = d_{k - 1} * d" for k in range(1, degree + 1)]
-    for j, parts in enumerate(sums):
-        parts = parts or ["0"]
-        # Statements of bounded length keep the compiler's recursion shallow.
-        for start in range(0, len(parts), 32):
-            op = "=" if start == 0 else "+="
-            src.append(f"    s{j} {op} " + " + ".join(parts[start:start + 32]))
-    src.append("    return (" + "".join(f"s{j}, " for j in range(len(sums)))
-               + f"), {den} * d_{degree}")
-    namespace = {"lcm": lcm}
-    exec("\n".join(src), namespace)
-    return namespace["table"]
 
 
 def _coerce(value) -> MultiPoly:

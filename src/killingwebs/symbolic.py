@@ -1,8 +1,9 @@
 """The symbolic layer: Killing tensors and vectors as polynomial fields,
 their residuals, the eigenvalue discriminant, the invariants and covariants
-as polynomials, and the joint invariants.  Verification and the other
-subcommands use it; classification does not.  `spaces`, `invariants` and
-the package serve its public names too."""
+as polynomials, and the joint invariants: closed forms evaluated on
+integers, and as polynomials with their J2 oracle.  Verification and the
+other subcommands use it; classification does not.  `spaces`,
+`invariants` and the package serve its public names too."""
 
 from __future__ import annotations
 
@@ -10,11 +11,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
-from .invariants import _covariant_rows, _invariants, _quad_cross
-from .poly import MultiPoly, Q, compile_table, poly, var
+from .invariants import (_covariant_rows, _invariants, _quad_cross,
+                         _scaled_invariants)
+from .poly import MultiPoly, Q, poly, var
 from .signs import MONOMIALS
-from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
-                     KVParams, PolynomialError, Space, common_numerators)
+from .spaces import (EUCLIDEAN, DomainError, KTParams, KVParams,
+                     PolynomialError, Space, common_numerators)
 
 Coeff = Union[int, Fraction, MultiPoly]
 
@@ -209,6 +211,31 @@ def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
 
 # -- joint invariants -------------------------------------------------------
 
+def _joint_invariants(alpha, beta):
+    """(J1, J2) of the Euclidean vector alpha and tensor beta, in any ring,
+    homogeneous of degrees (2, 2) and (2, 4) in (alpha, beta).  The pairs
+    (P, Q) and (D, 2X) turn with weights 1 and 2 under the rotation."""
+    a1, a2, a3 = alpha
+    _, _, _, b4, b5, b6 = beta
+    p, q = b6 * a1 - b4 * a3, b6 * a2 + b5 * a3
+    d, x = _quad_cross(1, *beta)
+    return p * p + q * q, (p * p - q * q) * d + 4 * p * q * x
+
+
+def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
+    """(I1, I2, I3, I4, J1, J2): the tensor's invariants, the vector's
+    rotation component alpha3 and the two joint ones, evaluated on the
+    numerators of alpha over da and of beta over db."""
+    if kv.space.kind != "euclidean" or kt.space.kind != "euclidean":
+        raise DomainError("joint invariants are defined for the Euclidean plane")
+    alpha, da = common_numerators(kv.values)
+    beta, db = common_numerators(kt.values)
+    j1, j2 = _joint_invariants(alpha, beta)
+    den = da * da * db * db
+    return (*_scaled_invariants(1, beta, db), kv.values[2],
+            Fraction(j1, den), Fraction(j2, den * db * db))
+
+
 def _j2_candidates() -> dict[str, MultiPoly]:
     """Candidate expressions for the sixth fundamental joint invariant.
 
@@ -272,16 +299,3 @@ def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     i1, i2, i3 = invariant_polynomials(EUCLIDEAN)
     j1 = (b[6] * a[2] + b[5] * a[3]) ** 2 + (b[6] * a[1] - b[4] * a[3]) ** 2
     return (i1, i2, i3, a[3], j1, j2_oracle()[1])
-
-
-@lru_cache(maxsize=None)
-def _joint_table():
-    return compile_table(joint_invariant_polynomials(),
-                         KV_PARAM_VARS + EUCLIDEAN.param_vars)
-
-
-def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
-    if kv.space.kind != "euclidean" or kt.space.kind != "euclidean":
-        raise DomainError("joint invariants are defined for the Euclidean plane")
-    nums, den = _joint_table()(kv.values + kt.values)
-    return tuple([Fraction(n, den) for n in nums])

@@ -388,6 +388,36 @@ for name in ("poly", "symbolic"):
                      "symbolic False"]
 
 
+def test_acting_framing_and_joint_invariants_derive_nothing():
+    """The exact and float actions, a moving frame and the joint invariants
+    run from closed forms alone: a fresh process that calls them derives
+    no action and builds no generator for the J2 oracle."""
+    lines = fresh("""
+import killingwebs.generators as generators
+from killingwebs.frames import moving_frame
+from killingwebs.invariants import joint_invariants
+from killingwebs.isometry import (act_kt_params, act_kt_params_float,
+                                  act_kv_params, derived_kt_action,
+                                  rotation_from_parameter)
+from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, KTParams, KVParams
+
+def refuse(*args):
+    raise AssertionError("joint generators built")
+
+generators.joint_generators = refuse
+for space in (EUCLIDEAN, MINKOWSKI):
+    g = rotation_from_parameter(space, 2, (1, 3))
+    p = KTParams(space, (1, 2, 3, 4, 5, 6))
+    act_kt_params(g, p), act_kv_params(g, KVParams(space, (1, 2, 3)))
+    act_kt_params_float(p, (0.6, 0.8), (1.0, 3.0))
+    moving_frame(p)
+joint_invariants(KVParams(EUCLIDEAN, (1, 2, 3)),
+                 KTParams(EUCLIDEAN, (1, 2, 3, 4, 5, 6)))
+print(derived_kt_action.cache_info().misses)
+""")
+    assert lines == ["0"]
+
+
 def test_public_and_harness_names_resolve_before_and_after_loading():
     """Every name in `__all__`, every benchmark span target and the caches
     the benchmark clears resolve to the same objects while the symbolic

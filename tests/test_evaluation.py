@@ -5,14 +5,16 @@ The invariants and the covariants are closed forms evaluated on the
 integer numerators of the input; they must agree exactly with the literal
 per-space forms (`samplers.literal_forms`), which are written out apart
 from them.  The exact group actions on Killing tensors and Killing vectors
-and the joint invariants are evaluated from tables compiled once per
-space; they must agree exactly with substituting into (or evaluating) the
-symbolic polynomials.  Both hold on sparse and dense rationals with
-heights up to 10^6, and the covariant sign classes decided on the integer
-rows must agree with deciding them on the polynomials.
-`classify_full` derives no polynomial and does no polynomial arithmetic.
-The float action, compiled like the exact one, must agree bit for bit
-with `MultiPoly.evaluate`.  The parameter-space generators are
+and the joint invariants are closed forms too, evaluated on integer
+numerators; on `var` symbols they must equal the derived actions and the
+oracle's joint invariants as polynomials, and at rationals they must agree
+exactly with substituting into (or evaluating) those.  Both hold on sparse
+and dense rationals with heights up to 10^6, and the covariant sign
+classes decided on the integer rows must agree with deciding them on the
+polynomials.  `classify_full` derives no polynomial and does no polynomial
+arithmetic.  The float action, the
+same closed form on floats, must agree bit for bit with
+`MultiPoly.evaluate`.  The parameter-space generators are
 derived once per (space, valence) and shared.  The closed-form eigenvalue
 verdict must have a witness point where the evaluated discriminant takes
 the sign it names.
@@ -40,7 +42,8 @@ from killingwebs.invariants import (covariant_polynomials,
                                     invariant_polynomials, invariant_report,
                                     joint_invariant_polynomials,
                                     joint_invariants)
-from killingwebs.isometry import (IsometryElement, _exact_kt_action,
+from killingwebs.isometry import (_GROUP_VARS, IsometryElement, _derive,
+                                  _kt_action, _kv_action,
                                   _transformed_components,
                                   _transformed_vector, act_kt_params,
                                   act_kt_params_float, act_kv_params,
@@ -51,6 +54,7 @@ from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, Space, eigen_discriminant,
                                 embed_nontrivial, extract_kt_params,
                                 extract_kv_params)
+from killingwebs.symbolic import _joint_invariants
 from samplers import literal_forms
 
 SPACES = [EUCLIDEAN, MINKOWSKI]
@@ -120,8 +124,7 @@ def test_sign_classes_from_rows_match_the_polynomial_oracles(space, vals):
 
 def test_tables_are_cached_once_per_space():
     """`Space` hashes by its kind, which agrees with equality, so an equal
-    copy of a space finds the polynomials already derived and the action
-    table already compiled for it."""
+    copy of a space finds the polynomials already derived for it."""
     copies = [Space(*space) for space in SPACES]
     everything = SPACES + copies
     for a in everything:
@@ -131,7 +134,7 @@ def test_tables_are_cached_once_per_space():
                 assert hash(a) == hash(b)
     assert len(set(everything)) == 2
     assert [hash(s) for s in SPACES] == [hash(s.kind) for s in SPACES]
-    tables = (invariant_polynomials, covariant_polynomials, _exact_kt_action)
+    tables = (invariant_polynomials, covariant_polynomials)
     for space in SPACES:
         for table in tables:
             table(space)
@@ -142,7 +145,7 @@ def test_tables_are_cached_once_per_space():
     after = [t.cache_info() for t in tables]
     assert [a.misses for a in after] == [b.misses for b in before]
     assert [a.currsize for a in after] == [b.currsize for b in before]
-    assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2, 2]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [2, 2]
 
 
 def test_classify_derives_no_polynomial(monkeypatch):
@@ -162,6 +165,27 @@ def test_classify_derives_no_polynomial(monkeypatch):
     for space in SPACES:
         classify_full(KTParams(space, (1, 2, 3, 4, 5, 6)))
     assert [c.cache_info().currsize for c in caches] == [0, 0]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_closed_form_actions_equal_the_derived_maps(space):
+    """On `var` symbols the closed forms are the derived polynomials: the
+    tensor action `derived_kt_action`, and the vector action the map
+    `_derive` finds by the same substitution and re-extraction."""
+    group = [var(v) for v in _GROUP_VARS]
+    tensor = _kt_action(space.eps, [var(v) for v in space.param_vars], *group)
+    assert all(a == b for a, b in zip(tensor, derived_kt_action(space)))
+    vector = _kv_action(space.eps, [var(v) for v in KV_PARAM_VARS], *group)
+    derived = _derive(space, _transformed_vector, extract_kv_params,
+                      KV_PARAM_VARS)
+    assert all(a == b for a, b in zip(vector, derived))
+    assert (len(tensor), len(vector)) == (6, 3)
+
+
+def test_closed_form_joint_invariants_equal_the_oracle_selection():
+    j1, j2 = _joint_invariants([var(v) for v in KV_PARAM_VARS],
+                               [var(v) for v in EUCLIDEAN.param_vars])
+    assert (j1, j2) == joint_invariant_polynomials()[4:]
 
 
 @st.composite
@@ -387,8 +411,7 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     records = _records()
     for p in records:
         classify_full(p)
-    action_calls = (derived_kt_action.cache_info(),
-                    _exact_kt_action.cache_info())
+    action_calls = derived_kt_action.cache_info()
     tracer = _load_spans().Tracer()
     original, numerators = spaces.common_numerators, []
 
@@ -419,5 +442,4 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
                   if tracer.names[n] == "invariants.invariant_report") \
         == list(range(len(records)))
     assert sorted(numerators) == list(range(len(records)))
-    assert (derived_kt_action.cache_info(),
-            _exact_kt_action.cache_info()) == action_calls
+    assert derived_kt_action.cache_info() == action_calls

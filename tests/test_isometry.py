@@ -25,7 +25,8 @@ from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   rotation_from_parameter)
 from killingwebs.poly import var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError,
-                                KTParams, KVParams, general_killing_tensor)
+                                KTParams, KVParams, Space,
+                                general_killing_tensor)
 from samplers import random_element, random_params
 
 
@@ -203,6 +204,17 @@ def test_group_law_on_points_and_parameters(space):
     g = random_element(space, random.Random(5))
     assert compose(g, inverse(g)) == identity(space)
     assert compose(inverse(g), g) == identity(space)
+
+
+def test_identity_is_shared_by_equal_spaces():
+    """`identity` is built once per space, and an equal copy of a space
+    gets the same element, which composes with the copy's elements."""
+    copy = Space(*EUCLIDEAN)
+    assert identity(copy) is identity(EUCLIDEAN)
+    g = rotation_from_parameter(copy, 2, (1, 3))
+    assert compose(identity(copy), g) == compose(g, identity(copy)) == g
+    with pytest.raises(DomainError, match="different spaces"):
+        compose(identity(MINKOWSKI), g)
 
 
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingwebs.poly import (SYMBOLS, MultiPoly, PolynomialError,
-                              compile_table, format_rational, parse_rational,
-                              poly, var)
+                              format_rational, parse_rational, poly, var)
 
 VARS = ("x", "y")
 
@@ -56,21 +55,6 @@ def test_substitution_matches_evaluation(p, a, b):
     point = {"x": a, "y": b}
     assert bound.constant_value() == p.evaluate(
         {s: point[s] for s in p.used_variables()})
-
-
-@given(polys(), polys(), rationals, rationals)
-@settings(max_examples=150, deadline=None)
-def test_compiled_evaluation_matches_evaluation(p, q, a, b):
-    point = {"x": a, "y": b}
-    expected = tuple(f.evaluate({s: point[s] for s in f.used_variables()})
-                     for f in (p, q))
-    for table, args, want in ((compile_table((p, q), ("y", "x")), (b, a),
-                               expected),
-                              (compile_table((p,), ("x", "y")), (a, b),
-                               expected[:1])):
-        nums, den = table(args)
-        assert den > 0 and all(type(n) is int for n in nums)
-        assert tuple(Fraction(n, den) for n in nums) == want
 
 
 # Symbols from every block of the universe, so merged variable lists must be
@@ -137,21 +121,6 @@ def test_hash_agrees_with_equality():
     assert hash(x - x) == hash(MultiPoly.zero()) == hash(0)
     equal = (x + var("y") - var("y"), x)
     assert equal[0] == equal[1] and len(set(equal)) == 1
-
-
-def test_compiled_evaluation_edge_cases():
-    assert compile_table((), ())(()) == ((), 1)
-    assert compile_table((MultiPoly.zero(),), ())(()) == ((0,), 1)
-    assert compile_table((poly(Fraction(3, 4)),), ("x",))((5,)) == ((3,), 4)
-    # One denominator for the table, homogenized to its degree: 1/2 and
-    # x/3 at x = 5/7 are 21/42 and 10/42.
-    table = compile_table((poly(Fraction(1, 2)), Fraction(1, 3) * var("x")),
-                          ("x",))
-    assert table((Fraction(5, 7),)) == ((21, 10), 42)
-    with pytest.raises(PolynomialError):
-        compile_table((var("y"),), ("x",))
-    with pytest.raises(PolynomialError):
-        compile_table((var("x"),), ("x", "x"))
 
 
 def test_unknown_symbols_raise_polynomial_error():
