@@ -106,7 +106,7 @@ def _cmd_covariants(args) -> int:
         point = {u: pu, w: pw}
         vals = {}
         for name, poly in (("C1", c1), ("C2", c2)):
-            value = poly.evaluate({s: point[s] for s in poly.used_variables()})
+            value = poly.evaluate({s: point[s] for s in poly.variables})
             vals[name] = _fmt(value, args.mode)
             lines.append(f"{name}({pu}, {pw}) = {vals[name]}")
         data["at_point"] = {"point": [str(pu), str(pw)], **vals}

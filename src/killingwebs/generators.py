@@ -35,7 +35,7 @@ class LinearVectorField(NamedTuple("LinearVectorField",
 
     def apply(self, f: MultiPoly) -> MultiPoly:
         """Directional derivative V(f)."""
-        extra = set(f.used_variables()) - set(self.domain)
+        extra = set(f.variables) - set(self.domain)
         if extra:
             raise DomainError(f"function uses symbols outside the domain: {extra}")
         out = MultiPoly.zero()
@@ -190,8 +190,7 @@ def sigma_generators(space: Space, valence: int
     fields = []
     for X in coordinate_killing_vectors(space):
         extracted = extract(space, lie_derivative(space, X, comps))
-        fields.append(LinearVectorField(domain, tuple(
-            c.on_variables(c.used_variables()) for c in extracted)))
+        fields.append(LinearVectorField(domain, tuple(extracted)))
     return tuple(fields)
 
 
@@ -313,7 +312,7 @@ def jacobian_rank(functions: Sequence[MultiPoly], symbols: Sequence[str],
         for sym in symbols:
             d = f.diff(sym)
             row.append(d.evaluate({s: Fraction(at.get(s, 0))
-                                   for s in d.used_variables()})
+                                   for s in d.variables})
                        if not d.is_zero() else Q(0))
         rows.append(row)
     return _exact_rank(rows)

@@ -243,18 +243,18 @@ def _transformed_vector(space: Space, values, cs, trans):
 
 
 def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:
-    """Normal form modulo the curve identity: rewrite c^2 as 1 - eps s^2."""
+    """Normal form modulo the curve identity: rewrite c^2 as 1 - eps s^2.
+
+    Term by term, so the result keeps the term order that the float action
+    `_kt_action` follows."""
     rel = poly(1) - space.eps * var("s") * var("s")
-    if "c" not in p.variables:
-        return p
-    ci = p.variables.index("c")
+    names = p.variables
     result = MultiPoly.zero()
-    for exps, coeff in p.terms.items():
-        e = exps[ci]
-        base = list(exps)
-        base[ci] = e % 2
-        mono = MultiPoly(p.variables, {tuple(base): coeff})
-        result = result + mono * rel ** (e // 2)
+    for exps, term in p.coefficients_in(names).items():
+        for v, e in zip(names, exps):
+            term = term * (var("c") ** (e % 2) * rel ** (e // 2) if v == "c"
+                           else var(v) ** e)
+        result = result + term
     return result
 
 

@@ -1,7 +1,10 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping exponent tuples to Fraction coefficients,
-together with an ordered variable list drawn from a fixed symbol universe.
+A polynomial is a dict mapping monomial keys to Fraction coefficients.  A
+key is one int that packs the exponents of the fixed symbol universe
+`SYMBOLS` at fixed offsets, the first symbol in the most significant field.
+Each field holds 7 exponent bits and a guard bit, so a monomial product is
+one integer addition, and an exponent past 127 sets a guard bit.
 Everything downstream (tensor components, group actions, invariants) is built
 on this representation; no floating point enters unless the caller evaluates
 a polynomial at a float assignment.
@@ -10,7 +13,8 @@ a polynomial at a float assignment.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
 # Re-exported: the exact layer has these from `spaces`, without this module.
@@ -30,7 +34,11 @@ SYMBOLS = (
     "k2",
     "p1", "p2", "q1", "q2",
 )
-_SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
+MAX_EXPONENT = 127
+# The bit offset of each symbol's 8-bit field, and the guard bit of every
+# field.
+_SHIFT = {name: 8 * (len(SYMBOLS) - 1 - i) for i, name in enumerate(SYMBOLS)}
+_GUARD = sum(MAX_EXPONENT + 1 << shift for shift in _SHIFT.values())
 
 Scalar = Union[int, Fraction]
 
@@ -41,44 +49,50 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _check_vars(variables: Iterable[str]) -> tuple[str, ...]:
-    names = set(variables)
-    unknown = sorted(names - _SYMBOL_INDEX.keys())
-    if unknown:
-        raise PolynomialError(f"unknown symbol {unknown[0]!r}")
-    return tuple(sorted(names, key=_SYMBOL_INDEX.__getitem__))
+def _shift(name: str) -> int:
+    if name not in _SHIFT:
+        raise PolynomialError(f"unknown symbol {name!r}")
+    return _SHIFT[name]
+
+
+def _exponents(key: int) -> bytes:
+    """The exponent of every symbol in the key, in `SYMBOLS` order."""
+    return key.to_bytes(len(SYMBOLS), "big")
+
+
+def pack(variables: Sequence[str], exps: Sequence[int]) -> int:
+    """The key of the monomial with exponents `exps` of `variables`."""
+    if len(exps) != len(variables):
+        raise PolynomialError("exponent vector length mismatch")
+    if not all(0 <= e <= MAX_EXPONENT for e in exps):
+        raise PolynomialError(f"exponent outside 0..{MAX_EXPONENT}")
+    return sum(e << _shift(v) for v, e in zip(variables, exps))
 
 
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("_terms",)
 
     def __init__(self, variables: Iterable[str],
                  terms: Mapping[tuple[int, ...], Scalar]):
-        ordered = _check_vars(variables)
-        if ordered != tuple(variables):
-            raise PolynomialError("variable list must be sorted and duplicate-free")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        """From coefficients keyed by exponent tuples over `variables`."""
+        variables = tuple(variables)
+        if len(set(map(_shift, variables))) != len(variables):
+            raise PolynomialError("duplicate variable")
+        clean: dict[int, Fraction] = {}
         for exps, coeff in terms.items():
-            if len(exps) != len(ordered):
-                raise PolynomialError("exponent vector length mismatch")
             q = coeff if type(coeff) is Fraction else Fraction(coeff)
+            key = pack(variables, exps)
             if q:
-                clean[tuple(exps)] = q
-        object.__setattr__(self, "variables", ordered)
-        object.__setattr__(self, "terms", clean)
+                clean[key] = q
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...],
-                 terms: Mapping[tuple[int, ...], Fraction]) -> "MultiPoly":
-        """Build from a sorted variable tuple and Fraction coefficients keyed
-        by exponent tuples of matching length, as arithmetic produces them;
-        only zero coefficients are dropped."""
+    def _of(cls, terms: dict[int, Fraction]) -> "MultiPoly":
+        """Wrap a dict of nonzero Fractions keyed by valid packed keys."""
         self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms",
-                           {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "_terms", terms)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -89,91 +103,60 @@ class MultiPoly:
     @staticmethod
     def constant(value: Scalar) -> "MultiPoly":
         q = Fraction(value)
-        return MultiPoly((), {} if q == 0 else {(): q})
+        return MultiPoly._of({0: q} if q else {})
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return MultiPoly._of({1 << _shift(name): Fraction(1)})
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly((), {})
+        return MultiPoly._of({})
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """The symbols that occur, in `SYMBOLS` order."""
+        used = _exponents(reduce(or_, self._terms, 0))
+        return tuple(v for v, e in zip(SYMBOLS, used) if e)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return self._terms.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolynomialError("not a constant polynomial")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return self._terms.get(0, Fraction(0))
 
     def total_degree(self, restrict: Sequence[str] | None = None) -> int:
         """Total degree, optionally counting only the given variables."""
-        if not self.terms:
+        if not self._terms:
             return 0
-        if restrict is None:
-            idx = range(len(self.variables))
-        else:
-            idx = [i for i, v in enumerate(self.variables) if v in set(restrict)]
-        return max(sum(exps[i] for i in idx) for exps in self.terms)
-
-    def used_variables(self) -> tuple[str, ...]:
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.variables, exps):
-                if e:
-                    used.add(v)
-        return tuple(sorted(used, key=_SYMBOL_INDEX.__getitem__))
-
-    def on_variables(self, variables: Iterable[str]) -> "MultiPoly":
-        """Reindex onto a (super)set of variables."""
-        target = _check_vars(variables)
-        if target == self.variables:
-            return self
-        for v in self.used_variables():
-            if v not in target:
-                raise PolynomialError(f"cannot drop used variable {v!r}")
-        return self._reindexed(target)
-
-    def _reindexed(self, target: tuple[str, ...]) -> "MultiPoly":
-        # Only variables with a zero exponent in every term may be missing
-        # from `target`, so distinct terms stay distinct.
-        pos = [target.index(v) if v in target else -1 for v in self.variables]
-        out = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(target)
-            for i, e in zip(pos, exps):
-                if e:
-                    new[i] = e
-            out[tuple(new)] = coeff
-        return MultiPoly._trusted(target, out)
+        mask = -1 if restrict is None else sum(
+            MAX_EXPONENT << _shift(v) for v in set(restrict))
+        return max(sum(_exponents(key & mask)) for key in self._terms)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
-        if self.variables == other.variables:
-            return self, other
-        merged = _check_vars(self.variables + other.variables)
-        return self._reindexed(merged), other._reindexed(merged)
-
     def __add__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        p, q = self._aligned(other)
-        out = dict(p.terms)
-        for exps, coeff in q.terms.items():
-            out[exps] = out[exps] + coeff if exps in out else coeff
-        return MultiPoly._trusted(p.variables, out)
+        out = dict(self._terms)
+        for key, coeff in _coerce(other)._terms.items():
+            if key in out:
+                coeff += out[key]
+                if not coeff:
+                    del out[key]
+                    continue
+            out[key] = coeff
+        return MultiPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted(self.variables,
-                                  {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-_coerce(other))
@@ -182,14 +165,15 @@ class MultiPoly:
         return _coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        p, q = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in p.terms.items():
-            for eb, cb in q.terms.items():
-                key = tuple(map(add, ea, eb))
+        other = _coerce(other)._terms
+        out: dict[int, Fraction] = {}
+        for ka, ca in self._terms.items():
+            for kb, cb in other.items():
+                key = ka + kb
                 out[key] = out[key] + ca * cb if key in out else ca * cb
-        return MultiPoly._trusted(p.variables, out)
+        if reduce(or_, out, 0) & _GUARD:
+            raise PolynomialError(f"exponent above {MAX_EXPONENT}")
+        return MultiPoly._of({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -206,43 +190,40 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        return (self - _coerce(other)).is_zero()
+        return self._terms == _coerce(other)._terms
 
     def __hash__(self):
         # Equal to an int or Fraction means equal hashes too.
         if self.is_constant():
             return hash(self.constant_value())
-        p = self.on_variables(self.used_variables())
-        return hash((p.variables, frozenset(p.terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     # -- calculus and substitution ------------------------------------------
 
     def diff(self, var: str) -> "MultiPoly":
-        if var not in _SYMBOL_INDEX:
-            raise PolynomialError(f"unknown symbol {var!r}")
-        if var not in self.variables:
-            return MultiPoly.zero()
-        i = self.variables.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            out[tuple(new)] = coeff * exps[i]
-        return MultiPoly._trusted(self.variables, out)
+        shift = _shift(var)
+        out: dict[int, Fraction] = {}
+        for key, coeff in self._terms.items():
+            e = key >> shift & MAX_EXPONENT
+            if e:
+                out[key - (1 << shift)] = coeff * e
+        return MultiPoly._of(out)
+
+    def _fields(self) -> list[tuple[str, int]]:
+        return [(v, _SHIFT[v]) for v in self.variables]
 
     def subst(self, bindings: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
         """Substitute polynomials for variables; unbound variables pass through."""
         resolved = {name: _coerce(value) for name, value in bindings.items()}
+        fields = self._fields()
         result = MultiPoly.zero()
-        for exps, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             term = MultiPoly.constant(coeff)
-            for v, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                factor = resolved[v] if v in resolved else var(v)
-                term = term * factor ** e
+            for v, shift in fields:
+                e = key >> shift & MAX_EXPONENT
+                if e:
+                    factor = resolved[v] if v in resolved else var(v)
+                    term = term * factor ** e
             result = result + term
         return result
 
@@ -251,16 +232,18 @@ class MultiPoly:
 
         Returns a Fraction when every value is exact, a float otherwise.
         """
+        fields = self._fields()
+        for v, _ in fields:
+            if v not in assignment:
+                raise PolynomialError(f"unbound variable {v!r} in evaluation")
         total = Fraction(0) if not any(
             isinstance(v, float) for v in assignment.values()) else 0.0
-        for exps, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             term = coeff if isinstance(total, Fraction) else float(coeff)
-            for v, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                if v not in assignment:
-                    raise PolynomialError(f"unbound variable {v!r} in evaluation")
-                term *= assignment[v] ** e
+            for v, shift in fields:
+                e = key >> shift & MAX_EXPONENT
+                if e:
+                    term *= assignment[v] ** e
             total += term
         return total
 
@@ -270,17 +253,13 @@ class MultiPoly:
         Returns a map from exponent vectors over `variables` to polynomials in
         the remaining symbols.
         """
-        sel = list(variables)
-        sel_idx = [self.variables.index(v) if v in self.variables else None
-                   for v in sel]
-        rest = tuple(v for v in self.variables if v not in set(sel))
-        buckets: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        rest_idx = [i for i, v in enumerate(self.variables) if v not in set(sel)]
-        for exps, coeff in self.terms.items():
-            key = tuple(0 if i is None else exps[i] for i in sel_idx)
-            rexps = tuple(exps[i] for i in rest_idx)
-            buckets.setdefault(key, {})[rexps] = coeff
-        return {key: MultiPoly(rest, terms) for key, terms in buckets.items()}
+        shifts = [_shift(v) for v in variables]
+        rest = ~sum(MAX_EXPONENT << shift for shift in shifts)
+        buckets: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        for key, coeff in self._terms.items():
+            exps = tuple(key >> shift & MAX_EXPONENT for shift in shifts)
+            buckets.setdefault(exps, {})[key & rest] = coeff
+        return {exps: MultiPoly._of(terms) for exps, terms in buckets.items()}
 
     # -- display ------------------------------------------------------------
 
@@ -288,20 +267,15 @@ class MultiPoly:
         return f"MultiPoly({self.pretty()!r})"
 
     def pretty(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
-        def key(item):
-            exps, _ = item
-            return (-sum(exps), tuple(-e for e in exps))
         parts = []
-        for exps, coeff in sorted(self.terms.items(), key=key):
-            monos = []
-            for v, e in zip(self.variables, exps):
-                if e == 1:
-                    monos.append(v)
-                elif e > 1:
-                    monos.append(f"{v}^{e}")
-            mono = "*".join(monos)
+        # Highest total degree first, then by exponents in `SYMBOLS` order,
+        # highest first: descending keys.
+        for key, coeff in sorted(self._terms.items(), key=lambda item: (
+                -sum(_exponents(item[0])), -item[0])):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in
+                            zip(SYMBOLS, _exponents(key)) if e)
             if not mono:
                 text = format_rational(coeff)
             elif coeff == 1:

@@ -38,19 +38,16 @@ MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass:
     """Classify a quadratic in the two given point variables, exactly."""
-    # Each term keyed by its exponents in the point variables.
-    pos = [p.variables.index(w) if w in p.variables else None
-           for w in point_vars]
-    coeffs = {tuple(0 if i is None else exps[i] for i in pos): coeff
-              for exps, coeff in p.terms.items()}
+    coeffs = p.coefficients_in(point_vars)
     if any(eu + ev > 2 for eu, ev in coeffs):
         raise PolynomialError("not a quadratic")
-    extra = [w for w in p.used_variables() if w not in point_vars]
+    extra = [w for w in p.variables if w not in point_vars]
     if extra:
         raise PolynomialError(f"non-point symbols present: {extra}")
-    # Only the point variables occur, so each key holds one term.
+    # Only the point variables occur, so each coefficient is a constant.
     return row_sign_class(common_numerators(
-        [coeffs.get(m, 0) for m in MONOMIALS])[0])
+        [coeffs[m].constant_value() if m in coeffs else 0
+         for m in MONOMIALS])[0])
 
 
 def row_sign_class(row: Sequence[int]) -> SignClass:

@@ -13,10 +13,10 @@ from typing import NamedTuple, Sequence, Union
 
 from .invariants import (_covariant_rows, _invariants, _quad_cross,
                          _scaled_invariants)
-from .poly import MultiPoly, Q, poly, var
+from .poly import MultiPoly, Q, pack, poly, var
 from .signs import MONOMIALS
-from .spaces import (EUCLIDEAN, DomainError, KTParams, KVParams,
-                     PolynomialError, Space, common_numerators)
+from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
+                     KVParams, PolynomialError, Space, common_numerators)
 
 Coeff = Union[int, Fraction, MultiPoly]
 
@@ -203,9 +203,9 @@ def covariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly]:
 def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
     nums, d = common_numerators(p.values)
-    pv = p.space.point_vars
-    return tuple(MultiPoly._trusted(pv, {m: Fraction(n, d ** k) for m, n in
-                                         zip(MONOMIALS, row)})
+    keys = [pack(p.space.point_vars, m) for m in MONOMIALS]
+    return tuple(MultiPoly._of({key: Fraction(n, d ** k)
+                                for key, n in zip(keys, row) if n})
                  for row, k in zip(_covariant_rows(p.space.eps, nums), (2, 4)))
 
 
@@ -245,27 +245,19 @@ def _j2_candidates() -> dict[str, MultiPoly]:
     the vector parameters can be rotation invariant at all.  The plausible
     one-symbol repairs of the tabulated form are therefore kept in the
     pool (and expected to fail), alongside the completion derived by
-    solving the annihilation system directly: with
-
-        P = beta6 alpha1 - beta4 alpha3,   Q = beta6 alpha2 + beta5 alpha3,
-        D = beta6 (beta1 - beta2) + beta5^2 - beta4^2,
-        X = beta3 beta6 + beta4 beta5,
-
-    the pairs (P, Q) and (D, 2X) rotate with weights 1 and 2, so
-    (P^2 - Q^2) D + 4 P Q X closes the fundamental set.
+    solving the annihilation system directly: J2 of `_joint_invariants`.
     """
     a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
     b = {i: var(f"beta{i}") for i in range(1, 7)}
-    p = b[6] * a[1] - b[4] * a[3]
-    q = b[6] * a[2] + b[5] * a[3]
-    dd, cross = _quad_cross(EUCLIDEAN.eps, *b.values())
-    tail = 2 * cross * p
+    # The tabulated form (beta6 alpha2 + alpha5 alpha3) s2 + tail, as printed.
+    tail = 2 * (b[3] * b[6] + b[4] * b[5]) * (b[6] * a[1] - b[4] * a[3])
     s2 = b[6] * b[2] - b[5] ** 2
     return {
-        "tabulated, alpha5 read as beta5": q * s2 + tail,
+        "tabulated, alpha5 read as beta5": (b[6] * a[2] + a[3] * b[5]) * s2 + tail,
         "tabulated, alpha5 read as beta4": (b[6] * a[2] + a[3] * b[4]) * s2 + tail,
         "tabulated, alpha5 read as -beta5": (b[6] * a[2] - a[3] * b[5]) * s2 + tail,
-        "derived weight-matched completion": (p ** 2 - q ** 2) * dd + 4 * p * q * cross,
+        "derived weight-matched completion":
+            _joint_invariants(a.values(), b.values())[1],
     }
 
 
@@ -280,7 +272,7 @@ def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
     fields = joint_generators(EUCLIDEAN, (1, 2))
     survivors, rejected = [], []
     for name, j2 in _j2_candidates().items():
-        if all(f.apply(j2.on_variables(f.domain)).is_zero() for f in fields):
+        if all(f.apply(j2).is_zero() for f in fields):
             survivors.append((name, j2))
         else:
             rejected.append(name)
@@ -294,8 +286,6 @@ def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
 @lru_cache(maxsize=None)
 def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     """(I1, I2, I3, I4, J1, J2) on the 9-symbol Euclidean product space."""
-    a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
-    b = {i: var(f"beta{i}") for i in range(1, 7)}
-    i1, i2, i3 = invariant_polynomials(EUCLIDEAN)
-    j1 = (b[6] * a[2] + b[5] * a[3]) ** 2 + (b[6] * a[1] - b[4] * a[3]) ** 2
-    return (i1, i2, i3, a[3], j1, j2_oracle()[1])
+    alpha = [var(v) for v in KV_PARAM_VARS]
+    j1, _ = _joint_invariants(alpha, [var(v) for v in EUCLIDEAN.param_vars])
+    return (*invariant_polynomials(EUCLIDEAN), alpha[2], j1, j2_oracle()[1])

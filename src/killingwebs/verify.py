@@ -77,15 +77,13 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
                   c.passed for v in (1, 2) for c in verify_structure_constants(
                       sigma_generators(s, v), sigma_structure_constants(s))), ""))
         check(f"{space.kind}: generators annihilate invariants",
-              lambda s=space: (all(
-                  g.apply(f.on_variables(g.domain)).is_zero()
-                  for f in invariant_polynomials(s)
-                  for g in sigma_generators(s, 2)), ""))
+              lambda s=space: (all(g.apply(f).is_zero()
+                                   for f in invariant_polynomials(s)
+                                   for g in sigma_generators(s, 2)), ""))
         check(f"{space.kind}: extended generators annihilate covariants",
-              lambda s=space: (all(
-                  g.apply(f.on_variables(g.domain)).is_zero()
-                  for f in covariant_polynomials(s)
-                  for g in extended_generators(s)), ""))
+              lambda s=space: (all(g.apply(f).is_zero()
+                                   for f in covariant_polynomials(s)
+                                   for g in extended_generators(s)), ""))
 
         def invariance(s=space):
             for _ in range(trials):
@@ -132,8 +130,7 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
 
     check("joint generators annihilate all six joint invariants",
           lambda: (all(
-              g.apply(f.on_variables(g.domain)).is_zero()
-              for f in joint_invariant_polynomials()
+              g.apply(f).is_zero() for f in joint_invariant_polynomials()
               for g in joint_generators(EUCLIDEAN, (1, 2))), ""))
     check("J2 oracle selects exactly one candidate",
           lambda: (True, f"selected: {j2_oracle()[0]}"))

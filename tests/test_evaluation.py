@@ -92,8 +92,7 @@ def test_covariants_match_substitution(space, vals):
     point = [var(v) for v in space.point_vars]
     for fast, oracle in zip(fundamental_covariants(p),
                             literal_forms(space, p.values, point)[1]):
-        assert fast.variables == oracle.variables
-        assert fast.terms == oracle.terms
+        assert fast == oracle
         assert fast.pretty() == oracle.pretty()
 
 
@@ -183,9 +182,14 @@ def test_closed_form_actions_equal_the_derived_maps(space):
 
 
 def test_closed_form_joint_invariants_equal_the_oracle_selection():
-    j1, j2 = _joint_invariants([var(v) for v in KV_PARAM_VARS],
-                               [var(v) for v in EUCLIDEAN.param_vars])
+    alpha = [var(v) for v in KV_PARAM_VARS]
+    beta = [var(v) for v in EUCLIDEAN.param_vars]
+    j1, j2 = _joint_invariants(alpha, beta)
     assert (j1, j2) == joint_invariant_polynomials()[4:]
+    # J1 written out: `joint_invariant_polynomials` builds it from
+    # `_joint_invariants` too.
+    (a1, a2, a3), (_, _, _, b4, b5, b6) = alpha, beta
+    assert j1 == (b6 * a1 - b4 * a3) ** 2 + (b6 * a2 + b5 * a3) ** 2
 
 
 @st.composite
@@ -266,7 +270,7 @@ def _grid_oracle(p):
         for j in range(9):
             point = {u: Fraction(i, 2) - 2, w: Fraction(j, 2) - 2}
             seen.append(disc.evaluate(
-                {s: point[s] for s in disc.used_variables()}))
+                {s: point[s] for s in disc.variables}))
     if min(seen) < 0:
         return "complex"
     return "degenerate" if 0 in seen else "satisfied"
@@ -363,9 +367,9 @@ def test_verdict_has_a_pointwise_witness(space, vals):
         assert p.values[5] != 0         # I3 = 0 gives an exact zero
         # Against the size of the terms, with the point's coordinates
         # taken as at least 1 so that a root at the origin is no exception.
-        scale = sum(abs(float(c)) * max(1, abs(x)) ** i * max(1, abs(y)) ** j
-                    for (i, j), c in disc.on_variables(("x", "y"))
-                    .terms.items())
+        scale = sum(abs(float(c.constant_value()))
+                    * max(1, abs(x)) ** i * max(1, abs(y)) ** j
+                    for (i, j), c in disc.coefficients_in(("x", "y")).items())
         assert abs(value) <= 1e-9 * scale
 
 

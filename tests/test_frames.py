@@ -100,8 +100,8 @@ def test_cross_section_constraint_validation():
 def test_nontrivial_invariant_polynomials_shape():
     for space in (EUCLIDEAN, MINKOWSKI):
         i1, i3 = nontrivial_invariant_polynomials(space)
-        assert space.param_vars[1] not in i1.used_variables()
-        assert space.param_vars[1] not in i3.used_variables()
+        assert space.param_vars[1] not in i1.variables
+        assert space.param_vars[1] not in i3.variables
 
 
 # -- canonical forms ----------------------------------------------------------

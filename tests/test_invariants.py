@@ -111,9 +111,9 @@ def test_covariants_satisfy_the_covariance_law_exactly(space):
             b1 = {u: pt[0], w: pt[1]}
             b2 = {u: moved_pt[0], w: moved_pt[1]}
             v_before = before.evaluate(
-                {s: b1[s] for s in before.used_variables()})
+                {s: b1[s] for s in before.variables})
             v_after = after.evaluate(
-                {s: b2[s] for s in after.used_variables()})
+                {s: b2[s] for s in after.variables})
             assert v_before == v_after
 
 

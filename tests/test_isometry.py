@@ -234,7 +234,7 @@ def test_point_and_parameter_actions_are_compatible(space):
             comps = general_killing_tensor(params).components
             binding = {u: at[0], w: at[1]}
             return tuple(
-                c.evaluate({s: binding[s] for s in c.used_variables()})
+                c.evaluate({s: binding[s] for s in c.variables})
                 for c in comps)
         (j00, j01), (j10, j11) = g.matrix()
         k00, k01, k11 = value(p, pt)

@@ -54,7 +54,7 @@ def test_substitution_matches_evaluation(p, a, b):
     assert bound.is_constant()
     point = {"x": a, "y": b}
     assert bound.constant_value() == p.evaluate(
-        {s: point[s] for s in p.used_variables()})
+        {s: point[s] for s in p.variables})
 
 
 # Symbols from every block of the universe, so merged variable lists must be
@@ -74,10 +74,15 @@ def polys_on(draw, variables):
 
 
 def assert_canonical(p):
-    assert p.variables == tuple(sorted(set(p.variables), key=SYMBOLS.index))
-    for exps, coeff in p.terms.items():
-        assert len(exps) == len(p.variables)
-        assert type(coeff) is Fraction and coeff != 0
+    assert p.variables == tuple(sorted(p.variables, key=SYMBOLS.index))
+    terms = p.coefficients_in(p.variables)
+    # Each of `variables` occurs, and no other symbol: the coefficients are
+    # constants.
+    assert all(any(exps[i] for exps in terms)
+               for i in range(len(p.variables)))
+    for coeff in terms.values():
+        value = coeff.constant_value()
+        assert type(value) is Fraction and value != 0
 
 
 @given(st.data(), st.sets(st.sampled_from(UNIVERSE)),
@@ -97,13 +102,11 @@ def test_arithmetic_results_are_canonical_and_exact(data, vp, relation, vals):
     def at(f):
         return f.evaluate(point)
 
-    wider = p.on_variables(set(p.variables) | vq)
     cases = [
         (p + q, at(p) + at(q)), (p - q, at(p) - at(q)),
         (p * q, at(p) * at(q)), (-p, -at(p)), (p ** k, at(p) ** k),
         (p - p, 0), (p + (-p), 0), ((p + q) - q, at(p)),
-        (p * (q - q), 0), (wider, at(p)),
-        (wider.on_variables(p.used_variables()), at(p)),
+        (p * (q - q), 0),
     ]
     for result, expected in cases:
         assert_canonical(result)
@@ -138,7 +141,7 @@ def test_degree_and_coefficient_queries():
     coeffs = p.coefficients_in(["x", "y"])
     assert coeffs[(2, 1)] == poly(1)
     assert coeffs[(0, 0)] == poly(7)
-    assert p.used_variables() == ("x", "y")
+    assert p.variables == ("x", "y")
 
 
 def test_rational_parsing_round_trip():
@@ -158,3 +161,62 @@ def test_pretty_is_deterministic():
     x, y = var("x"), var("y")
     p = y * y - x + Fraction(1, 2)
     assert p.pretty() == (x * poly(-1) + y * y + Fraction(1, 2)).pretty()
+
+
+def old_order_key(exps):
+    """The term order of the exponent-tuple layout: highest total degree
+    first, then the exponents in symbol order, highest first."""
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+@given(st.data(), st.sets(st.sampled_from(UNIVERSE)))
+@settings(max_examples=100, deadline=None)
+def test_pretty_keeps_the_tuple_layout_term_order(data, vp):
+    p = data.draw(polys_on(vp))
+    terms = p.coefficients_in(p.variables)
+    texts = [MultiPoly(p.variables, {exps: terms[exps].constant_value()})
+             .pretty() for exps in sorted(terms, key=old_order_key)]
+    # The separators of `pretty`: " + " before a term, " - " for its sign.
+    assert p.pretty() == (" + ".join(texts).replace(" + -", " - ") or "0")
+
+
+def test_exponents_past_127_raise():
+    x = var("x")
+    assert (x ** 127).total_degree() == 127
+    with pytest.raises(PolynomialError, match="exponent above 127"):
+        x ** 128
+    with pytest.raises(PolynomialError, match="exponent above 127"):
+        x ** 100 * x ** 28
+    # A neighbouring field is untouched by a full one.
+    assert (x ** 127 * var("y")).coefficients_in(("x", "y")) == {(127, 1): 1}
+    with pytest.raises(PolynomialError, match="exponent outside 0..127"):
+        MultiPoly(("x",), {(128,): 1})
+
+
+def test_constants_equal_and_hash_like_int_and_fraction():
+    x = var("x")
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        c = MultiPoly.constant(value)
+        for same in (value, Fraction(value), x - x + value):
+            assert c == same and same == c
+            assert hash(c) == hash(same)
+        assert c != value + 1 and c != x + value
+    assert MultiPoly.zero() == 0 and hash(MultiPoly.zero()) == hash(0)
+
+
+@given(st.data(), st.sets(st.sampled_from(UNIVERSE)), rationals, rationals,
+       st.sampled_from(UNIVERSE), st.sampled_from(UNIVERSE))
+@settings(max_examples=100, deadline=None)
+def test_zero_and_constants_on_differing_symbols(data, vp, a, b, u, w):
+    p = data.draw(polys_on(vp))
+    zero = MultiPoly.zero()
+    # The constants a and b, built through polynomials on other symbols.
+    ca, cb = var(u) - var(u) + a, var(w) * 0 + b
+    assert ca.variables == cb.variables == ()
+    for result, expected in ((p + zero, p), (zero + p, p), (p * zero, 0),
+                             (zero * p, 0), (p + ca, p + a),
+                             (p * ca, a * p), (ca + cb, a + b),
+                             (ca * cb, a * b), (p * ca * cb, p * (a * b))):
+        assert_canonical(result)
+        assert result == expected
+    assert (p * zero).is_zero() and (p - p).variables == ()

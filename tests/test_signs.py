@@ -60,7 +60,7 @@ def test_class_is_consistent_with_sampled_values(p):
         for j in range(-4, 5):
             point = {"x": Fraction(i, 2), "y": Fraction(j, 2)}
             values.append(p.evaluate(
-                {s: point[s] for s in p.used_variables()}))
+                {s: point[s] for s in p.variables}))
     if cls == SignClass.ZERO:
         assert all(v == 0 for v in values)
     elif cls == SignClass.POS:

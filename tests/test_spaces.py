@@ -121,7 +121,7 @@ def test_rotational_tensor_has_distinct_real_eigenvalues_off_origin():
     p = KTParams(EUCLIDEAN, (0, 0, 0, 0, 0, 1))
     disc = eigen_discriminant(p)
     value = disc.evaluate({s: {"x": Fraction(1), "y": Fraction(2)}[s]
-                           for s in disc.used_variables()})
+                           for s in disc.variables})
     assert value > 0
 
 
@@ -136,7 +136,7 @@ def test_discriminant_detects_complex_eigenvalues():
         if disc.is_zero():
             continue
         value = disc.evaluate({s: {"t": Fraction(1), "x": Fraction(1)}[s]
-                               for s in disc.used_variables()})
+                               for s in disc.variables})
         if value < 0:
             found = True
             break
