@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .poly import MultiPoly, Q
 from .spaces import (DomainError, KTParams, NontrivialKT, Space,
-                     embed_nontrivial)
+                     common_numerators, embed_nontrivial)
 from .isometry import act_kt_params_float
 from .symbolic import invariant_polynomials
 
@@ -45,7 +45,8 @@ def _apply_and_residual(p: KTParams, cs: tuple[float, float],
 
 
 def _euclidean_frame(p: KTParams) -> MovingFrameResult:
-    b1, b2, b3, b4, b5, b6 = p.values
+    # num and den are d^2 times their rational forms; n / d is float(n/d).
+    (b1, b2, b3, b4, b5, b6), d = common_numerators(p.values)
     if b6 == 0:
         raise FrameDomainError("group does not act freely here")
     num = 2 * (b3 * b6 + b4 * b5)
@@ -60,13 +61,13 @@ def _euclidean_frame(p: KTParams) -> MovingFrameResult:
     else:
         # Solving the normalization equations from the derived action gives
         # tan(2 theta) = -num/den; the sign is validated by the residual.
-        theta0 = -0.5 * math.atan(float(num) / float(den))
+        theta0 = -0.5 * math.atan(num / (d * d) / (den / (d * d)))
 
     best = None
     for theta in (theta0, theta0 + math.pi / 2):
         c, s = math.cos(theta), math.sin(theta)
-        a = (float(b5) * c - float(b4) * s) / float(b6)
-        b = (float(b4) * c + float(b5) * s) / float(b6)
+        a = (b5 / d * c - b4 / d * s) / (b6 / d)
+        b = (b4 / d * c + b5 / d * s) / (b6 / d)
         residual = _apply_and_residual(p, (c, s), (a, b))
         if best is None or residual < best[0]:
             best = (residual, theta, a, b)
@@ -75,7 +76,7 @@ def _euclidean_frame(p: KTParams) -> MovingFrameResult:
 
 
 def _minkowski_frame(p: KTParams) -> MovingFrameResult:
-    a1, a2, a3, a4, a5, a6 = p.values
+    (a1, a2, a3, a4, a5, a6), d = common_numerators(p.values)
     if a6 == 0:
         raise FrameDomainError("group does not act freely here")
     num = 2 * (a3 * a6 - a4 * a5)
@@ -87,15 +88,16 @@ def _minkowski_frame(p: KTParams) -> MovingFrameResult:
             raise FrameDomainError(
                 "outside arctanh domain: normalization argument is infinite")
     else:
-        arg = num / den
+        # One Fraction: float(0 / den) would be -0.0 when den < 0.
+        arg = Fraction(num, den)
         # |arg| < 1 can still round to 1.0, where atanh is infinite.
         if abs(arg) >= 1 or abs(float(arg)) == 1:
             raise FrameDomainError(
                 f"outside arctanh domain: argument = {arg}")
         phi = 0.5 * math.atanh(float(arg))
     ch, sh = math.cosh(phi), math.sinh(phi)
-    a = (float(a4) * sh + float(a5) * ch) / float(a6)
-    b = (float(a4) * ch + float(a5) * sh) / float(a6)
+    a = (a4 / d * sh + a5 / d * ch) / (a6 / d)
+    b = (a4 / d * ch + a5 / d * sh) / (a6 / d)
     residual = _apply_and_residual(p, (ch, sh), (a, b))
     return MovingFrameResult(phi, a, b, residual)
 

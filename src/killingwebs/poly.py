@@ -1,8 +1,9 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping monomial keys to Fraction coefficients.  A
-key is one int that packs the exponents of the fixed symbol universe
-`SYMBOLS` at fixed offsets, the first symbol in the most significant field.
+A polynomial is a dict mapping monomial keys to nonzero coefficients, an
+int when integral and a Fraction otherwise.  A key is one int that packs
+the exponents of the fixed symbol universe `SYMBOLS` at fixed offsets,
+the first symbol in the most significant field.
 Each field holds 7 exponent bits and a guard bit, so a monomial product is
 one integer addition, and an exponent past 127 sets a guard bit.
 Everything downstream (tensor components, group actions, invariants) is built
@@ -43,7 +44,12 @@ _GUARD = sum(MAX_EXPONENT + 1 << shift for shift in _SHIFT.values())
 Scalar = Union[int, Fraction]
 
 
-def format_rational(value: Fraction) -> str:
+def _canonical(coeff: Scalar) -> Scalar:
+    """An integral coefficient as an int, any other as a Fraction."""
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def format_rational(value: Scalar) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -80,17 +86,17 @@ class MultiPoly:
         variables = tuple(variables)
         if len(set(map(_shift, variables))) != len(variables):
             raise PolynomialError("duplicate variable")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
-            q = coeff if type(coeff) is Fraction else Fraction(coeff)
+            q = _canonical(Fraction(coeff))
             key = pack(variables, exps)
             if q:
                 clean[key] = q
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _of(cls, terms: dict[int, Fraction]) -> "MultiPoly":
-        """Wrap a dict of nonzero Fractions keyed by valid packed keys."""
+    def _of(cls, terms: dict[int, Scalar]) -> "MultiPoly":
+        """Wrap a dict of nonzero canonical coefficients by packed key."""
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", terms)
         return self
@@ -102,12 +108,12 @@ class MultiPoly:
 
     @staticmethod
     def constant(value: Scalar) -> "MultiPoly":
-        q = Fraction(value)
+        q = _canonical(Fraction(value))
         return MultiPoly._of({0: q} if q else {})
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly._of({1 << _shift(name): Fraction(1)})
+        return MultiPoly._of({1 << _shift(name): 1})
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -130,7 +136,7 @@ class MultiPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolynomialError("not a constant polynomial")
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._terms.get(0, 0))
 
     def total_degree(self, restrict: Sequence[str] | None = None) -> int:
         """Total degree, optionally counting only the given variables."""
@@ -146,7 +152,7 @@ class MultiPoly:
         out = dict(self._terms)
         for key, coeff in _coerce(other)._terms.items():
             if key in out:
-                coeff += out[key]
+                coeff = _canonical(coeff + out[key])
                 if not coeff:
                     del out[key]
                     continue
@@ -166,14 +172,14 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = _coerce(other)._terms
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other.items():
                 key = ka + kb
                 out[key] = out[key] + ca * cb if key in out else ca * cb
         if reduce(or_, out, 0) & _GUARD:
             raise PolynomialError(f"exponent above {MAX_EXPONENT}")
-        return MultiPoly._of({k: c for k, c in out.items() if c})
+        return MultiPoly._of({k: _canonical(c) for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -202,11 +208,11 @@ class MultiPoly:
 
     def diff(self, var: str) -> "MultiPoly":
         shift = _shift(var)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for key, coeff in self._terms.items():
             e = key >> shift & MAX_EXPONENT
             if e:
-                out[key - (1 << shift)] = coeff * e
+                out[key - (1 << shift)] = _canonical(coeff * e)
         return MultiPoly._of(out)
 
     def _fields(self) -> list[tuple[str, int]]:
@@ -218,7 +224,7 @@ class MultiPoly:
         fields = self._fields()
         result = MultiPoly.zero()
         for key, coeff in self._terms.items():
-            term = MultiPoly.constant(coeff)
+            term = MultiPoly._of({0: coeff})
             for v, shift in fields:
                 e = key >> shift & MAX_EXPONENT
                 if e:
@@ -255,7 +261,7 @@ class MultiPoly:
         """
         shifts = [_shift(v) for v in variables]
         rest = ~sum(MAX_EXPONENT << shift for shift in shifts)
-        buckets: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        buckets: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, coeff in self._terms.items():
             exps = tuple(key >> shift & MAX_EXPONENT for shift in shifts)
             buckets.setdefault(exps, {})[key & rest] = coeff

@@ -178,10 +178,10 @@ def decompose(p: KTParams) -> tuple[Fraction, NontrivialKT]:
 
 
 def reconstruct(l0: Fraction, nt: NontrivialKT) -> KTParams:
-    g = metric_params(nt.space)
-    base = embed_nontrivial(nt)
-    return KTParams(nt.space,
-                    tuple(l0 * gv + bv for gv, bv in zip(g.values, base.values)))
+    """l0 * metric + embed(nt)."""
+    g0, g1 = nt.space.metric_diag
+    p1, p3, p4, p5, p6 = nt.values
+    return KTParams(nt.space, (l0 * g0 + p1, l0 * g1, p3, p4, p5, p6))
 
 
 __getattr__ = _forward(__name__, symbolic="""Coeff TensorField kt_components

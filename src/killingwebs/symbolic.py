@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .invariants import (_covariant_rows, _invariants, _quad_cross,
                          _scaled_invariants)
-from .poly import MultiPoly, Q, pack, poly, var
+from .poly import MultiPoly, Q, _canonical, pack, poly, var
 from .signs import MONOMIALS
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, PolynomialError, Space, common_numerators)
@@ -204,7 +204,7 @@ def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
     nums, d = common_numerators(p.values)
     keys = [pack(p.space.point_vars, m) for m in MONOMIALS]
-    return tuple(MultiPoly._of({key: Fraction(n, d ** k)
+    return tuple(MultiPoly._of({key: _canonical(Fraction(n, d ** k))
                                 for key, n in zip(keys, row) if n})
                  for row, k in zip(_covariant_rows(p.space.eps, nums), (2, 4)))
 

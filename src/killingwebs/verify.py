@@ -35,19 +35,27 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+# Rows n = lo..hi of Fraction(n, d), d = 1..q.  Both randint and choice take
+# one _randbelow, so rng.choice(rng.choice(rows)) draws as
+# Fraction(rng.randint(lo, hi), rng.randint(1, q)) does, on the same stream.
+_ANGLES, _SHIFTS, _PARAMS, _VECTORS = (
+    tuple(tuple(Fraction(n, d) for d in range(1, q + 1))
+          for n in range(lo, hi + 1))
+    for lo, hi, q in ((-9, 9, 6), (-4, 4, 3), (-12, 12, 5), (-9, 9, 4)))
+
+
 def _random_element(space, rng) -> IsometryElement:
-    u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    u = rng.choice(rng.choice(_ANGLES))
     if space.kind == "minkowski" and u <= 0:
         # -u is the same boost as u; -1/u is its inverse.
         u = -1 / u if u else Fraction(1)
-    trans = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-             Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    trans = (rng.choice(rng.choice(_SHIFTS)), rng.choice(rng.choice(_SHIFTS)))
     return rotation_from_parameter(space, u, trans)
 
 
 def _random_params(space, rng) -> KTParams:
     return KTParams(space, tuple(
-        Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)))
+        rng.choice(rng.choice(_PARAMS)) for _ in range(6)))
 
 
 def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
@@ -138,8 +146,7 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
     def joint_invariance():
         for _ in range(trials):
             kv = KVParams(EUCLIDEAN, tuple(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                for _ in range(3)))
+                rng.choice(rng.choice(_VECTORS)) for _ in range(3)))
             kt = _random_params(EUCLIDEAN, rng)
             g = _random_element(EUCLIDEAN, rng)
             if joint_invariants(act_kv_params(g, kv), act_kt_params(g, kt)) \

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, determinism, round trips."""
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import killingwebs
+from killingwebs import verify
 from killingwebs.cli import run
 from killingwebs.poly import parse_rational
 from killingwebs.verify import run_suite
@@ -299,6 +301,21 @@ def test_verify_smoke(capsys):
     assert status == 0
     assert "FAIL" not in out
     assert "0 failed" in err
+
+
+# Each table of verify's rational draws, with the ranges of the
+# Fraction(rng.randint(lo, hi), rng.randint(1, q)) it stands for.
+@pytest.mark.parametrize("table, lo, hi, q", [
+    (verify._ANGLES, -9, 9, 6), (verify._SHIFTS, -4, 4, 3),
+    (verify._PARAMS, -12, 12, 5), (verify._VECTORS, -9, 9, 4)])
+def test_verify_table_draws_keep_the_randint_stream(table, lo, hi, q):
+    for seed in range(50):
+        old, new = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            drawn = new.choice(new.choice(table))
+            expected = Fraction(old.randint(lo, hi), old.randint(1, q))
+            assert type(drawn) is Fraction and drawn == expected
+        assert new.getstate() == old.getstate()
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

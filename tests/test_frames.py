@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from killingwebs.frames import (RESIDUAL_TOL, CrossSection, FrameDomainError,
-                                canonical_form, canonical_params,
-                                moving_frame,
+                                MovingFrameResult, canonical_form,
+                                canonical_params, moving_frame,
                                 nontrivial_invariant_polynomials,
                                 validate_coordinate_cross_section)
 from killingwebs.invariants import fundamental_invariants
@@ -74,6 +76,96 @@ def test_degenerate_angle_branch_is_flagged():
     result = moving_frame(p)
     assert result.notes
     assert result.ok
+
+
+def fraction_frame(p):
+    """The moving frame with every exact step on Fractions and each float
+    taken by float(Fraction): the reference that the frames, which run on
+    integer numerators, must match bit for bit."""
+    v1, v2, v3, v4, v5, v6 = p.values
+    if v6 == 0:
+        raise FrameDomainError("group does not act freely here")
+
+    def residual(cs, a, b):
+        moved = act_kt_params_float(p, cs, (a, b))
+        return max(abs(moved[2]), abs(moved[3]), abs(moved[4]))
+
+    if p.space.kind == "euclidean":
+        num = 2 * (v3 * v6 + v4 * v5)
+        den = v6 * (v1 - v2) - v4 * v4 + v5 * v5
+        notes = ()
+        if den == 0 and num == 0:
+            theta0 = 0.0
+        elif den == 0:
+            theta0 = math.pi / 4
+            notes = ("normalization angle denominator vanishes; "
+                     "using the quarter-angle branch",)
+        else:
+            theta0 = -0.5 * math.atan(float(num) / float(den))
+        best = None
+        for theta in (theta0, theta0 + math.pi / 2):
+            c, s = math.cos(theta), math.sin(theta)
+            a = (float(v5) * c - float(v4) * s) / float(v6)
+            b = (float(v4) * c + float(v5) * s) / float(v6)
+            r = residual((c, s), a, b)
+            if best is None or r < best[0]:
+                best = (r, theta, a, b)
+        r, theta, a, b = best
+        return MovingFrameResult(theta, a, b, r, notes)
+    num = 2 * (v3 * v6 - v4 * v5)
+    den = v4 * v4 + v5 * v5 - v6 * (v1 + v2)
+    if den == 0:
+        if num != 0:
+            raise FrameDomainError(
+                "outside arctanh domain: normalization argument is infinite")
+        phi = 0.0
+    else:
+        arg = num / den
+        if abs(arg) >= 1 or abs(float(arg)) == 1:
+            raise FrameDomainError(f"outside arctanh domain: argument = {arg}")
+        phi = 0.5 * math.atanh(float(arg))
+    ch, sh = math.cosh(phi), math.sinh(phi)
+    a = (float(v4) * sh + float(v5) * ch) / float(v6)
+    b = (float(v4) * ch + float(v5) * sh) / float(v6)
+    return MovingFrameResult(phi, a, b, residual((ch, sh), a, b))
+
+
+def frame_outcome(frame, p):
+    """The frame's floats as hex strings, so the signs of zeros count, and
+    its notes; or the message of its FrameDomainError."""
+    try:
+        r = frame(p)
+    except FrameDomainError as exc:
+        return str(exc)
+    return (r.angle.hex(), r.a.hex(), r.b.hex(), r.residual.hex(), r.notes)
+
+
+slots = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)))
+
+
+@given(st.tuples(*[slots] * 6))
+@example((1, 0, 0, 0, 0, 1))
+@example((0, 0, Fraction(1, 4), Fraction(1, 4), 0, Fraction(1, 4)))
+@example((0, 0, 1, 0, 0, 1))
+@settings(max_examples=200, deadline=None)
+def test_frames_match_the_fraction_reference_bit_for_bit(values):
+    for space in (EUCLIDEAN, MINKOWSKI):
+        p = KTParams(space, values)
+        assert frame_outcome(moving_frame, p) == frame_outcome(fraction_frame, p)
+
+
+def test_frame_signs_of_zero_and_domain_messages():
+    # num = 0 over den = -1: the boost rapidity is +0.0, as float(Fraction(0)).
+    result = moving_frame(KTParams(MINKOWSKI, (1, 0, 0, 0, 0, 1)))
+    assert result.angle.hex() == "0x0.0p+0"
+    p = KTParams.parse(MINKOWSKI, "0,0,1/4,1/4,0,1/4")
+    with pytest.raises(FrameDomainError) as info:
+        moving_frame(p)
+    assert str(info.value) == "outside arctanh domain: argument = 2"
+    assert frame_outcome(fraction_frame, p) == str(info.value)
 
 
 # -- cross-sections -----------------------------------------------------------

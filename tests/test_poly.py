@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from killingwebs.poly import (SYMBOLS, MultiPoly, PolynomialError,
                               format_rational, parse_rational, poly, var)
+from killingwebs.generators import sigma_generators
+from killingwebs.isometry import derived_kt_action
+from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, KTParams
+from killingwebs.symbolic import fundamental_covariants
 
 VARS = ("x", "y")
 
@@ -80,9 +84,12 @@ def assert_canonical(p):
     # constants.
     assert all(any(exps[i] for exps in terms)
                for i in range(len(p.variables)))
-    for coeff in terms.values():
-        value = coeff.constant_value()
-        assert type(value) is Fraction and value != 0
+    assert all(coeff.is_constant() for coeff in terms.values())
+    # Each stored coefficient is a nonzero int, or a Fraction that is not
+    # integral, so equal polynomials hold equal dicts.
+    for coeff in p._terms.values():
+        assert (type(coeff) is int and coeff != 0) or (
+            type(coeff) is Fraction and coeff.denominator > 1)
 
 
 @given(st.data(), st.sets(st.sampled_from(UNIVERSE)),
@@ -97,20 +104,31 @@ def test_arithmetic_results_are_canonical_and_exact(data, vp, relation, vals):
         vq -= vp
     p, q = data.draw(polys_on(vp)), data.draw(polys_on(vq))
     k = data.draw(st.integers(0, 3))
+    u = data.draw(st.sampled_from(UNIVERSE))
+    split = tuple(data.draw(st.sets(st.sampled_from(UNIVERSE))))
     point = dict(zip(UNIVERSE, vals))
 
     def at(f):
         return f.evaluate(point)
 
+    one = Fraction(2, 2)
     cases = [
         (p + q, at(p) + at(q)), (p - q, at(p) - at(q)),
         (p * q, at(p) * at(q)), (-p, -at(p)), (p ** k, at(p) ** k),
         (p - p, 0), (p + (-p), 0), ((p + q) - q, at(p)),
-        (p * (q - q), 0),
+        (p * (q - q), 0), (p * one, at(p)), (one * p, at(p)),
+        (p.subst({u: q}), p.evaluate({**point, u: at(q)})),
+        # The product rule at the point.
+        ((p * q).diff(u), at(p.diff(u)) * at(q) + at(p) * at(q.diff(u))),
     ]
     for result, expected in cases:
         assert_canonical(result)
         assert at(result) == expected
+    pieces = p.coefficients_in(split)
+    for coeff in pieces.values():
+        assert_canonical(coeff)
+    assert sum((c * MultiPoly(split, {e: 1}) for e, c in pieces.items()),
+               MultiPoly.zero()) == p
     for zero in (p - p, p + (-p), p * (q - q)):
         assert zero.is_zero()
     assert p ** 1 == p
@@ -195,12 +213,19 @@ def test_exponents_past_127_raise():
 
 def test_constants_equal_and_hash_like_int_and_fraction():
     x = var("x")
-    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(6, 3)):
         c = MultiPoly.constant(value)
         for same in (value, Fraction(value), x - x + value):
             assert c == same and same == c
             assert hash(c) == hash(same)
         assert c != value + 1 and c != x + value
+        assert_canonical(c)
+        # The exact values read out of a polynomial stay Fractions, also
+        # where the stored coefficient is an int.
+        assert type(c.constant_value()) is Fraction
+        assert type(c.evaluate({})) is Fraction
+        assert type((c * x + 2).evaluate({"x": 3})) is Fraction
+        assert (c * x + 2).evaluate({"x": 3}) == 3 * value + 2
     assert MultiPoly.zero() == 0 and hash(MultiPoly.zero()) == hash(0)
 
 
@@ -220,3 +245,20 @@ def test_zero_and_constants_on_differing_symbols(data, vp, a, b, u, w):
         assert_canonical(result)
         assert result == expected
     assert (p * zero).is_zero() and (p - p).variables == ()
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
+def test_package_polynomials_keep_integral_coefficients_as_ints(space):
+    built = list(derived_kt_action(space))
+    for valence in (1, 2):
+        for field in sigma_generators(space, valence):
+            built.extend(field.coefficients)
+    # Integral and fractional parameters, and ones whose common
+    # denominator cancels in some coefficients.
+    for values in ((1, 2, 3, 4, 5, 6), (Fraction(1, 2), 0, -3, 1, 0, 2),
+                   (Fraction(1, 3), Fraction(2, 3), 0, Fraction(-1, 3), 1,
+                    Fraction(3, 2))):
+        built.extend(fundamental_covariants(KTParams(space, values)))
+    for p in built:
+        assert_canonical(p)
+    assert any(type(c) is int for p in built for c in p._terms.values())

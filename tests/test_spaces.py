@@ -93,6 +93,19 @@ def test_decompose_reconstruct_round_trip(values):
         assert reconstruct(l0, nt) == p
 
 
+@given(rationals, st.tuples(*([rationals] * 5)))
+@settings(max_examples=100, deadline=None)
+def test_reconstruct_matches_the_metric_sum(l0, values):
+    for space in (EUCLIDEAN, MINKOWSKI):
+        nt = NontrivialKT(space, values)
+        # l0 * metric + embed(nt), slot by slot on Fractions.
+        expected = tuple(l0 * g + b for g, b in zip(
+            metric_params(space).values, embed_nontrivial(nt).values))
+        got = reconstruct(l0, nt)
+        assert got == KTParams(space, expected)
+        assert all(type(v) is Fraction for v in got.values)
+
+
 def test_decompose_worked_example():
     l0, nt = decompose(KTParams(EUCLIDEAN, (3, 1, 0, 0, 0, 2)))
     assert l0 == 1
