@@ -1,24 +1,26 @@
 """Isometry groups of the two planes and their induced parameter actions.
 
 Group elements carry an exact rational point on the rotation/boost curve
-(c, s with c^2 +/- s^2 = 1) and a rational translation.  The actions on
-Killing tensor and Killing vector parameters are closed forms in epsilon,
-the parameters and (c, s, a, b), written once for any ring: evaluated on
-integer numerators for the exact actions and on floats for the moving
-frames.  The map derived from the point map by exact polynomial
-substitution and re-extraction (`derived_kt_action`) is their test oracle,
-as are the parameter laws printed elsewhere.
+(c, s with c^2 +/- s^2 = 1) and a rational translation, stored as integers
+in lowest terms.  The actions on Killing tensor and Killing vector
+parameters are closed forms in epsilon, the parameters and (c, s, a, b),
+written once for any ring: evaluated on integer numerators for the exact
+actions and on floats for the moving frames.  The map derived from the
+point map by exact polynomial substitution and re-extraction
+(`derived_kt_action`) is their test oracle, as are the parameter laws
+printed elsewhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple, Sequence
 
-from .poly import MultiPoly, Q, poly, var
+from .poly import MultiPoly, poly, var
 from .spaces import (DomainError, KTParams, KVParams, Space,
-                     common_numerators, fraction_tuple)
+                     common_numerators)
 from .symbolic import extract_kt_params, kt_components, kv_components
 
 
@@ -28,32 +30,53 @@ class ExactRotation(NamedTuple):
 
 
 class IsometryElement(NamedTuple("IsometryElement",
-                                 [("space", Space), ("rot", ExactRotation),
-                                  ("trans", tuple)])):
-    """rot, then the translation trans = (a, b), all exact."""
+                                 [("space", Space), ("p", int), ("r", int),
+                                  ("q", int), ("A", int), ("B", int),
+                                  ("D", int)])):
+    """rot = (c, s) = (p, r)/q, then the translation trans = (a, b) =
+    (A, B)/D.  Each group is in lowest terms over a positive denominator,
+    so equal elements are equal tuples; rot and trans are read as
+    Fractions."""
     __slots__ = ()
 
     def __new__(cls, space: Space, rot: ExactRotation, trans: tuple):
-        c, s = fraction_tuple(rot)
-        # In lowest terms c^2 +/- s^2 = 1 forces c = p/q and s = r/q to
-        # share q, so the identity is checked on integers.
-        p, q, r = c.numerator, c.denominator, s.numerator
-        if space.kind == "euclidean":
-            if s.denominator != q or p * p + r * r != q * q:
-                raise DomainError("exact rotation must satisfy c^2 + s^2 = 1")
-        elif s.denominator != q or p * p - r * r != q * q or p < q:
-            raise DomainError(
-                "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
-        return super().__new__(cls, space, ExactRotation(c, s),
-                               fraction_tuple(trans))
+        (p, r), q = common_numerators(rot)
+        (a, b), d = common_numerators(trans)
+        return _element(space, p, r, q, a, b, d)
+
+    def __getnewargs__(self):
+        return self.space, self.rot, self.trans
+
+    @property
+    def rot(self) -> ExactRotation:
+        return ExactRotation(Fraction(self.p, self.q),
+                             Fraction(self.r, self.q))
+
+    @property
+    def trans(self) -> tuple:
+        return Fraction(self.A, self.D), Fraction(self.B, self.D)
 
     def cs(self) -> tuple:
         """The rotation/boost matrix entries (c, s)."""
         return self.rot
 
     def matrix(self):
-        c, s = self.cs()
-        return _matrix(self.space, c, s)
+        return _matrix(self.space, *self.rot)
+
+
+def _element(space: Space, p, r, q, a, b, d) -> IsometryElement:
+    """The element (c, s) = (p, r)/q and (a, b)/d, for q, d > 0: each group
+    divided by its gcd, and (c, s) checked on the curve."""
+    g, h = gcd(p, r, q), gcd(a, b, d)
+    p, r, q = p // g, r // g, q // g
+    if space.kind == "euclidean":
+        if p * p + r * r != q * q:
+            raise DomainError("exact rotation must satisfy c^2 + s^2 = 1")
+    elif p * p - r * r != q * q or p < q:
+        raise DomainError(
+            "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
+    return tuple.__new__(IsometryElement,
+                         (space, p, r, q, a // h, b // h, d // h))
 
 
 def _matrix(space: Space, c, s):
@@ -63,7 +86,7 @@ def _matrix(space: Space, c, s):
 
 @lru_cache(maxsize=None)
 def identity(space: Space) -> IsometryElement:
-    return IsometryElement(space, ExactRotation(Q(1), Q(0)), (Q(0), Q(0)))
+    return _element(space, 1, 0, 1, 0, 0, 1)
 
 
 def rotation_from_parameter(space: Space, u: Fraction,
@@ -74,21 +97,17 @@ def rotation_from_parameter(space: Space, u: Fraction,
     Minkowski: c = (u + 1/u)/2, s = (u - 1/u)/2 sweeps the unit hyperbola
     branch with c >= 1 for u > 0 (u and 1/u give opposite boosts).
     """
-    u = Fraction(u)
-    n, d = u.numerator, u.denominator
+    n, d = u.as_integer_ratio()
     if space.kind == "euclidean":
-        den = d * d + n * n
-        rot = ExactRotation(Fraction(d * d - n * n, den),
-                            Fraction(2 * n * d, den))
+        rot = (d * d - n * n, 2 * n * d, d * d + n * n)
     else:
         if n == 0:
             raise DomainError("boost parameter must be nonzero")
         # u < 0 lands on the far branch (c <= -1); negated back onto
         # c >= 1 it is the boost of |u|, hence the |n|.
-        den = 2 * abs(n) * d
-        rot = ExactRotation(Fraction(n * n + d * d, den),
-                            Fraction(n * n - d * d, den))
-    return IsometryElement(space, rot, trans)
+        rot = (n * n + d * d, n * n - d * d, 2 * abs(n) * d)
+    (a, b), m = common_numerators(trans)
+    return _element(space, *rot, a, b, m)
 
 
 def act_point(g: IsometryElement, pt: Sequence) -> tuple:
@@ -102,36 +121,27 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
     """Semidirect-product law: act_point(compose(g1, g2)) = g1 after g2."""
     if g1.space != g2.space:
         raise DomainError("cannot compose elements of different spaces")
-    # c_i = p_i/q_i and s_i = r_i/q_i share their denominator (see
-    # IsometryElement), so the product is formed on the numerators.
-    (c1, s1), (c2, s2) = g1.rot, g2.rot
-    p1, r1, p2, r2 = c1.numerator, s1.numerator, c2.numerator, s2.numerator
-    q1, eps = c1.denominator, g1.space.eps
-    q = q1 * c2.denominator
-    rot = ExactRotation(Fraction(p1 * p2 - eps * r1 * r2, q),
-                        Fraction(r1 * p2 + p1 * r2, q))
-    # g1.rot (a2, b2) + (a1, b1), as one fraction per coordinate.
-    (a1, b1), (a2, b2) = g1.trans, g2.trans
-    x, y = a2.numerator * b2.denominator, b2.numerator * a2.denominator
-    d = q1 * a2.denominator * b2.denominator
-    trans = tuple(Fraction(n * t.denominator + t.numerator * d,
-                           d * t.denominator)
-                  for n, t in ((p1 * x - eps * r1 * y, a1),
-                               (r1 * x + p1 * y, b1)))
-    return IsometryElement(g1.space, rot, trans)
+    space, p1, r1, q1, a1, b1, d1 = g1
+    _, p2, r2, q2, a2, b2, d2 = g2
+    eps = space.eps
+    # g1.rot (a2, b2) + (a1, b1), over q1 d2 d1.
+    qd = q1 * d2
+    return _element(space, p1 * p2 - eps * r1 * r2, r1 * p2 + p1 * r2,
+                    q1 * q2, (p1 * a2 - eps * r1 * b2) * d1 + a1 * qd,
+                    (r1 * a2 + p1 * b2) * d1 + b1 * qd, qd * d1)
 
 
 def inverse(g: IsometryElement) -> IsometryElement:
-    """(c, -s), then minus (c, -s) applied to the translation, formed on
-    the numerators as in `compose`."""
-    c, s = g.rot
-    p, r, eps = c.numerator, s.numerator, g.space.eps
-    a, b = g.trans
-    x, y = a.numerator * b.denominator, b.numerator * a.denominator
-    d = c.denominator * a.denominator * b.denominator
-    return IsometryElement(g.space, ExactRotation(c, -s),
-                           (Fraction(-p * x - eps * r * y, d),
-                            Fraction(r * x - p * y, d)))
+    """(c, -s), then minus (c, -s) applied to the translation."""
+    space, p, r, q, a, b, d = g
+    return _element(space, p, -r, q, -p * a - space.eps * r * b,
+                    r * a - p * b, q * d)
+
+
+def _group_numerators(g: IsometryElement) -> tuple[int, ...]:
+    """(c, s, a, b) as numerators over one denominator m, then m."""
+    _, p, r, q, a, b, d = g
+    return p * d, r * d, a * q, b * q, q * d
 
 
 # -- parameter actions, in any ring ----------------------------------------
@@ -179,7 +189,7 @@ def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
     and is the test oracle.
     """
     nums, d = common_numerators(p.values)
-    (c, s, a, b), m = common_numerators(g.rot + g.trans)
+    c, s, a, b, m = _group_numerators(g)
     dm = d * m
     dens = (dm * m,) * 3 + (dm, dm, d)
     return KTParams(g.space, [Fraction(n, den) for n, den in zip(
@@ -191,7 +201,7 @@ def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
     `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
     test oracle."""
     nums, d = common_numerators(p.values)
-    (c, s, a, b), m = common_numerators(g.rot + g.trans)
+    c, s, a, b, m = _group_numerators(g)
     dens = (d * m, d * m, d)
     return KVParams(g.space, [Fraction(n, den) for n, den in zip(
         _kv_action(g.space.eps, nums, c, s, a, b), dens)])
@@ -308,23 +318,34 @@ class DiscreteReflection(NamedTuple("DiscreteReflection",
         return super().__new__(cls, word)
 
     def signed_permutation(self):
-        table = {"R1": _R1, "R2": _R2}
-        perm = _IDENT
-        for letter in self.word:
-            perm = _sp_compose(table[letter], perm)
-        return perm
+        return _word_permutation(self.word)
+
+
+@lru_cache(maxsize=128)
+def _word_permutation(word: tuple[str, ...]):
+    perm = _IDENT
+    for letter in word:
+        perm = _sp_compose(_R1 if letter == "R1" else _R2, perm)
+    return perm
 
 
 def discrete_act_params(r: DiscreteReflection, p: KTParams) -> KTParams:
     if p.space.kind != "minkowski":
         raise DomainError("the discrete group acts on the Minkowski plane")
-    perm = r.signed_permutation()
-    return KTParams(p.space, tuple(sign * p.values[idx - 1]
-                                   for idx, sign in perm))
+    values = p.values
+    return KTParams(p.space, tuple(
+        values[idx - 1] if sign > 0 else -values[idx - 1]
+        for idx, sign in r.signed_permutation()))
 
 
 def discrete_group_elements() -> list[DiscreteReflection]:
-    """All distinct elements of the group generated by R1 and R2."""
+    """All distinct elements of the group generated by R1 and R2, in a new
+    list each call."""
+    return list(_discrete_group())
+
+
+@lru_cache(maxsize=None)
+def _discrete_group() -> tuple[DiscreteReflection, ...]:
     seen: dict[tuple, DiscreteReflection] = {}
     frontier = [DiscreteReflection(())]
     while frontier:
@@ -335,4 +356,4 @@ def discrete_group_elements() -> list[DiscreteReflection]:
         seen[key] = elem
         for letter in ("R1", "R2"):
             frontier.append(DiscreteReflection(elem.word + (letter,)))
-    return sorted(seen.values(), key=lambda e: (len(e.word), e.word))
+    return tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word)))

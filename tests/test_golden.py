@@ -123,6 +123,9 @@ def _suite_inputs() -> list[tuple[str, list[str]]]:
         for output in ("json", "text"):
             out.append(("verify", ["verify", "--trials", "10", "--seed", seed,
                                    "--output", output]))
+    # The invocation that CI and the benchmark run.
+    out.append(("verify", ["verify", "--trials", "100", "--seed", "1",
+                           "--output", "json"]))
     pairs = [([0, 0, 0], [0] * 6), ([1, 2, 3], [1, 2, 3, 4, 5, 6]),
              ([0, 0, 1], [0, 0, 0, 0, 0, 1])]
     pairs += [([_rational(rng, 9, 4) for _ in range(3)],

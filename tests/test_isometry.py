@@ -7,16 +7,20 @@ diagonal Euclidean parameter) disagrees with the derived action by a sign;
 the test pins down that difference exactly instead of hiding it.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from killingwebs import verify
+from killingwebs import isometry, verify
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
-                                  IsometryElement, act_kt_params,
+                                  IsometryElement, _discrete_group,
+                                  _kt_action, _kv_action, act_kt_params,
                                   act_kt_params_float, act_kv_params,
                                   act_point, compose, derived_kt_action,
                                   discrete_act_params,
@@ -135,39 +139,131 @@ def test_integer_curve_check_matches_fraction_identity(space, data):
         assert str(err.value) == _MESSAGES[space.kind]
 
 
-@st.composite
-def elements(draw, space):
-    u = draw(rationals.filter(lambda v: v or space.kind == "euclidean"))
-    return rotation_from_parameter(space, u, (draw(rationals),
-                                              draw(rationals)))
+# The Fraction formulas the integer elements replaced, as the reference: an
+# element is ((c, s), (a, b)).
+
+def fraction_rotation(space, u):
+    if space.kind == "euclidean":
+        return (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+    c, s = (u + 1 / u) / 2, (u - 1 / u) / 2
+    return (c, s) if c >= 1 else (-c, -s)
+
+
+def fraction_compose(space, g1, g2):
+    ((c1, s1), (a1, b1)), ((c2, s2), (a2, b2)) = g1, g2
+    eps = space.eps
+    return ((c1 * c2 - eps * s1 * s2, s1 * c2 + c1 * s2),
+            (c1 * a2 - eps * s1 * b2 + a1, s1 * a2 + c1 * b2 + b1))
+
+
+def fraction_inverse(space, g):
+    (c, s), (a, b) = g
+    return (c, -s), (-c * a - space.eps * s * b, s * a - c * b)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 @given(rationals.filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_curve_parametrization_matches_fraction_formula(space, u):
-    if space.kind == "euclidean":
-        oracle = ((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u))
-    else:
-        oracle = ((u + 1 / u) / 2, (u - 1 / u) / 2)
-        if oracle[0] < 1:
-            oracle = (-oracle[0], -oracle[1])
-    assert rotation_from_parameter(space, u).cs() == oracle
+    assert rotation_from_parameter(space, u).cs() \
+        == fraction_rotation(space, u)
+
+
+HEIGHT = 10 ** 9
+tall = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT),
+                 st.integers(1, HEIGHT))
+coordinates = st.one_of(st.just(0), st.integers(-HEIGHT, -1), rationals,
+                        tall)
+slots = st.one_of(st.just(Fraction(0)), rationals, tall)
+angles = st.one_of(rationals, tall)
+
+
+def in_lowest_terms(g):
+    return (g.q > 0 and g.D > 0 and gcd(g.p, g.r, g.q) == 1
+            and gcd(g.A, g.B, g.D) == 1)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
-@given(st.data())
+@given(st.tuples(angles, angles), st.tuples(*[coordinates] * 4),
+       st.tuples(*[slots] * 9))
 @settings(max_examples=200, deadline=None)
-def test_compose_matches_fraction_formula(space, data):
-    g1, g2 = data.draw(elements(space)), data.draw(elements(space))
-    (c1, s1), (c2, s2) = g1.cs(), g2.cs()
-    eps = 1 if space.kind == "minkowski" else -1
-    (j00, j01), (j10, j11) = g1.matrix()
-    (a1, b1), (a2, b2) = g1.trans, g2.trans
-    oracle = ((c1 * c2 + eps * s1 * s2, s1 * c2 + c1 * s2),
-              (j00 * a2 + j01 * b2 + a1, j10 * a2 + j11 * b2 + b1))
-    gh = compose(g1, g2)
-    assert (gh.cs(), gh.trans) == oracle
+def test_integer_elements_match_the_fraction_formulas(space, us, shifts,
+                                                      values):
+    """rotation_from_parameter, compose, inverse and both actions against
+    the Fraction formulas, with heights up to 10^9 and zero, negative,
+    int and Fraction translations; every result is in lowest terms, equal
+    and hash-equal to the element rebuilt from its Fractions."""
+    assume(space.kind == "euclidean" or all(us))
+    pairs = []
+    for u, trans in zip(us, (shifts[:2], shifts[2:])):
+        g = rotation_from_parameter(space, u, trans)
+        ref = (fraction_rotation(space, u), tuple(map(Fraction, trans)))
+        assert (g.cs(), g.trans) == ref
+        pairs.append((g, ref))
+    (g1, ref1), (g2, ref2) = pairs
+    gh, g_inv = compose(g1, g2), inverse(g1)
+    assert (gh.cs(), gh.trans) == fraction_compose(space, ref1, ref2)
+    assert (g_inv.cs(), g_inv.trans) == fraction_inverse(space, ref1)
+    assert compose(g1, g_inv) == identity(space)
+    for g in (g1, g2, gh, g_inv):
+        assert in_lowest_terms(g)
+        assert all(type(v) is Fraction for v in g.cs() + g.trans)
+        again = IsometryElement(space, ExactRotation(*g.cs()), g.trans)
+        assert again == g and hash(again) == hash(g)
+    p, kv = KTParams(space, values[:6]), KVParams(space, values[6:])
+    (c, s), (a, b) = ref1
+    assert act_kt_params(g1, p).values \
+        == _kt_action(space.eps, p.values, c, s, a, b)
+    assert act_kv_params(g1, kv).values \
+        == _kv_action(space.eps, kv.values, c, s, a, b)
+
+
+def test_unreduced_inputs_give_the_reduced_element():
+    """Elements compare and hash by value, whatever form they came in."""
+    for space, rot, trans in (
+            (EUCLIDEAN, (Fraction(3, 5), Fraction(4, 5)), (2, -1)),
+            (MINKOWSKI, (Fraction(5, 4), Fraction(3, 4)), (0, 7))):
+        reduced = IsometryElement(space, rot, trans)
+        for other in (
+                IsometryElement(space, rot, tuple(map(Fraction, trans))),
+                IsometryElement(space, ExactRotation(*(
+                    Fraction(2 * v.numerator, 2 * v.denominator)
+                    for v in rot)), trans),
+                compose(identity(space), reduced)):
+            assert other == reduced and hash(other) == hash(reduced)
+        assert copy.copy(reduced) == reduced
+        assert pickle.loads(pickle.dumps(reduced)) == reduced
+    # u = 1/3 gives (8, 6)/10 before the reduction, and g g^-1 gives
+    # (q^2, 0)/q^2.
+    g = rotation_from_parameter(EUCLIDEAN, Fraction(1, 3), (Fraction(1, 2), 3))
+    assert g == IsometryElement(EUCLIDEAN, ExactRotation(Fraction(4, 5),
+                                                         Fraction(3, 5)),
+                                (Fraction(2, 4), Fraction(9, 3)))
+    assert hash(compose(g, inverse(g))) == hash(identity(EUCLIDEAN))
+
+
+def test_group_operations_construct_no_fraction(monkeypatch):
+    """compose, inverse and rotation_from_parameter stay on integers."""
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    elements = [(rotation_from_parameter(space, Fraction(2, 3),
+                                         (Fraction(1, 2), -3)),
+                 rotation_from_parameter(space, 5, (0, Fraction(7, 4))))
+                for space in SPACES]
+    monkeypatch.setattr(isometry, "Fraction", CountingFraction)
+    for (g, h), space in zip(elements, SPACES):
+        rotation_from_parameter(space, Fraction(-7, 3), (Fraction(1, 6), 2))
+        rotation_from_parameter(space, 3)
+        compose(compose(g, h), inverse(g))
+        inverse(compose(h, g))
+    assert built == []
+    elements[0][0].cs()       # the guard sees the Fractions it should
+    assert len(built) == 2
 
 
 # -- point action and composition -------------------------------------------
@@ -358,6 +454,21 @@ def test_discrete_group_has_exactly_eight_elements():
     probe = KTParams(MINKOWSKI, (1, 2, 3, 4, 5, 6))
     images = {discrete_act_params(r, probe).values for r in elements}
     assert len(images) == 8
+
+
+def test_discrete_group_is_computed_once_and_returned_fresh():
+    discrete_group_elements()
+    before = _discrete_group.cache_info()
+    first = discrete_group_elements()
+    words = [r.word for r in first]
+    first.clear()
+    second = discrete_group_elements()
+    assert [r.word for r in second] == words and len(words) == 8
+    assert second is not discrete_group_elements()
+    after = _discrete_group.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 3)
+    assert all(r.signed_permutation() is r.signed_permutation()
+               for r in second)
 
 
 def test_discrete_generator_actions():
