@@ -15,8 +15,7 @@ from typing import NamedTuple, Optional
 
 from .invariants import InvariantReport, invariant_report
 from .signs import SignClass
-from .spaces import (DomainError, KTParams, NontrivialKT, decompose,
-                     embed_nontrivial)
+from .spaces import DomainError, KTParams, NontrivialKT, embed_nontrivial
 
 class WebClass(NamedTuple):
     tag: str
@@ -181,22 +180,21 @@ def _eigen_precondition(inv: InvariantReport) -> str:
 
 
 def classify_full(p: KTParams) -> ClassificationReport:
-    """The two-step procedure: strip the metric multiple, then classify."""
-    l0, nt = decompose(p)
+    """The two-step procedure: strip the metric multiple, then classify.
+    From the numerators: l0 = eps v2; trivial iff n1 = eps n2, n3..n6 = 0."""
+    eps = p.space.eps
     inv = invariant_report(p)
+    n1, n2, n3, n4, n5, n6 = inv.numerators
+    l0 = p.values[1] if eps > 0 else -p.values[1]
     precondition = _eigen_precondition(inv)
-    caveats: list[str] = []
-    if nt.is_zero():
-        caveats.append("trivial (multiple of metric), no web")
+    if n1 == eps * n2 and n3 == n4 == n5 == n6 == 0:
         return ClassificationReport(p, l0, inv, None, precondition,
-                                    tuple(caveats))
-    if p.space.kind == "euclidean":
-        web = _euclidean_web(inv)
-    else:
-        web, tree_caveats = _minkowski_web(inv)
-        caveats.extend(tree_caveats)
-        if precondition == "complex":
-            caveats.append(
-                "eigenvalues complex on an open region of the plane; the "
-                "tensor does not generate a web there")
-    return ClassificationReport(p, l0, inv, web, precondition, tuple(caveats))
+                                    ("trivial (multiple of metric), no web",))
+    if eps > 0:
+        return ClassificationReport(p, l0, inv, _euclidean_web(inv),
+                                    precondition, ())
+    web, caveats = _minkowski_web(inv)
+    if precondition == "complex":
+        caveats += ("eigenvalues complex on an open region of the plane; the "
+                    "tensor does not generate a web there",)
+    return ClassificationReport(p, l0, inv, web, precondition, caveats)

@@ -90,15 +90,17 @@ def auxiliary_invariants(p: KTParams) -> AuxInvariants:
     """The auxiliary Minkowski invariants I1' and I2', both exact."""
     if p.space.kind != "minkowski":
         raise DomainError("auxiliary invariants live on the Minkowski plane")
-    return _auxiliary(p.values)
+    return _auxiliary(*common_numerators(p.values))
 
 
-def _auxiliary(values) -> AuxInvariants:
-    """I1', and I2' on its slice {alpha6 = 0, I1' = 0} (else None)."""
-    a1, a2, a3, a4, a5, a6 = values
-    i1p = a4 * a4 - a5 * a5
-    return AuxInvariants(i1p, None if a6 or i1p else
-                         2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4)
+def _auxiliary(nums, d) -> AuxInvariants:
+    """I1', and I2' on its slice {alpha6 = 0, I1' = 0} (else None), of the
+    input with numerators `nums` over d."""
+    n1, n2, n3, n4, n5, n6 = nums
+    i1p = n4 * n4 - n5 * n5
+    return AuxInvariants(Fraction(i1p, d * d), None if n6 or i1p else
+                         Fraction(2 * n3 * n4 * n5 - (n1 + n2) * n4 * n4,
+                                  d * d * d))
 
 
 # -- report container --------------------------------------------------------
@@ -121,7 +123,7 @@ def invariant_report(p: KTParams) -> InvariantReport:
     eps = p.space.eps
     i1, i2, i3 = _scaled_invariants(eps, nums, d)
     s1, s2 = map(row_sign_class, _covariant_rows(eps, nums))
-    aux = _auxiliary(p.values) if eps < 0 else None
+    aux = _auxiliary(nums, d) if eps < 0 else None
     return InvariantReport(p.space, i1, i2, i3, s1, s2, aux, tuple(nums))
 
 

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from killingwebs.classify import (ClassificationReport, _eigen_precondition,
                                   classify_euclidean, classify_full,
                                   classify_minkowski)
-from killingwebs.invariants import invariant_report
+from killingwebs.invariants import (AuxInvariants, SubmanifoldError,
+                                    auxiliary_invariants, invariant_report,
+                                    slice_invariant_i2)
 from killingwebs.isometry import (IsometryElement, act_kt_params,
                                   discrete_act_params,
                                   discrete_group_elements, identity)
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                NontrivialKT, embed_nontrivial,
+                                NontrivialKT, decompose, embed_nontrivial,
                                 metric_params, reconstruct)
 from samplers import canonical, classify_tag, random_element
 
@@ -144,6 +146,81 @@ def test_full_report_shape():
     assert "eigenvalues complex on an open region of the plane; the tensor " \
         "does not generate a web there" in data["caveats"]
     assert "auxiliary" in data
+
+
+def fraction_auxiliary(values):
+    """I1', and I2' on its slice, by the Fraction formulas the numerator
+    evaluation replaced."""
+    a1, a2, a3, a4, a5, a6 = values
+    i1p = a4 * a4 - a5 * a5
+    return AuxInvariants(i1p, None if a6 or i1p else
+                         2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4)
+
+
+def _rationals(height):
+    return st.builds(Fraction, st.integers(-height, height),
+                     st.integers(1, height))
+
+
+_low, _tall = _rationals(12), _rationals(10 ** 6)
+_any = st.one_of(_low, _tall)
+
+
+@st.composite
+def _on_slice(draw):
+    """alpha6 = 0 and alpha5 = +/- alpha4, where I2' is defined."""
+    a1, a2, a3, a4 = (draw(_any) for _ in range(4))
+    return a1, a2, a3, a4, draw(st.sampled_from([a4, -a4])), Fraction(0)
+
+
+def _full_inputs(space):
+    """Dense, half-zero, metric-multiple, integer-only and 10^6-height
+    values, and points of the I2' slice."""
+    metric = metric_params(space).values
+    return st.one_of(
+        st.tuples(*[_low.filter(bool)] * 6),
+        st.tuples(*[st.one_of(st.just(Fraction(0)), _any)] * 6),
+        _any.map(lambda l0: tuple(l0 * g for g in metric)),
+        st.tuples(*[st.integers(-9, 9)] * 6),
+        st.tuples(*[_tall] * 6),
+        _on_slice())
+
+
+full_inputs = {space: _full_inputs(space) for space in (EUCLIDEAN, MINKOWSKI)}
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI], ids=str)
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_full_report_matches_the_fraction_decomposition(space, data):
+    """l0, the trivial/nontrivial split and I1', I2' read off the integer
+    numerators equal `decompose` and the Fraction formulas; the public
+    auxiliary invariants keep their values, types and errors."""
+    p = KTParams(space, data.draw(full_inputs[space]))
+    l0, nt = decompose(p)
+    aux = fraction_auxiliary(p.values) if space is MINKOWSKI else None
+    assert invariant_report(p).aux == aux
+    try:
+        report = classify_full(p)
+    except DomainError:                 # a table gap: never a trivial input
+        assert not nt.is_zero()
+    else:
+        assert report.l0 == l0 and type(report.l0) is Fraction
+        assert (report.web is None) == nt.is_zero()
+        assert report.invariants.aux == aux
+    if aux is None:
+        for public in (auxiliary_invariants, slice_invariant_i2):
+            with pytest.raises(DomainError, match="Minkowski plane"):
+                public(p)
+        return
+    public = auxiliary_invariants(p)
+    assert public == aux and type(public.i1_prime) is Fraction
+    if aux.i2_prime is None:
+        with pytest.raises(SubmanifoldError):
+            slice_invariant_i2(p)
+    else:
+        i2p = slice_invariant_i2(p)
+        assert i2p == aux.i2_prime and type(i2p) is Fraction
 
 
 def test_eigen_precondition_states():

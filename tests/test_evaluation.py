@@ -223,6 +223,11 @@ def test_vector_action_matches_substitution(space, data, vals):
 
 
 floats = st.one_of(st.floats(-10, 10), st.floats(-BIG, BIG))
+float_pairs = st.tuples(floats, floats)
+# (cs, trans) per plane, built once: an exact element's, or any floats.
+float_actions = {space: st.one_of(
+    elements(space).map(lambda g: (g.cs(), g.trans)),
+    st.tuples(float_pairs, float_pairs)) for space in SPACES}
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
@@ -230,10 +235,7 @@ floats = st.one_of(st.floats(-10, 10), st.floats(-BIG, BIG))
 @settings(max_examples=300, deadline=None)
 def test_float_action_matches_polynomial_evaluation(space, data, vals):
     p = KTParams(space, vals)
-    pair = st.tuples(floats, floats)
-    cs, trans = data.draw(st.one_of(
-        elements(space).map(lambda g: (g.cs(), g.trans)),
-        st.tuples(pair, pair)))
+    cs, trans = data.draw(float_actions[space])
     assignment = dict(zip(space.param_vars + ("c", "s", "a", "b"),
                           (float(v) for v in p.values + cs + trans)))
     oracle = [float(f.evaluate(assignment)) for f in derived_kt_action(space)]
@@ -410,8 +412,9 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     brings the input to integer numerators once and evaluates the
     invariants and decides both covariant sign classes on them, with no
     call to the public per-quantity functions, no covariant built and no
-    polynomial sign decision; the group action is never derived or
-    evaluated."""
+    polynomial sign decision; l0, triviality and I1', I2' come from those
+    numerators too, with no `decompose` or `auxiliary_invariants`; the
+    group action is never derived or evaluated."""
     records = _records()
     for p in records:
         classify_full(p)
@@ -442,6 +445,8 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     assert metrics["invariants.fundamental_covariants.calls_per_record"] == 0
     assert metrics["signs.quadratic_sign_class.calls_per_record"] == 0
     assert tracer.durations("invariants.covariant_sign_classes") == []
+    assert tracer.durations("spaces.decompose") == []
+    assert tracer.durations("invariants.auxiliary_invariants") == []
     assert sorted(r for n, r in zip(tracer.name, tracer.record)
                   if tracer.names[n] == "invariants.invariant_report") \
         == list(range(len(records)))

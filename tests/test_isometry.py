@@ -116,14 +116,18 @@ def shared_denominators(draw):
             Fraction(draw(st.integers(-40, 40)), q))
 
 
+# (c, s) per plane, built once: rationals, integers, or curve points.
+rotation_candidates = {space: st.one_of(
+    st.tuples(rationals, rationals), shared_denominators(),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    curve_points(space)) for space in SPACES}
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_integer_curve_check_matches_fraction_identity(space, data):
-    c, s = data.draw(st.one_of(
-        st.tuples(rationals, rationals), shared_denominators(),
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-        curve_points(space)))
+    c, s = data.draw(rotation_candidates[space])
     fc, fs = Fraction(c), Fraction(s)
     if space.kind == "euclidean":
         on_curve = fc * fc + fs * fs == 1
