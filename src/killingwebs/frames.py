@@ -1,4 +1,4 @@
-"""Moving frames, cross-section validation, and canonical forms.
+"""Moving frames onto a fixed cross-section, and canonical forms.
 
 The frame maps are float-only by design: the classification path never
 depends on them, and the success criterion is always the post-hoc residual
@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .poly import MultiPoly, Q
-from .spaces import (DomainError, KTParams, NontrivialKT, Space,
-                     common_numerators, embed_nontrivial)
+from .invariants import _quad_cross
 from .isometry import act_kt_params_float
-from .symbolic import invariant_polynomials
+from .poly import Q
+from .spaces import (DomainError, KTParams, NontrivialKT, Space,
+                     common_numerators)
 
 RESIDUAL_TOL = 1e-9
 
@@ -44,13 +44,18 @@ def _apply_and_residual(p: KTParams, cs: tuple[float, float],
     return max(abs(moved[2]), abs(moved[3]), abs(moved[4]))
 
 
-def _euclidean_frame(p: KTParams) -> MovingFrameResult:
+def _translation(eps: int, nums, d: int, c: float, s: float
+                 ) -> tuple[float, float]:
+    """The translation (a, b) that clears both linear terms after the
+    rotation or boost (c, s), from the numerators over d."""
+    _, _, _, n4, n5, n6 = nums
+    return ((n5 / d * c - eps * n4 / d * s) / (n6 / d),
+            (n4 / d * c + n5 / d * s) / (n6 / d))
+
+
+def _euclidean_frame(p: KTParams, nums, d: int, num: int, den: int
+                     ) -> MovingFrameResult:
     # num and den are d^2 times their rational forms; n / d is float(n/d).
-    (b1, b2, b3, b4, b5, b6), d = common_numerators(p.values)
-    if b6 == 0:
-        raise FrameDomainError("group does not act freely here")
-    num = 2 * (b3 * b6 + b4 * b5)
-    den = b6 * (b1 - b2) - b4 * b4 + b5 * b5
     notes = []
     if den == 0 and num == 0:
         theta0 = 0.0
@@ -66,8 +71,7 @@ def _euclidean_frame(p: KTParams) -> MovingFrameResult:
     best = None
     for theta in (theta0, theta0 + math.pi / 2):
         c, s = math.cos(theta), math.sin(theta)
-        a = (b5 / d * c - b4 / d * s) / (b6 / d)
-        b = (b4 / d * c + b5 / d * s) / (b6 / d)
+        a, b = _translation(1, nums, d, c, s)
         residual = _apply_and_residual(p, (c, s), (a, b))
         if best is None or residual < best[0]:
             best = (residual, theta, a, b)
@@ -75,12 +79,8 @@ def _euclidean_frame(p: KTParams) -> MovingFrameResult:
     return MovingFrameResult(theta, a, b, residual, tuple(notes))
 
 
-def _minkowski_frame(p: KTParams) -> MovingFrameResult:
-    (a1, a2, a3, a4, a5, a6), d = common_numerators(p.values)
-    if a6 == 0:
-        raise FrameDomainError("group does not act freely here")
-    num = 2 * (a3 * a6 - a4 * a5)
-    den = a4 * a4 + a5 * a5 - a6 * (a1 + a2)
+def _minkowski_frame(p: KTParams, nums, d: int, num: int, den: int
+                     ) -> MovingFrameResult:
     if den == 0:
         if num == 0:
             phi = 0.0
@@ -96,8 +96,7 @@ def _minkowski_frame(p: KTParams) -> MovingFrameResult:
                 f"outside arctanh domain: argument = {arg}")
         phi = 0.5 * math.atanh(float(arg))
     ch, sh = math.cosh(phi), math.sinh(phi)
-    a = (a4 / d * sh + a5 / d * ch) / (a6 / d)
-    b = (a4 / d * ch + a5 / d * sh) / (a6 / d)
+    a, b = _translation(-1, nums, d, ch, sh)
     residual = _apply_and_residual(p, (ch, sh), (a, b))
     return MovingFrameResult(phi, a, b, residual)
 
@@ -109,76 +108,18 @@ def moving_frame(p: KTParams) -> MovingFrameResult:
     translations, which depend on it) and validates by applying the element:
     the residual on the constrained parameters is the success criterion.
     """
+    nums, d = common_numerators(p.values)
+    if nums[5] == 0:
+        raise FrameDomainError("group does not act freely here")
+    quad, cross = _quad_cross(p.space.eps, *nums)
+    frame = _euclidean_frame if p.space.kind == "euclidean" \
+        else _minkowski_frame
     try:
-        if p.space.kind == "euclidean":
-            return _euclidean_frame(p)
-        return _minkowski_frame(p)
+        return frame(p, nums, d, 2 * cross, quad)
     except (OverflowError, ZeroDivisionError):
         # Every division is by a value that is nonzero exactly, so a zero
         # divisor is one that underflowed.
         raise FrameDomainError("a value lies beyond the float range") from None
-
-
-# -- coordinate cross-sections ----------------------------------------------
-
-class CrossSection(NamedTuple("CrossSection",
-                              [("constraints",
-                                tuple[tuple[int, Fraction], ...])])):
-    """Constant constraints on nontrivial-space parameters, by index 0..4."""
-    __slots__ = ()
-
-    def __new__(cls, constraints: Sequence[tuple[int, Fraction]]):
-        seen = set()
-        fixed = []
-        for idx, value in constraints:
-            if not 0 <= idx <= 4:
-                raise DomainError("cross-section indices must be in 0..4")
-            if idx in seen:
-                raise DomainError("duplicate cross-section constraint")
-            seen.add(idx)
-            fixed.append((idx, Fraction(value)))
-        return super().__new__(cls, tuple(fixed))
-
-
-def nontrivial_invariant_polynomials(space: Space) -> tuple[MultiPoly, ...]:
-    """(I1, I3) restricted to the 5-parameter nontrivial subspace."""
-    i1, _, i3 = invariant_polynomials(space)
-    second = space.param_vars[1]
-    bindings = {second: MultiPoly.zero()}
-    return (i1.subst(bindings), i3.subst(bindings))
-
-
-def validate_coordinate_cross_section(
-        space: Space, cs: CrossSection,
-        invariants: Optional[Sequence[MultiPoly]] = None,
-        trials: int = 8) -> bool:
-    """Check that constant constraints define a coordinate cross-section.
-
-    True iff the Jacobian of the fundamental invariants with respect to the
-    unconstrained parameters reaches full rank at a generic rational point
-    of the section (exact rank; genericity by random sampling).
-    """
-    import random
-
-    from .generators import jacobian_rank
-
-    if invariants is None:
-        invariants = nontrivial_invariant_polynomials(space)
-    # Nontrivial-space coordinates reuse the first parameter symbol for the
-    # trace-adjusted combination; the second symbol is pinned to zero.
-    symbols = space.param_vars[:1] + space.param_vars[2:]
-    constrained = {symbols[idx]: value for idx, value in cs.constraints}
-    free = [s for s in symbols if s not in constrained]
-    if len(free) < len(invariants):
-        return False
-    rng = random.Random(20240831)
-    for _ in range(trials):
-        point = dict(constrained)
-        point.update({s: Fraction(rng.randint(1, 50), rng.randint(1, 7))
-                      for s in free})
-        if jacobian_rank(invariants, free, point) == len(invariants):
-            return True
-    return False
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -233,9 +174,3 @@ def canonical_form(space: Space, ec: str,
         else:
             values.append(Fraction(entry))
     return NontrivialKT(space, tuple(values))
-
-
-def canonical_params(space: Space, ec: str,
-                     k2: Optional[Fraction] = None) -> KTParams:
-    """The canonical representative embedded in the full 6-parameter space."""
-    return embed_nontrivial(canonical_form(space, ec, k2))

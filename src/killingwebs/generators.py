@@ -73,15 +73,6 @@ class LinearVectorField(NamedTuple("LinearVectorField",
         return LinearVectorField(self.domain, tuple(
             factor * c for c in self.coefficients))
 
-    def on_domain(self, domain: Sequence[str]) -> "LinearVectorField":
-        """Extend to a larger domain with zero coefficients elsewhere."""
-        domain = tuple(domain)
-        zero = MultiPoly.zero()
-        coeffs = []
-        for sym in domain:
-            coeffs.append(self.coefficient(sym) if sym in self.domain else zero)
-        return LinearVectorField(domain, tuple(coeffs))
-
 
 class StructureConstants(NamedTuple("StructureConstants", [("c", tuple)])):
     """[e_i, e_j] = sum_k c^k_ij e_k as the table c[i][j][k], 0-indexed."""
@@ -141,11 +132,10 @@ def coordinate_killing_vectors(space: Space) -> list[tuple[MultiPoly, MultiPoly]
     return [(one, zero), (zero, one), (-space.eps * w, u)]
 
 
-def _lie_derivative_tensor(space: Space, X: tuple[MultiPoly, MultiPoly],
-                           comps: tuple[MultiPoly, MultiPoly, MultiPoly]):
+def _lie_derivative_tensor(X: tuple[MultiPoly, MultiPoly],
+                           comps: tuple[MultiPoly, MultiPoly, MultiPoly],
+                           d: Sequence[str]):
     """(L_X K)^{ij} = X^k d_k K^{ij} - K^{kj} d_k X^i - K^{ik} d_k X^j."""
-    u, w = space.point_vars
-    d = (u, w)
     K = {(0, 0): comps[0], (0, 1): comps[1], (1, 0): comps[1], (1, 1): comps[2]}
     out = {}
     for i in range(2):
@@ -159,15 +149,15 @@ def _lie_derivative_tensor(space: Space, X: tuple[MultiPoly, MultiPoly],
     return (out[(0, 0)], out[(0, 1)], out[(1, 1)])
 
 
-def _lie_derivative_vector(space: Space, X, V):
-    """[X, V] componentwise for vector fields on the plane."""
-    u, w = space.point_vars
-    d = (u, w)
+def _bracket(X: Sequence[MultiPoly], V: Sequence[MultiPoly],
+             d: Sequence[str]) -> tuple[MultiPoly, ...]:
+    """[X, V]^i = X^k d_k V^i - V^k d_k X^i, the components taken on the
+    symbols d."""
     out = []
-    for i in range(2):
+    for Vi, Xi in zip(V, X):
         term = MultiPoly.zero()
-        for k in range(2):
-            term = term + X[k] * V[i].diff(d[k]) - V[k] * X[i].diff(d[k])
+        for Xk, Vk, sym in zip(X, V, d):
+            term = term + Xk * Vi.diff(sym) - Vk * Xi.diff(sym)
         out.append(term)
     return tuple(out)
 
@@ -184,12 +174,12 @@ def sigma_generators(space: Space, valence: int
     elif valence == 1:
         domain = KV_PARAM_VARS
         comps = kv_components(space, [var(v) for v in domain])
-        lie_derivative, extract = _lie_derivative_vector, extract_kv_params
+        lie_derivative, extract = _bracket, extract_kv_params
     else:
         raise DomainError("valence must be 1 or 2")
     fields = []
     for X in coordinate_killing_vectors(space):
-        extracted = extract(space, lie_derivative(space, X, comps))
+        extracted = extract(space, lie_derivative(X, comps, space.point_vars))
         fields.append(LinearVectorField(domain, tuple(extracted)))
     return tuple(fields)
 
@@ -214,39 +204,27 @@ def extended_generators(space: Space) -> list[LinearVectorField]:
 
 def joint_generators(space: Space, valences: Sequence[int]
                      ) -> list[LinearVectorField]:
-    """Block sums of per-valence generators on the product parameter space."""
+    """The per-valence generators side by side on the product parameter
+    space, whose per-valence symbols must be disjoint."""
     if not valences:
         raise DomainError("need at least one valence")
     per_valence = [sigma_generators(space, v) for v in valences]
-    domain: tuple[str, ...] = ()
-    for fields in per_valence:
-        for sym in fields[0].domain:
-            if sym in domain:
-                raise DomainError(
-                    "joint generators need disjoint parameter symbols; "
-                    f"{sym} appears twice")
-        domain = domain + fields[0].domain
-    out = []
-    for i in range(3):
-        total = per_valence[0][i].on_domain(domain)
-        for fields in per_valence[1:]:
-            total = total + fields[i].on_domain(domain)
-        out.append(total)
-    return out
+    domain = sum((fields[0].domain for fields in per_valence), ())
+    for i, sym in enumerate(domain):
+        if sym in domain[:i]:
+            raise DomainError("joint generators need disjoint parameter "
+                              f"symbols; {sym} appears twice")
+    return [LinearVectorField(domain, sum(
+        (fields[i].coefficients for fields in per_valence), ()))
+        for i in range(3)]
 
 
 def commutator(V: LinearVectorField, W: LinearVectorField) -> LinearVectorField:
     """Lie bracket [V, W] = V(W) - W(V), exactly."""
     if V.domain != W.domain:
         raise DomainError("domain mismatch")
-    coeffs = []
-    for k in range(len(V.domain)):
-        term = MultiPoly.zero()
-        for i, sym in enumerate(V.domain):
-            term = term + V.coefficients[i] * W.coefficients[k].diff(sym)
-            term = term - W.coefficients[i] * V.coefficients[k].diff(sym)
-        coeffs.append(term)
-    return LinearVectorField(V.domain, tuple(coeffs))
+    return LinearVectorField(V.domain, _bracket(V.coefficients,
+                                                W.coefficients, V.domain))
 
 
 class StructureCheck(NamedTuple):
@@ -264,12 +242,10 @@ def verify_structure_constants(fields: Sequence[LinearVectorField],
     r = len(fields)
     for i in range(r):
         for j in range(i + 1, r):
-            lhs = commutator(fields[i], fields[j])
-            rhs = fields[0].scale(Q(0))
+            residual = commutator(fields[i], fields[j])
             for k, coeff in enumerate(expected.bracket_coeffs(i, j)):
                 if coeff != 0:
-                    rhs = rhs + fields[k].scale(coeff)
-            residual = lhs - rhs.on_domain(fields[i].domain)
+                    residual = residual - fields[k].scale(coeff)
             report.append(StructureCheck(i, j, residual.is_zero(), residual))
     return report
 

@@ -4,8 +4,9 @@ I1-I3 and the covariants' coefficient rows are closed forms in epsilon and
 the parameters, written once for any ring: evaluated here on the integer
 numerators of an input over their common denominator d (a form of degree
 k takes d^k times its value), and in `symbolic` on `var` symbols.  The
-polynomials and the joint invariants live there; this module serves their
-names too.
+polynomials and the joint invariants live there; this module serves only
+`invariant_polynomials`, `covariant_polynomials` and
+`fundamental_covariants`, which the benchmark reaches through it.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from typing import NamedTuple, Optional
 from . import _forward
 from .signs import SignClass, row_sign_class
 from .spaces import DomainError, KTParams, Space, common_numerators
-
-
-class SubmanifoldError(DomainError):
-    """Raised when a slice-only invariant is requested off its slice."""
 
 
 # -- invariants and covariants, in any ring ---------------------------------
@@ -78,14 +75,6 @@ class AuxInvariants(NamedTuple):
     i2_prime: Optional[Fraction]          # None off the defining slice
 
 
-def slice_invariant_i2(p: KTParams) -> Fraction:
-    """The second auxiliary invariant, defined only on {I3 = 0, I1' = 0}."""
-    i2p = auxiliary_invariants(p).i2_prime
-    if i2p is None:
-        raise SubmanifoldError("not on invariant submanifold")
-    return i2p
-
-
 def auxiliary_invariants(p: KTParams) -> AuxInvariants:
     """The auxiliary Minkowski invariants I1' and I2', both exact."""
     if p.space.kind != "minkowski":
@@ -128,5 +117,4 @@ def invariant_report(p: KTParams) -> InvariantReport:
 
 
 __getattr__ = _forward(__name__, symbolic="""
-    invariant_polynomials covariant_polynomials fundamental_covariants
-    j2_oracle joint_invariant_polynomials joint_invariants""")
+    invariant_polynomials covariant_polynomials fundamental_covariants""")

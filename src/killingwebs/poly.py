@@ -138,14 +138,6 @@ class MultiPoly:
             raise PolynomialError("not a constant polynomial")
         return Fraction(self._terms.get(0, 0))
 
-    def total_degree(self, restrict: Sequence[str] | None = None) -> int:
-        """Total degree, optionally counting only the given variables."""
-        if not self._terms:
-            return 0
-        mask = -1 if restrict is None else sum(
-            MAX_EXPONENT << _shift(v) for v in set(restrict))
-        return max(sum(_exponents(key & mask)) for key in self._terms)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":

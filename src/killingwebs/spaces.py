@@ -4,7 +4,9 @@ Houses the metric data, the parameter vectors, the parsing of rationals,
 the dimension formula for Killing tensor spaces in constant-curvature
 spaces and the trace decomposition.  The tensor forms as polynomials, the
 Killing-equation and Poisson-bracket residuals and the eigenvalue
-discriminant live in `symbolic`; this module serves their names too.
+discriminant live in `symbolic`; this module serves only
+`eigen_discriminant` and `extract_kt_params`, which the benchmark reaches
+through it.
 """
 
 from __future__ import annotations
@@ -184,7 +186,5 @@ def reconstruct(l0: Fraction, nt: NontrivialKT) -> KTParams:
     return KTParams(nt.space, (l0 * g0 + p1, l0 * g1, p3, p4, p5, p6))
 
 
-__getattr__ = _forward(__name__, symbolic="""Coeff TensorField kt_components
-    general_killing_tensor symbolic_killing_tensor kv_components
-    extract_kt_params extract_kv_params lower_indices killing_residual
-    geodesic_poisson_check eigen_discriminant field_discriminant""")
+__getattr__ = _forward(__name__,
+                       symbolic="eigen_discriminant extract_kt_params")

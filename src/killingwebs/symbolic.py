@@ -3,7 +3,7 @@ their residuals, the eigenvalue discriminant, the invariants and covariants
 as polynomials, and the joint invariants: closed forms evaluated on
 integers, and as polynomials with their J2 oracle.  Verification and the
 other subcommands use it; classification does not.  `spaces`,
-`invariants` and the package serve its public names too."""
+`invariants` and the package serve a few of its names too."""
 
 from __future__ import annotations
 

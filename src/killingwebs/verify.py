@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .classify import classify_full
-from .frames import FrameDomainError, canonical_form, moving_frame
+from .frames import K2_CLASSES, FrameDomainError, canonical_form, moving_frame
 from .generators import (extended_generators, joint_generators,
                          sigma_generators, sigma_structure_constants,
                          verify_structure_constants)
@@ -170,7 +170,7 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
                     "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
                     "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"}
         for ec, tag in expect_m.items():
-            k2 = Fraction(1) if ec in ("EC5", "EC8", "EC9", "EC10") else None
+            k2 = Fraction(1) if ec in K2_CLASSES else None
             p = embed_nontrivial(canonical_form(MINKOWSKI, ec, k2))
             got = classify_full(p).web.tag
             if got != tag:
@@ -181,7 +181,7 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
     def discrete_classification():
         for ec in ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6", "EC7", "EC8",
                    "EC9", "EC10"):
-            k2 = Fraction(1) if ec in ("EC5", "EC8", "EC9", "EC10") else None
+            k2 = Fraction(1) if ec in K2_CLASSES else None
             p = embed_nontrivial(canonical_form(MINKOWSKI, ec, k2))
             base = classify_full(p).web.tag
             for r in discrete_group_elements():

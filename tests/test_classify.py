@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from killingwebs.classify import (ClassificationReport, _eigen_precondition,
                                   classify_euclidean, classify_full,
                                   classify_minkowski)
-from killingwebs.invariants import (AuxInvariants, SubmanifoldError,
-                                    auxiliary_invariants, invariant_report,
-                                    slice_invariant_i2)
+from killingwebs.invariants import (AuxInvariants, auxiliary_invariants,
+                                    invariant_report)
 from killingwebs.isometry import (IsometryElement, act_kt_params,
                                   discrete_act_params,
                                   discrete_group_elements, identity)
@@ -209,18 +208,12 @@ def test_full_report_matches_the_fraction_decomposition(space, data):
         assert (report.web is None) == nt.is_zero()
         assert report.invariants.aux == aux
     if aux is None:
-        for public in (auxiliary_invariants, slice_invariant_i2):
-            with pytest.raises(DomainError, match="Minkowski plane"):
-                public(p)
+        with pytest.raises(DomainError, match="Minkowski plane"):
+            auxiliary_invariants(p)
         return
     public = auxiliary_invariants(p)
     assert public == aux and type(public.i1_prime) is Fraction
-    if aux.i2_prime is None:
-        with pytest.raises(SubmanifoldError):
-            slice_invariant_i2(p)
-    else:
-        i2p = slice_invariant_i2(p)
-        assert i2p == aux.i2_prime and type(i2p) is Fraction
+    assert public.i2_prime is None or type(public.i2_prime) is Fraction
 
 
 def test_eigen_precondition_states():

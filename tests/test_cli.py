@@ -412,11 +412,11 @@ def test_acting_framing_and_joint_invariants_derive_nothing():
     lines = fresh("""
 import killingwebs.generators as generators
 from killingwebs.frames import moving_frame
-from killingwebs.invariants import joint_invariants
 from killingwebs.isometry import (act_kt_params, act_kt_params_float,
                                   act_kv_params, derived_kt_action,
                                   rotation_from_parameter)
 from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, KTParams, KVParams
+from killingwebs.symbolic import joint_invariants
 
 def refuse(*args):
     raise AssertionError("joint generators built")

@@ -39,9 +39,7 @@ from killingwebs.invariants import (covariant_polynomials,
                                     covariant_sign_classes,
                                     fundamental_covariants,
                                     fundamental_invariants,
-                                    invariant_polynomials, invariant_report,
-                                    joint_invariant_polynomials,
-                                    joint_invariants)
+                                    invariant_polynomials, invariant_report)
 from killingwebs.isometry import (_GROUP_VARS, IsometryElement, _derive,
                                   _kt_action, _kv_action,
                                   _transformed_components,
@@ -52,9 +50,10 @@ from killingwebs.poly import MultiPoly, var
 from killingwebs.signs import SignClass, quadratic_sign_class
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, Space, eigen_discriminant,
-                                embed_nontrivial, extract_kt_params,
-                                extract_kv_params)
-from killingwebs.symbolic import _joint_invariants
+                                embed_nontrivial, extract_kt_params)
+from killingwebs.symbolic import (_joint_invariants, extract_kv_params,
+                                  joint_invariant_polynomials,
+                                  joint_invariants)
 from samplers import literal_forms
 
 SPACES = [EUCLIDEAN, MINKOWSKI]

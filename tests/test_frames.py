@@ -1,4 +1,4 @@
-"""Moving frames, cross-sections, canonical forms, equivalence witnesses."""
+"""Moving frames, canonical forms, equivalence witnesses."""
 
 import math
 import random
@@ -8,16 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from killingwebs.frames import (RESIDUAL_TOL, CrossSection, FrameDomainError,
+from killingwebs.frames import (RESIDUAL_TOL, FrameDomainError,
                                 MovingFrameResult, canonical_form,
-                                canonical_params, moving_frame,
-                                nontrivial_invariant_polynomials,
-                                validate_coordinate_cross_section)
+                                moving_frame)
 from killingwebs.invariants import fundamental_invariants
 from killingwebs.isometry import (act_kt_params, act_kt_params_float,
                                   rotation_from_parameter)
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                decompose, embed_nontrivial)
+                                embed_nontrivial)
 from samplers import random_params
 
 
@@ -168,34 +166,6 @@ def test_frame_signs_of_zero_and_domain_messages():
     assert frame_outcome(fraction_frame, p) == str(info.value)
 
 
-# -- cross-sections -----------------------------------------------------------
-
-def test_invariant_level_cross_sections_validate():
-    k1 = CrossSection(((1, Fraction(0)), (2, Fraction(0)), (3, Fraction(0))))
-    assert validate_coordinate_cross_section(EUCLIDEAN, k1)
-    k3 = CrossSection(((0, Fraction(0)), (1, Fraction(0)), (2, Fraction(0))))
-    assert validate_coordinate_cross_section(EUCLIDEAN, k3)
-
-
-def test_over_constrained_section_is_rejected():
-    everything = CrossSection(tuple((i, Fraction(0)) for i in range(5)))
-    assert not validate_coordinate_cross_section(EUCLIDEAN, everything)
-
-
-def test_cross_section_constraint_validation():
-    with pytest.raises(DomainError):
-        CrossSection(((7, Fraction(0)),))
-    with pytest.raises(DomainError):
-        CrossSection(((1, Fraction(0)), (1, Fraction(1))))
-
-
-def test_nontrivial_invariant_polynomials_shape():
-    for space in (EUCLIDEAN, MINKOWSKI):
-        i1, i3 = nontrivial_invariant_polynomials(space)
-        assert space.param_vars[1] not in i1.variables
-        assert space.param_vars[1] not in i3.variables
-
-
 # -- canonical forms ----------------------------------------------------------
 
 def test_canonical_form_examples():
@@ -214,12 +184,6 @@ def test_canonical_form_k2_arity_checks():
         canonical_form(MINKOWSKI, "EC9", Fraction(-1))
     with pytest.raises(DomainError, match="unknown equivalence class"):
         canonical_form(EUCLIDEAN, "EC9")
-
-
-def test_canonical_params_embeds_with_zero_trace_slot():
-    p = canonical_params(MINKOWSKI, "EC3")
-    assert p.values[1] == 0
-    assert decompose(p)[0] == 0
 
 
 # -- equivalence witnesses ----------------------------------------------------

@@ -21,10 +21,10 @@ from killingwebs.generators import (LinearVectorField, commutator,
                                     sigma_structure_constants,
                                     verify_structure_constants)
 from killingwebs.invariants import (covariant_polynomials,
-                                    invariant_polynomials,
-                                    joint_invariant_polynomials)
+                                    invariant_polynomials)
 from killingwebs.poly import MultiPoly, poly, var
-from killingwebs.spaces import EUCLIDEAN, MINKOWSKI
+from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, DomainError
+from killingwebs.symbolic import joint_invariant_polynomials
 
 A = {i: var(f"alpha{i}") for i in range(1, 7)}
 B = {i: var(f"beta{i}") for i in range(1, 7)}
@@ -214,6 +214,15 @@ def test_joint_generator_block_structure():
             assert full.coefficient(sym) == small.coefficient(sym)
         for sym in big.domain:
             assert full.coefficient(sym) == big.coefficient(sym)
+
+
+def test_joint_generators_refuse_shared_symbols_and_no_valence():
+    """The Minkowski tensor symbols alpha1..6 reuse the vector's alpha1..3,
+    so the product space of the two has no disjoint coordinates."""
+    with pytest.raises(DomainError, match="alpha1 appears twice"):
+        joint_generators(MINKOWSKI, (1, 2))
+    with pytest.raises(DomainError, match="need at least one valence"):
+        joint_generators(EUCLIDEAN, ())
 
 
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])

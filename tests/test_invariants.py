@@ -8,20 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from killingwebs.frames import canonical_form
-from killingwebs.invariants import (SubmanifoldError, auxiliary_invariants,
+from killingwebs.invariants import (auxiliary_invariants,
                                     covariant_polynomials,
                                     fundamental_covariants,
                                     fundamental_invariants,
-                                    invariant_polynomials, j2_oracle,
-                                    joint_invariant_polynomials,
-                                    joint_invariants, slice_invariant_i2)
+                                    invariant_polynomials)
 from killingwebs.isometry import (act_kt_params, act_kv_params, act_point,
                                   discrete_group_elements)
 from killingwebs.poly import MultiPoly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                KVParams, embed_nontrivial,
-                                general_killing_tensor, metric_params,
-                                symbolic_killing_tensor)
+                                KVParams, embed_nontrivial, metric_params)
+from killingwebs.symbolic import (general_killing_tensor, j2_oracle,
+                                  joint_invariant_polynomials,
+                                  joint_invariants, symbolic_killing_tensor)
 from samplers import literal_forms, random_element, random_params
 
 A = {i: var(f"alpha{i}") for i in range(1, 7)}
@@ -207,14 +206,6 @@ def test_slice_invariant_on_parabolic_canonical_form():
     aux = auxiliary_invariants(p)
     assert aux.i1_prime == 0
     assert aux.i2_prime == Fraction(-1, 4)
-    assert slice_invariant_i2(p) == Fraction(-1, 4)
-
-
-def test_slice_invariant_rejects_off_slice_input():
-    with pytest.raises(SubmanifoldError, match="not on invariant submanifold"):
-        slice_invariant_i2(KTParams(MINKOWSKI, (0, 0, 0, 0, 0, 1)))
-    with pytest.raises(SubmanifoldError):
-        slice_invariant_i2(KTParams(MINKOWSKI, (0, 0, 0, 1, 2, 0)))
 
 
 def test_i1_prime_vanishes_on_the_symmetric_line():
@@ -268,10 +259,10 @@ def test_auxiliary_record_is_exact_and_i2_prime_lives_on_the_slice(values):
     p = KTParams(MINKOWSKI, values)
     aux = auxiliary_invariants(p)
     assert all(isinstance(v, Fraction) for v in aux if v is not None)
-    a4, a5, a6 = values[3:]
+    a1, a2, a3, a4, a5, a6 = values
     assert aux.i1_prime == a4 * a4 - a5 * a5
     if a6 == 0 and a4 * a4 == a5 * a5:
-        assert aux.i2_prime == slice_invariant_i2(p)
+        assert aux.i2_prime == 2 * a3 * a4 * a5 - (a1 + a2) * a4 * a4
     else:
         assert aux.i2_prime is None
 

@@ -29,8 +29,8 @@ from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   rotation_from_parameter)
 from killingwebs.poly import var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError,
-                                KTParams, KVParams, Space,
-                                general_killing_tensor)
+                                KTParams, KVParams, Space)
+from killingwebs.symbolic import general_killing_tensor
 from samplers import random_element, random_params
 
 

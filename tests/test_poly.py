@@ -154,11 +154,10 @@ def test_unknown_symbols_raise_polynomial_error():
 def test_degree_and_coefficient_queries():
     x, y = var("x"), var("y")
     p = x * x * y + 3 * y + 7
-    assert p.total_degree() == 3
-    assert p.total_degree(restrict=["y"]) == 1
     coeffs = p.coefficients_in(["x", "y"])
     assert coeffs[(2, 1)] == poly(1)
     assert coeffs[(0, 0)] == poly(7)
+    assert set(p.coefficients_in(["y"])) == {(1,), (0,)}
     assert p.variables == ("x", "y")
 
 
@@ -200,7 +199,7 @@ def test_pretty_keeps_the_tuple_layout_term_order(data, vp):
 
 def test_exponents_past_127_raise():
     x = var("x")
-    assert (x ** 127).total_degree() == 127
+    assert (x ** 127).coefficients_in(("x",)) == {(127,): 1}
     with pytest.raises(PolynomialError, match="exponent above 127"):
         x ** 128
     with pytest.raises(PolynomialError, match="exponent above 127"):

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from killingwebs.poly import poly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
-                                KVParams, NontrivialKT, TensorField, decompose,
+                                KVParams, NontrivialKT, decompose,
                                 dtt_dimension, eigen_discriminant,
                                 embed_nontrivial, extract_kt_params,
-                                field_discriminant,
-                                general_killing_tensor,
-                                geodesic_poisson_check, killing_residual,
-                                kt_components, kv_components,
-                                metric_params, reconstruct,
-                                symbolic_killing_tensor)
+                                metric_params, reconstruct)
+from killingwebs.symbolic import (TensorField, field_discriminant,
+                                  general_killing_tensor,
+                                  geodesic_poisson_check, killing_residual,
+                                  kt_components, kv_components,
+                                  symbolic_killing_tensor)
 
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
 param_vectors = st.tuples(*([rationals] * 6))

@@ -16,7 +16,6 @@ import pytest
 
 import killingwebs
 from killingwebs.classify import WebClass
-from killingwebs.frames import CrossSection
 from killingwebs.generators import LinearVectorField, StructureConstants
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   IsometryElement)
@@ -38,8 +37,8 @@ def _types(values):
     (lambda: setattr(KTParams(EUCLIDEAN, [0] * 6), "extra", 1),
      AttributeError()),
     (lambda: setattr(WebClass("EC7"), "tag", "EC2"), AttributeError()),
-    # Validation in the eight validating types (the rotation-curve and
-    # cross-section index checks have their own tests).
+    # Validation in the seven validating types (the rotation-curve check
+    # has its own tests).
     (lambda: KTParams(EUCLIDEAN, [0] * 5),
      PolynomialError("KTParams needs exactly 6 values")),
     (lambda: KVParams(EUCLIDEAN, [0] * 6),
@@ -64,9 +63,6 @@ def _types(values):
     (lambda: _types(IsometryElement(EUCLIDEAN, ExactRotation(1, 0),
                                     [1, 2]).trans),
      (tuple, {Fraction})),
-    (lambda: [(type(i), type(v))
-              for i, v in CrossSection([(0, 1), (3, 2)]).constraints],
-     [(int, Fraction)] * 2),
     # The repr names the class and each field.
     (lambda: repr(DiscreteReflection(("R1", "R2"))),
      "DiscreteReflection(word=('R1', 'R2'))"),
