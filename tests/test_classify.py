@@ -1,20 +1,24 @@
 """Web classification: table reproduction, invariance, robustness."""
 
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs.classify import (ClassificationReport, _eigen_precondition,
+from killingwebs.classify import (_CELLS, _GAP, ClassificationReport, WebClass,
+                                  _cell, _eigen_precondition,
                                   classify_euclidean, classify_full,
                                   classify_minkowski)
-from killingwebs.invariants import (AuxInvariants, auxiliary_invariants,
-                                    invariant_report)
+from killingwebs.invariants import (AuxInvariants, InvariantReport,
+                                    auxiliary_invariants, invariant_report)
 from killingwebs.isometry import (IsometryElement, act_kt_params,
                                   discrete_act_params,
                                   discrete_group_elements, identity)
+from killingwebs.signs import SignClass
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 NontrivialKT, decompose, embed_nontrivial,
                                 metric_params, reconstruct)
@@ -241,17 +245,19 @@ nonzero_small = small.filter(bool)
        nonzero_small, small)
 @settings(max_examples=100, deadline=None)
 def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
-    """The verdict is unchanged by the connected group, the discrete group,
-    nonzero scaling and adding a multiple of the metric."""
+    """The verdict and the cell are unchanged by the connected group, the
+    discrete group, nonzero scaling and adding a multiple of the metric."""
     p = KTParams(space, vals)
-    verdict = _eigen_precondition(invariant_report(p))
+    inv = invariant_report(p)
     metric = metric_params(space).values
     images = [act_kt_params(random_element(space, rng), p), p.scale(lam),
               KTParams(space, tuple(v + l0 * g for v, g in zip(vals, metric)))]
     if space.kind == "minkowski":
         images += [discrete_act_params(r, p) for r in discrete_group_elements()]
-    assert {_eigen_precondition(invariant_report(q)) for q in images} \
-        == {verdict}
+    reports = [invariant_report(q) for q in images]
+    assert {_eigen_precondition(r) for r in reports} \
+        == {_eigen_precondition(inv)}
+    assert {_cell(r) for r in reports} == {_cell(inv)}
 
 
 def test_eigen_precondition_does_not_depend_on_where_the_input_sits():
@@ -264,9 +270,9 @@ def test_eigen_precondition_does_not_depend_on_where_the_input_sits():
 
 
 def test_euclidean_tables_cross_check_each_other():
-    """Every Euclidean verdict passes through both the invariant table and
-    the covariant table; random nonzero inputs never trip the consistency
-    guard."""
+    """On random nonzero inputs the paper's invariant table and covariant
+    table agree (the oracle's consistency guard never trips), and the
+    classifier's table gives their class."""
     rng = random.Random(71)
     for _ in range(100):
         nt = NontrivialKT(EUCLIDEAN, tuple(
@@ -276,3 +282,179 @@ def test_euclidean_tables_cross_check_each_other():
             continue
         tag = classify_euclidean(nt).tag
         assert tag in EUCLIDEAN_EXPECTED.values()
+        assert tag == paper_class(invariant_report(embed_nontrivial(nt)))[0]
+
+
+# -- the census: the paper's decision trees are the oracle -------------------
+# The trees over I1, I3, the covariant sign classes and I2', and the verdict
+# from the signs that f and g take: the oracle for the cell table.
+
+def _classify_euclidean_by_invariants(i1: Fraction, i3: Fraction) -> str:
+    if i1 == 0:
+        return "Cartesian" if i3 == 0 else "Polar"
+    return "Parabolic" if i3 == 0 else "EllipticHyperbolic"
+
+
+def _classify_euclidean_by_covariants(s1: SignClass, s2: SignClass) -> str:
+    """The covariant rows: C1 zero / positive with C2 zero / both constant /
+    positive with C2 indefinite."""
+    if s1 == SignClass.ZERO:
+        return "Cartesian"
+    if s1 == SignClass.NONZERO_CONST and s2 in (SignClass.NONZERO_CONST,
+                                                SignClass.ZERO):
+        return "Parabolic"
+    if s1 == SignClass.POS and s2 == SignClass.ZERO:
+        return "Polar"
+    if s1 == SignClass.POS and s2 == SignClass.INDEF:
+        return "EllipticHyperbolic"
+    raise DomainError(
+        f"covariant sign pattern (C1={s1.value}, C2={s2.value}) matches no "
+        "tabulated row")
+
+
+def _euclidean_web(inv: InvariantReport) -> WebClass:
+    by_inv = _classify_euclidean_by_invariants(inv.i1, inv.i3)
+    by_cov = _classify_euclidean_by_covariants(inv.sign_c1, inv.sign_c2)
+    if by_inv != by_cov:
+        raise DomainError(
+            f"invariant table ({by_inv}) and covariant table ({by_cov}) "
+            "disagree; input outside the tables' common domain")
+    return WebClass(by_inv)
+
+
+def _minkowski_web(inv: InvariantReport) -> tuple[WebClass, tuple[str, ...]]:
+    caveats: list[str] = []
+    i1, i3, s2 = inv.i1, inv.i3, inv.sign_c2
+    if i3 < 0:
+        # K and -K generate the same web; the tabulated sign predicates
+        # read off the normalized representative -K.  Of the quantities
+        # below only I3 is odd, and only whether it vanishes is read.
+        caveats.append("parameters negated to normalize I3 > 0")
+
+    if i3 == 0:
+        if i1 != 0:
+            return WebClass("EC4"), tuple(caveats)
+        # Here I1 = (alpha4^2 - alpha5^2)^2, so the input lies on the slice
+        # where I2' is defined.
+        return (WebClass("EC1" if inv.aux.i2_prime == 0 else "EC3"),
+                tuple(caveats))
+
+    if i1 == 0:
+        if s2 == SignClass.ZERO:
+            return WebClass("EC2"), tuple(caveats)
+        if s2 == SignClass.POS:
+            return WebClass("EC7"), tuple(caveats)
+        raise DomainError(
+            f"sign pattern (I1=0, C2={s2.value}) matches no tabulated row")
+    if i1 > 0:
+        if s2 == SignClass.POS:
+            return WebClass("EC5_or_EC10"), tuple(caveats) + (
+                "EC5 and EC10 share all tabulated values; they cover "
+                "disjoint regions of the same plane",)
+        if s2 == SignClass.NEG:
+            return WebClass("EC9"), tuple(caveats)
+        raise DomainError(
+            f"sign pattern (I1>0, C2={s2.value}) matches no tabulated row")
+    return WebClass("EC6_or_EC8"), tuple(caveats)        # I1 < 0
+
+
+def _signs(a: int, b: int, c: int) -> set[int]:
+    """The signs that a s^2 + 2 b s + c takes as s runs over the reals."""
+    d = b * b - a * c
+    if d > 0:                   # a simple real root
+        return {-1, 0, 1}
+    # Else the sign of a, or of c when a = 0 (which forces b = 0), and 0 at
+    # a double root.
+    lead = a or c
+    sign = (lead > 0) - (lead < 0)
+    return {sign, 0} if d == 0 and a else {sign}
+
+
+def paper_eigen_precondition(inv: InvariantReport) -> str:
+    """The sign of the eigenvalue discriminant over the whole plane:
+    Euclidean, disc = (k00 - k11)^2 + 4 k01^2, whose two quadratics share a
+    real zero unless v4 = v5 = v6 = 0; Minkowski, disc = f(t - x) g(t + x)
+    with independent null coordinates, so it takes the products of the
+    signs of f and g."""
+    v1, v2, v3, v4, v5, v6 = inv.numerators
+    if inv.space.eps > 0:
+        if v4 == v5 == v6 == 0 and (v1 != v2 or v3 != 0):
+            return "satisfied"
+        return "degenerate"
+    signs = {x * y for x in _signs(v6, v5 - v4, v1 + v2 - 2 * v3)
+             for y in _signs(v6, v5 + v4, v1 + v2 + 2 * v3)}
+    if -1 in signs:
+        return "complex"
+    return "degenerate" if 0 in signs else "satisfied"
+
+
+def paper_class(inv: InvariantReport):
+    """(class tag or None for a metric multiple, verdict, caveats) of the
+    report's input by the paper's trees, as `classify_full` reports them;
+    a table gap raises `DomainError`."""
+    eps = inv.space.eps
+    n1, n2, n3, n4, n5, n6 = inv.numerators
+    precondition = paper_eigen_precondition(inv)
+    if n1 == eps * n2 and n3 == n4 == n5 == n6 == 0:
+        return None, precondition, ("trivial (multiple of metric), no web",)
+    if eps > 0:
+        return _euclidean_web(inv).tag, precondition, ()
+    web, caveats = _minkowski_web(inv)
+    if precondition == "complex":
+        caveats += ("eigenvalues complex on an open region of the plane; the "
+                    "tensor does not generate a web there",)
+    return web.tag, precondition, caveats
+
+
+def test_census_of_cells_matches_the_paper_trees():
+    """Over the {-1..1}^6 box in both planes the inputs reach every row of
+    the table and the gap, 18 cells, and `classify_full` gives the paper's
+    class, verdict and caveats on each input; on the gap both raise the
+    same message.  No other cell exists: f and g share the leading
+    coefficient v6, so both are quadratics (two, double or no real roots)
+    or neither is (linear, a nonzero constant or zero), and h has five root
+    types."""
+    cells = set()
+    for space in (EUCLIDEAN, MINKOWSKI):
+        for vals in itertools.product((-1, 0, 1), repeat=6):
+            p = KTParams(space, vals)
+            inv = invariant_report(p)
+            cells.add(_cell(inv))
+            assert _eigen_precondition(inv) == paper_eigen_precondition(inv)
+            try:
+                expected = paper_class(inv)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    classify_full(p)
+                assert str(got.value) == str(exc) == (
+                    "sign pattern (I1=0, C2=negative) matches no tabulated "
+                    "row")
+                assert _cell(inv) == _GAP
+                continue
+            report = classify_full(p)
+            assert (report.web and report.web.tag, report.eigen_precondition,
+                    report.caveats) == expected
+    assert _GAP not in _CELLS and len(_CELLS) == 17
+    assert cells == set(_CELLS) | {_GAP}
+
+
+def test_readme_table_is_the_cell_table():
+    """The README's table of cells lists every row of `_CELLS` and the gap,
+    with the class, the verdict and whether the row carries a caveat."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## How the class is decided", 1)[1]
+    rows = {}
+    for line in section.splitlines():
+        fields = [f.strip() for f in line.strip().strip("|").split("|")]
+        if fields[0] not in ("Euclidean", "Minkowski"):
+            continue
+        plane, cell, _, tag, verdict, caveat = fields
+        cell = cell.strip("`")
+        key = cell if plane == "Euclidean" else tuple(cell.split(", "))
+        rows[key] = (None if tag == "trivial" else tag, verdict, bool(caveat))
+    gap = invariant_report(KTParams(MINKOWSKI, (1, 1, 1, 0, 0, 1)))
+    assert _cell(gap) == _GAP
+    assert rows.pop(_GAP) == ("`DomainError`", _eigen_precondition(gap),
+                              False)
+    assert rows == {cell: (tag, verdict, bool(caveats))
+                    for cell, (tag, verdict, caveats) in _CELLS.items()}
