@@ -9,9 +9,10 @@ factors of the discriminant, disc = f(t - x) g(t + x), with
 f(s) = v6 s^2 + 2 (v5 - v4) s + (v1 + v2 - 2 v3) and
 g(s) = v6 s^2 + 2 (v5 + v4) s + (v1 + v2 + 2 v3).  `_CELLS` maps each cell
 to its class, its eigenvalue verdict and its caveats.  The two published
-ambiguities (EC5 vs EC10, EC6 vs EC8) are reported as merged tags, and the
-one cell no tabulated row covers raises.  The paper's decision trees over
-I1, I3, the covariant sign classes and I2' are the tests' oracle.
+ambiguities (EC5 vs EC10, EC6 vs EC8) are reported as merged tags; the
+cells where no web exists, and the one cell no tabulated row covers, get
+typed results.  The paper's decision trees over I1, I3, the covariant sign
+classes and I2' are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -87,7 +88,12 @@ _TRIVIAL = ("trivial (multiple of metric), no web",)
 # eigenvalue discriminant over the plane: "complex" if negative somewhere,
 # else "degenerate" if zero somewhere, else "satisfied"; the row's caveats).
 # f and g share the leading coefficient v6, so both are quadratics or
-# neither is.
+# neither is.  Where the paper's EC1 row has no real web (constants of
+# opposite signs: disc < 0 everywhere) or repeated eigenvalues everywhere
+# (a zero factor: disc = 0), the tag says so.  On (double, none), which no
+# tabulated row covers, disc = f g is nowhere negative and vanishes only on
+# the null line of the double root, as on EC7's (double, two) but without
+# a sign change: "degenerate".
 _CELLS = {
     "zero": (None, "degenerate", _TRIVIAL),
     "const": ("Cartesian", "satisfied", ()),
@@ -99,32 +105,25 @@ _CELLS = {
         "regions of the same plane",)),
     ("none", "two"): ("EC6_or_EC8", "complex", ()),
     ("double", "two"): ("EC7", "complex", ()),
+    ("double", "none"): ("outside_tables", "degenerate", (
+        "one null-coordinate factor has a double root and the other no real "
+        "root (I1 = 0, C2 negative): no tabulated row covers this cell",)),
     ("none", "none"): ("EC9", "satisfied", ()),
     ("double", "double"): ("EC2", "degenerate", ()),
     ("linear", "linear"): ("EC4", "complex", ()),
     ("const", "linear"): ("EC3", "complex", ()),
     ("const", "const", "same"): ("EC1", "satisfied", ()),
-    ("const", "const", "opposite"): ("EC1", "complex", ()),
-    ("const", "zero"): ("EC1", "degenerate", ()),
-    ("linear", "zero"): ("EC1", "degenerate", ()),
+    ("const", "const", "opposite"): ("no_real_web", "complex", ()),
+    ("const", "zero"): ("no_web_repeated_eigenvalue", "degenerate", ()),
+    ("linear", "zero"): ("no_web_repeated_eigenvalue", "degenerate", ()),
     ("zero", "zero"): (None, "degenerate", _TRIVIAL),
 }
-
-# f has a double root and g none (I1 = 0 with C2 negative): no tabulated
-# row names the class.  The discriminant f g is nowhere negative and
-# vanishes on the null line of the double root, so its verdict is
-# "degenerate".
-_GAP = ("double", "none")
 
 
 def _row(inv: InvariantReport) -> tuple[Optional[str], str, tuple[str, ...]]:
     """The row of the input's cell, with the negation caveat first on a
     Minkowski input with I3 < 0."""
-    row = _CELLS.get(_cell(inv))
-    if row is None:
-        raise DomainError(
-            "sign pattern (I1=0, C2=negative) matches no tabulated row")
-    tag, verdict, caveats = row
+    tag, verdict, caveats = _CELLS[_cell(inv)]
     if inv.space.eps < 0 and inv.i3 < 0:
         # K and -K generate the same web and share their cell; the tables
         # are written for the representative with I3 > 0.
@@ -151,10 +150,9 @@ def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
 
 
 def _eigen_precondition(inv: InvariantReport) -> str:
-    """The verdict of the input's cell, the gap included: the sign of the
-    eigenvalue discriminant over the whole plane."""
-    cell = _cell(inv)
-    return "degenerate" if cell == _GAP else _CELLS[cell][1]
+    """The verdict of the input's cell: the sign of the eigenvalue
+    discriminant over the whole plane."""
+    return _CELLS[_cell(inv)][1]
 
 
 def classify_full(p: KTParams) -> ClassificationReport:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs.classify import (_CELLS, _GAP, ClassificationReport, WebClass,
+from killingwebs.classify import (_CELLS, ClassificationReport, WebClass,
                                   _cell, _eigen_precondition,
                                   classify_euclidean, classify_full,
                                   classify_minkowski)
@@ -203,14 +204,10 @@ def test_full_report_matches_the_fraction_decomposition(space, data):
     l0, nt = decompose(p)
     aux = fraction_auxiliary(p.values) if space is MINKOWSKI else None
     assert invariant_report(p).aux == aux
-    try:
-        report = classify_full(p)
-    except DomainError:                 # a table gap: never a trivial input
-        assert not nt.is_zero()
-    else:
-        assert report.l0 == l0 and type(report.l0) is Fraction
-        assert (report.web is None) == nt.is_zero()
-        assert report.invariants.aux == aux
+    report = classify_full(p)
+    assert report.l0 == l0 and type(report.l0) is Fraction
+    assert (report.web is None) == nt.is_zero()
+    assert report.invariants.aux == aux
     if aux is None:
         with pytest.raises(DomainError, match="Minkowski plane"):
             auxiliary_invariants(p)
@@ -258,6 +255,67 @@ def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
     assert {_eigen_precondition(r) for r in reports} \
         == {_eigen_precondition(inv)}
     assert {_cell(r) for r in reports} == {_cell(inv)}
+
+
+# The cell no tabulated row covers: f has a double root and g none.
+GAP = ("double", "none")
+GAP_BASE = KTParams(MINKOWSKI, (0, 3, Fraction(-1, 2), 1, 0, Fraction(1, 2)))
+
+
+@given(st.randoms(use_true_random=False), nonzero_small, small)
+@settings(max_examples=100, deadline=None)
+def test_gap_witnesses_stay_outside_the_tables(rng, lam, l0):
+    """Orbit images of a gap witness under the connected group, the eight
+    discrete elements, nonzero scaling and metric shifts, alone and
+    composed, are all reported as `outside_tables` with a degenerate
+    verdict."""
+    moved = act_kt_params(random_element(MINKOWSKI, rng), GAP_BASE)
+    metric = metric_params(MINKOWSKI).values
+
+    def shifted(q):
+        return KTParams(MINKOWSKI, tuple(v + l0 * g
+                                         for v, g in zip(q.values, metric)))
+
+    images = [moved, GAP_BASE.scale(lam), shifted(GAP_BASE)]
+    for r in discrete_group_elements():
+        images += [discrete_act_params(r, GAP_BASE),
+                   shifted(discrete_act_params(r, moved).scale(lam))]
+    for q in images:
+        report = classify_full(q)
+        assert _cell(report.invariants) == GAP
+        assert (report.web.tag, report.eigen_precondition) \
+            == ("outside_tables", "degenerate")
+
+
+_sparse_ints = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI], ids=str)
+@given(st.lists(st.tuples(*[_sparse_ints] * 6), min_size=2, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_equal_tags_have_equal_verdicts(space, inputs):
+    """A class tag fixes the eigenvalue verdict: no tag names both a web and
+    a plane where the tensor generates none."""
+    verdicts = defaultdict(set)
+    for vals in inputs:
+        report = classify_full(KTParams(space, vals))
+        verdicts[report.web and report.web.tag].add(report.eigen_precondition)
+    assert all(len(v) == 1 for v in verdicts.values()), dict(verdicts)
+
+
+def test_every_input_in_the_box_gets_a_report():
+    """Every nonzero integer input in {-2..2}^6 gets a report in both planes,
+    with no exception; the box reaches every class of the table, and each
+    class comes with one verdict."""
+    verdicts = defaultdict(set)
+    for space in (EUCLIDEAN, MINKOWSKI):
+        for vals in itertools.product(range(-2, 3), repeat=6):
+            if any(vals):
+                report = classify_full(KTParams(space, vals))
+                verdicts[report.web and report.web.tag].add(
+                    report.eigen_precondition)
+    assert verdicts == {tag: {verdict}
+                        for tag, verdict, _ in _CELLS.values()}
 
 
 def test_eigen_precondition_does_not_depend_on_where_the_input_sits():
@@ -390,8 +448,8 @@ def paper_eigen_precondition(inv: InvariantReport) -> str:
 
 def paper_class(inv: InvariantReport):
     """(class tag or None for a metric multiple, verdict, caveats) of the
-    report's input by the paper's trees, as `classify_full` reports them;
-    a table gap raises `DomainError`."""
+    report's input by the paper's trees; the cell the trees have no row for
+    raises `DomainError`."""
     eps = inv.space.eps
     n1, n2, n3, n4, n5, n6 = inv.numerators
     precondition = paper_eigen_precondition(inv)
@@ -406,14 +464,23 @@ def paper_class(inv: InvariantReport):
     return web.tag, precondition, caveats
 
 
+# The paper's EC1 row, split by the verdict of its cells.
+EC1_SPLIT = {"satisfied": "EC1", "complex": "no_real_web",
+             "degenerate": "no_web_repeated_eigenvalue"}
+
+
 def test_census_of_cells_matches_the_paper_trees():
     """Over the {-1..1}^6 box in both planes the inputs reach every row of
-    the table and the gap, 18 cells, and `classify_full` gives the paper's
-    class, verdict and caveats on each input; on the gap both raise the
-    same message.  No other cell exists: f and g share the leading
-    coefficient v6, so both are quadratics (two, double or no real roots)
-    or neither is (linear, a nonzero constant or zero), and h has five root
-    types."""
+    the table, 18 cells, and `classify_full` gives the paper's class,
+    verdict and caveats on each input, with the paper's EC1 split by its
+    verdict.  Where the trees raise, on the cell they have no row for,
+    `classify_full` gives the typed row `outside_tables`.  No other cell
+    exists: f and g share the leading coefficient v6, so both are
+    quadratics (two, double or no real roots) or neither is (linear, a
+    nonzero constant or zero), and h has five root types."""
+    assert _CELLS[GAP][:2] == ("outside_tables", "degenerate")
+    assert "double root" in _CELLS[GAP][2][0]
+    assert "no real root" in _CELLS[GAP][2][0]
     cells = set()
     for space in (EUCLIDEAN, MINKOWSKI):
         for vals in itertools.product((-1, 0, 1), repeat=6):
@@ -422,25 +489,26 @@ def test_census_of_cells_matches_the_paper_trees():
             cells.add(_cell(inv))
             assert _eigen_precondition(inv) == paper_eigen_precondition(inv)
             try:
-                expected = paper_class(inv)
+                tag, verdict, caveats = paper_class(inv)
             except DomainError as exc:
-                with pytest.raises(DomainError) as got:
-                    classify_full(p)
-                assert str(got.value) == str(exc) == (
-                    "sign pattern (I1=0, C2=negative) matches no tabulated "
-                    "row")
-                assert _cell(inv) == _GAP
-                continue
+                assert str(exc) == ("sign pattern (I1=0, C2=negative) matches "
+                                    "no tabulated row")
+                assert _cell(inv) == GAP
+                negated = ("parameters negated to normalize I3 > 0",)
+                tag, verdict = "outside_tables", paper_eigen_precondition(inv)
+                caveats = (negated if inv.i3 < 0 else ()) + _CELLS[GAP][2]
+            if tag == "EC1":
+                tag = EC1_SPLIT[verdict]
             report = classify_full(p)
             assert (report.web and report.web.tag, report.eigen_precondition,
-                    report.caveats) == expected
-    assert _GAP not in _CELLS and len(_CELLS) == 17
-    assert cells == set(_CELLS) | {_GAP}
+                    report.caveats) == (tag, verdict, caveats)
+    assert len(_CELLS) == 18
+    assert cells == set(_CELLS)
 
 
 def test_readme_table_is_the_cell_table():
-    """The README's table of cells lists every row of `_CELLS` and the gap,
-    with the class, the verdict and whether the row carries a caveat."""
+    """The README's table of cells lists every row of `_CELLS`, with the
+    class, the verdict and whether the row carries a caveat."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## How the class is decided", 1)[1]
     rows = {}
@@ -452,9 +520,5 @@ def test_readme_table_is_the_cell_table():
         cell = cell.strip("`")
         key = cell if plane == "Euclidean" else tuple(cell.split(", "))
         rows[key] = (None if tag == "trivial" else tag, verdict, bool(caveat))
-    gap = invariant_report(KTParams(MINKOWSKI, (1, 1, 1, 0, 0, 1)))
-    assert _cell(gap) == _GAP
-    assert rows.pop(_GAP) == ("`DomainError`", _eigen_precondition(gap),
-                              False)
     assert rows == {cell: (tag, verdict, bool(caveats))
                     for cell, (tag, verdict, caveats) in _CELLS.items()}

@@ -131,6 +131,20 @@ def test_batch_stops_at_first_bad_record(tmp_path, capsys):
     assert "expected 6 comma-separated rationals" in err
 
 
+def test_batch_answers_the_cell_no_tabulated_row_covers(tmp_path, capsys):
+    """Two records in the cell (double, none), the second one record 27 of
+    the dense benchmark corpus at seed 23, between good records: one line
+    per record and status 0."""
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(["0,0,0,0,1", "0,2,-1,0,0,3/2",
+                                 "-2,-4,3/2,-5/2,-1/2,-3", "1,0,0,0,0"]))
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch", str(batch))
+    assert (status, err) == (0, "")
+    assert [json.loads(line)["class"] for line in out.splitlines()] == [
+        "EC2", "outside_tables", "outside_tables", "EC1"]
+
+
 BEYOND_FLOAT = [f"1,2,3,{10 ** 200},5,7", f"1,2,3,5,3,1/{10 ** 400}"]
 
 
