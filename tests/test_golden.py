@@ -3,8 +3,8 @@
 `tests/data/golden_cli.jsonl` holds one JSON object per CLI invocation:
 the argument list, the exit status and the exact stdout and stderr.  The
 tests replay every invocation in-process and compare all four.  The
-goldens pin the JSON lines of `classify`, the table-gap error message and
-status, the text output of `classify`, `covariants --point` and
+goldens pin the JSON lines of `classify`, the report on the cell no
+tabulated row covers, the text output of `classify`, `covariants --point` and
 `invariants`, the JSON output of `invariants` (exact and `--mode float`),
 the `verify` suite's report (JSON and text), `joint` (exact and float),
 `generators`, `orbit-dim` and `frame` (whose float `repr`s pin the float
@@ -40,7 +40,8 @@ EUCLIDEAN_ROWS = ("EC1", "EC2", "EC3", "EC4")
 MINKOWSKI_ROWS = ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6", "EC7", "EC8",
                   "EC9", "EC10")
 K2_ROWS = ("EC5", "EC8", "EC9", "EC10")
-TABLE_GAP = ["classify", "--space", "minkowski", "--params=0,2,-1,0,0,3/2"]
+TABLE_GAP = ["classify", "--space", "minkowski", "--params=0,2,-1,0,0,3/2",
+             "--output", "json"]
 ROWS = ([("euclidean", ec, None) for ec in EUCLIDEAN_ROWS]
         + [("minkowski", ec, k2) for ec in MINKOWSKI_ROWS
            for k2 in ((Fraction(1), Fraction(4), Fraction(1, 16))
@@ -77,7 +78,8 @@ def _inputs() -> list[tuple[str, list[str]]]:
         l0 = _rational(rng, 7, 3)                    # trivial inputs
         metric = (1, 1) if space == "euclidean" else (1, -1)
         classify(space, [l0 * metric[0], l0 * metric[1], 0, 0, 0, 0])
-        classify(space, [0] * 6)
+        if space == "minkowski":    # a Euclidean sparse draw is zero
+            classify(space, [0] * 6)
         for _ in range(4):                           # five nontrivial slots
             classify(space, [_rational(rng, 12, 5) for _ in range(5)])
     for space, ec, k2 in ROWS:                       # the canonical rows
@@ -185,7 +187,8 @@ def _frame_inputs() -> list[tuple[str, list[str]]]:
             for _ in range(6 if output == "json" else 2):    # up to 10^6
                 frame(space, [_rational(rng, 10 ** 6, 10 ** 6)
                               for _ in range(6)], output)
-            frame(space, [0, 0, 0, 0, 0, 1], output)  # zero angle
+            if output == "text":        # JSON: canonical EC2 above
+                frame(space, [0, 0, 0, 0, 0, 1], output)  # zero angle
     for output in ("json", "text"):
         # Euclidean quarter-angle branch: b1 = b2 and b4 = b5, b3 != 0.
         frame("euclidean", [1, 1, 1, 0, 0, 1], output)
@@ -287,7 +290,7 @@ def test_golden_inventory():
     sections = _load()
     assert len(sections["classify-json"]) >= 120
     assert [e["argv"] for e in sections["table-gap"]] == [TABLE_GAP]
-    assert sections["table-gap"][0]["status"] == 1
+    assert sections["table-gap"][0]["status"] == 0
 
 
 @pytest.mark.parametrize("section", ["classify-json", "table-gap",
