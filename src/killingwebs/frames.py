@@ -124,28 +124,31 @@ def moving_frame(p: KTParams) -> MovingFrameResult:
 
 # -- canonical forms ---------------------------------------------------------
 
+# Each row is (values at k2 = 0, coefficients of k2); the classes that take
+# k2 are the rows with a nonzero coefficient.
+_NO_K2 = (0, 0, 0, 0, 0)
+
 _EUCLIDEAN_CANONICAL = {
-    "EC1": (1, 0, 0, 0, 0),
-    "EC2": (0, 0, 0, 0, 1),
-    "EC3": (0, 0, 0, 1, 0),
-    "EC4": (1, 0, 0, 0, 1),
+    "EC1": ((1, 0, 0, 0, 0), _NO_K2),
+    "EC2": ((0, 0, 0, 0, 1), _NO_K2),
+    "EC3": ((0, 0, 0, 1, 0), _NO_K2),
+    "EC4": ((1, 0, 0, 0, 1), _NO_K2),
 }
 
-# Entries may reference k2 via the sentinel strings below.
 _MINKOWSKI_CANONICAL = {
-    "EC1": (1, 0, 0, 0, 0),
-    "EC2": (0, 0, 0, 0, 1),
-    "EC3": (Q(1, 2), Q(1, 4), Q(-1, 2), Q(1, 2), 0),
-    "EC4": (0, 0, 0, 1, 0),
-    "EC5": ("2k2", 0, 0, 0, Q(-1, 4)),
-    "EC6": (Q(1, 4), Q(1, 4), 0, 0, Q(1, 4)),
-    "EC7": (Q(-1, 2), Q(-1, 4), 0, 0, Q(1, 4)),
-    "EC8": (0, "-k2", 0, 0, Q(1, 4)),
-    "EC9": ("2k2", 0, 0, 0, Q(1, 4)),
-    "EC10": ("-2k2", 0, 0, 0, Q(1, 4)),
+    "EC1": ((1, 0, 0, 0, 0), _NO_K2),
+    "EC2": ((0, 0, 0, 0, 1), _NO_K2),
+    "EC3": ((Q(1, 2), Q(1, 4), Q(-1, 2), Q(1, 2), 0), _NO_K2),
+    "EC4": ((0, 0, 0, 1, 0), _NO_K2),
+    "EC5": ((0, 0, 0, 0, Q(-1, 4)), (2, 0, 0, 0, 0)),
+    "EC6": ((Q(1, 4), Q(1, 4), 0, 0, Q(1, 4)), _NO_K2),
+    "EC7": ((Q(-1, 2), Q(-1, 4), 0, 0, Q(1, 4)), _NO_K2),
+    "EC8": ((0, 0, 0, 0, Q(1, 4)), (0, -1, 0, 0, 0)),
+    "EC9": ((0, 0, 0, 0, Q(1, 4)), (2, 0, 0, 0, 0)),
+    "EC10": ((0, 0, 0, 0, Q(1, 4)), (-2, 0, 0, 0, 0)),
 }
 
-K2_CLASSES = {"EC5", "EC8", "EC9", "EC10"}
+K2_CLASSES = {ec for ec, (_, k2) in _MINKOWSKI_CANONICAL.items() if any(k2)}
 
 
 def canonical_form(space: Space, ec: str,
@@ -156,21 +159,13 @@ def canonical_form(space: Space, ec: str,
     ec = ec.upper()
     if ec not in table:
         raise DomainError(f"unknown equivalence class {ec!r} for {space.kind}")
-    needs_k2 = space.kind == "minkowski" and ec in K2_CLASSES
-    if needs_k2 and k2 is None:
+    base, per_k2 = table[ec]
+    if any(per_k2) and k2 is None:
         raise DomainError(f"{ec} requires a k2 value")
-    if not needs_k2 and k2 is not None:
+    if not any(per_k2) and k2 is not None:
         raise DomainError(f"{ec} does not take a k2 value")
     if k2 is not None and Fraction(k2) <= 0:
         raise DomainError("k2 must be positive")
-    values = []
-    for entry in table[ec]:
-        if entry == "2k2":
-            values.append(2 * Fraction(k2))
-        elif entry == "-2k2":
-            values.append(-2 * Fraction(k2))
-        elif entry == "-k2":
-            values.append(-Fraction(k2))
-        else:
-            values.append(Fraction(entry))
-    return NontrivialKT(space, tuple(values))
+    k2 = Fraction(k2 or 0)
+    return NontrivialKT(space, tuple(Fraction(v) + c * k2
+                                     for v, c in zip(base, per_k2)))

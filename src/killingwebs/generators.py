@@ -74,55 +74,18 @@ class LinearVectorField(NamedTuple("LinearVectorField",
             factor * c for c in self.coefficients))
 
 
-class StructureConstants(NamedTuple("StructureConstants", [("c", tuple)])):
-    """[e_i, e_j] = sum_k c^k_ij e_k as the table c[i][j][k], 0-indexed."""
-    __slots__ = ()
+def sigma_structure_constants(space: Space
+                              ) -> dict[tuple[int, int], dict[int, int]]:
+    """[V_i, V_j] = sum_k c[i, j][k] V_k for the derived parameter-space
+    generators, keyed by i < j only, so antisymmetry holds by construction.
 
-    def __new__(cls, c: tuple):
-        r = len(c)
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise DomainError("structure constants must be antisymmetric")
-        return super().__new__(cls, c)
-
-    def bracket_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.c[i][j])
-
-    def scale(self, factor) -> "StructureConstants":
-        return StructureConstants(tuple(
-            tuple(tuple(factor * x for x in row) for row in plane)
-            for plane in self.c))
-
-
-def _constants(r: int, entries: dict[tuple[int, int, int], Fraction]
-               ) -> StructureConstants:
-    c = [[[Q(0)] * r for _ in range(r)] for _ in range(r)]
-    for (i, j, k), value in entries.items():
-        c[i][j][k] = Fraction(value)
-        c[j][i][k] = -Fraction(value)
-    return StructureConstants(tuple(tuple(tuple(row) for row in plane)
-                                    for plane in c))
-
-
-def coordinate_structure_constants(space: Space) -> StructureConstants:
-    """Commutator table of the coordinate Killing vector basis.
-
-    Euclidean basis (X, Y, R): [X,R] = Y, [Y,R] = -X.
-    Minkowski basis (T, X, H): [T,H] = X, [X,H] = T.
+    The coordinate Killing vectors commute as [X,R] = Y, [Y,R] = -X in the
+    Euclidean basis (X, Y, R) and as [T,H] = X, [X,H] = T in the Minkowski
+    basis (T, X, H).  The map sending a matrix A to the linear vector field
+    (A b)^i d/db^i reverses Lie brackets, so the derived fields realize
+    that table with one global sign on every structure constant.
     """
-    return _constants(3, {(0, 2, 1): Q(1), (1, 2, 0): Q(-space.eps)})
-
-
-def sigma_structure_constants(space: Space) -> StructureConstants:
-    """Commutator table satisfied by the derived parameter-space generators.
-
-    The map sending a matrix A to the linear vector field (A b)^i d/db^i
-    reverses Lie brackets, so the derived fields realize the coordinate
-    algebra with one global sign on every structure constant.
-    """
-    return coordinate_structure_constants(space).scale(Q(-1))
+    return {(0, 1): {}, (0, 2): {1: -1}, (1, 2): {0: space.eps}}
 
 
 def coordinate_killing_vectors(space: Space) -> list[tuple[MultiPoly, MultiPoly]]:
@@ -227,27 +190,18 @@ def commutator(V: LinearVectorField, W: LinearVectorField) -> LinearVectorField:
                                                 W.coefficients, V.domain))
 
 
-class StructureCheck(NamedTuple):
-    i: int
-    j: int
-    passed: bool
-    residual: LinearVectorField
-
-
-def verify_structure_constants(fields: Sequence[LinearVectorField],
-                               expected: StructureConstants
-                               ) -> list[StructureCheck]:
-    """Check [V_i, V_j] = sum_k c^k_ij V_k pair by pair, exactly."""
-    report = []
-    r = len(fields)
-    for i in range(r):
-        for j in range(i + 1, r):
-            residual = commutator(fields[i], fields[j])
-            for k, coeff in enumerate(expected.bracket_coeffs(i, j)):
-                if coeff != 0:
-                    residual = residual - fields[k].scale(coeff)
-            report.append(StructureCheck(i, j, residual.is_zero(), residual))
-    return report
+def structure_residuals(fields: Sequence[LinearVectorField],
+                        table: Mapping[tuple[int, int], Mapping[int, int]]
+                        ) -> dict[tuple[int, int], LinearVectorField]:
+    """[V_i, V_j] - sum_k c[i, j][k] V_k for each pair of the table,
+    exactly; the fields realize the table iff every residual is zero."""
+    residuals = {}
+    for (i, j), row in table.items():
+        residual = commutator(fields[i], fields[j])
+        for k, coeff in row.items():
+            residual = residual - fields[k].scale(coeff)
+        residuals[i, j] = residual
+    return residuals
 
 
 def orbit_dimension(fields: Sequence[LinearVectorField],

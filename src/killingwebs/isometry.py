@@ -56,10 +56,6 @@ class IsometryElement(NamedTuple("IsometryElement",
     def trans(self) -> tuple:
         return Fraction(self.A, self.D), Fraction(self.B, self.D)
 
-    def cs(self) -> tuple:
-        """The rotation/boost matrix entries (c, s)."""
-        return self.rot
-
     def matrix(self):
         return _matrix(self.space, *self.rot)
 

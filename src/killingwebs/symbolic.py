@@ -1,9 +1,9 @@
 """The symbolic layer: Killing tensors and vectors as polynomial fields,
 their residuals, the eigenvalue discriminant, the invariants and covariants
 as polynomials, and the joint invariants: closed forms evaluated on
-integers, and as polynomials with their J2 oracle.  Verification and the
-other subcommands use it; classification does not.  `spaces`,
-`invariants` and the package serve a few of its names too."""
+integers, and as polynomials.  Verification and the other subcommands use
+it; classification does not.  `spaces`, `invariants` and the package serve
+a few of its names too."""
 
 from __future__ import annotations
 
@@ -214,7 +214,9 @@ def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
 def _joint_invariants(alpha, beta):
     """(J1, J2) of the Euclidean vector alpha and tensor beta, in any ring,
     homogeneous of degrees (2, 2) and (2, 4) in (alpha, beta).  The pairs
-    (P, Q) and (D, 2X) turn with weights 1 and 2 under the rotation."""
+    (P, Q) and (D, 2X) turn with weights 1 and 2 under the rotation.  J2
+    is the completion solved from the annihilation system; the tabulated
+    form is corrupt at the source (the tests keep its readings)."""
     a1, a2, a3 = alpha
     _, _, _, b4, b5, b6 = beta
     p, q = b6 * a1 - b4 * a3, b6 * a2 + b5 * a3
@@ -236,56 +238,9 @@ def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
             Fraction(j1, den), Fraction(j2, den * db * db))
 
 
-def _j2_candidates() -> dict[str, MultiPoly]:
-    """Candidate expressions for the sixth fundamental joint invariant.
-
-    The tabulated closed form for this invariant is corrupt at the source:
-    it references a vector parameter that does not exist, and a weight
-    count under the rotation generator shows that no expression linear in
-    the vector parameters can be rotation invariant at all.  The plausible
-    one-symbol repairs of the tabulated form are therefore kept in the
-    pool (and expected to fail), alongside the completion derived by
-    solving the annihilation system directly: J2 of `_joint_invariants`.
-    """
-    a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
-    b = {i: var(f"beta{i}") for i in range(1, 7)}
-    # The tabulated form (beta6 alpha2 + alpha5 alpha3) s2 + tail, as printed.
-    tail = 2 * (b[3] * b[6] + b[4] * b[5]) * (b[6] * a[1] - b[4] * a[3])
-    s2 = b[6] * b[2] - b[5] ** 2
-    return {
-        "tabulated, alpha5 read as beta5": (b[6] * a[2] + a[3] * b[5]) * s2 + tail,
-        "tabulated, alpha5 read as beta4": (b[6] * a[2] + a[3] * b[4]) * s2 + tail,
-        "tabulated, alpha5 read as -beta5": (b[6] * a[2] - a[3] * b[5]) * s2 + tail,
-        "derived weight-matched completion":
-            _joint_invariants(a.values(), b.values())[1],
-    }
-
-
-@lru_cache(maxsize=None)
-def j2_oracle() -> tuple[str, MultiPoly, tuple[str, ...]]:
-    """Select J2 by exact annihilation under the joint generators.
-
-    Returns (selected name, polynomial, rejected names); raises if the
-    pool does not contain exactly one annihilated candidate.
-    """
-    from .generators import joint_generators
-    fields = joint_generators(EUCLIDEAN, (1, 2))
-    survivors, rejected = [], []
-    for name, j2 in _j2_candidates().items():
-        if all(f.apply(j2).is_zero() for f in fields):
-            survivors.append((name, j2))
-        else:
-            rejected.append(name)
-    if len(survivors) != 1:
-        raise DomainError(
-            f"J2 oracle selected {len(survivors)} candidate readings; "
-            "expected exactly one")
-    return (*survivors[0], tuple(rejected))
-
-
 @lru_cache(maxsize=None)
 def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     """(I1, I2, I3, I4, J1, J2) on the 9-symbol Euclidean product space."""
     alpha = [var(v) for v in KV_PARAM_VARS]
-    j1, _ = _joint_invariants(alpha, [var(v) for v in EUCLIDEAN.param_vars])
-    return (*invariant_polynomials(EUCLIDEAN), alpha[2], j1, j2_oracle()[1])
+    return (*invariant_polynomials(EUCLIDEAN), alpha[2],
+            *_joint_invariants(alpha, [var(v) for v in EUCLIDEAN.param_vars]))

@@ -399,7 +399,7 @@ print(killingwebs.poly is sys.modules["killingwebs.poly"].poly)
     unexecuted = [f"{name} False" for name in LAZY]
     assert lines[:n] == unexecuted
     assert lines[n + 1:2 * n + 1] == unexecuted
-    assert lines[2 * n + 1] == "checks 24"
+    assert lines[2 * n + 1] == "checks 23"
     assert lines[2 * n + 2:] == [f"{name} True" for name in LAZY] + ["True"]
 
 
@@ -503,5 +503,5 @@ assert cli.verify is verify
 status = cli.run(["verify", "--trials", "1", "--output", "json"])
 print(status, len(names))
 """)
-    assert len(json.loads(lines[0])) == 24
-    assert lines[1] == "0 24"
+    assert len(json.loads(lines[0])) == 23
+    assert lines[1] == "0 23"

@@ -205,7 +205,7 @@ def elements(draw, space):
 def test_group_action_matches_substitution(space, data, vals):
     p = KTParams(space, vals)
     g = data.draw(elements(space))
-    comps = _transformed_components(space, p.values, g.cs(), g.trans)
+    comps = _transformed_components(space, p.values, g.rot, g.trans)
     oracle = tuple(v.constant_value() for v in extract_kt_params(space, comps))
     assert act_kt_params(g, p).values == oracle
 
@@ -216,7 +216,7 @@ def test_group_action_matches_substitution(space, data, vals):
 def test_vector_action_matches_substitution(space, data, vals):
     kv = KVParams(space, vals)
     g = data.draw(elements(space))
-    comps = _transformed_vector(space, kv.values, g.cs(), g.trans)
+    comps = _transformed_vector(space, kv.values, g.rot, g.trans)
     oracle = tuple(v.constant_value() for v in extract_kv_params(space, comps))
     assert act_kv_params(g, kv).values == oracle
 
@@ -225,7 +225,7 @@ floats = st.one_of(st.floats(-10, 10), st.floats(-BIG, BIG))
 float_pairs = st.tuples(floats, floats)
 # (cs, trans) per plane, built once: an exact element's, or any floats.
 float_actions = {space: st.one_of(
-    elements(space).map(lambda g: (g.cs(), g.trans)),
+    elements(space).map(lambda g: (g.rot, g.trans)),
     st.tuples(float_pairs, float_pairs)) for space in SPACES}
 
 

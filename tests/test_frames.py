@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from killingwebs.frames import (RESIDUAL_TOL, FrameDomainError,
+from killingwebs.frames import (K2_CLASSES, RESIDUAL_TOL, FrameDomainError,
                                 MovingFrameResult, canonical_form,
                                 moving_frame)
 from killingwebs.invariants import fundamental_invariants
@@ -173,6 +173,28 @@ def test_canonical_form_examples():
     assert canonical_form(MINKOWSKI, "EC8", Fraction(1)).values \
         == (0, -1, 0, 0, Fraction(1, 4))
     assert canonical_form(MINKOWSKI, "EC4").values == (0, 0, 0, 1, 0)
+
+
+def test_every_minkowski_canonical_row_by_value():
+    """Each row at k2 = 3/7, where 2 k2, -2 k2 and -k2 all differ, so a row
+    that scales or signs k2 wrongly reads a different value."""
+    k2, q = Fraction(3, 7), Fraction
+    expected = {
+        "EC1": (1, 0, 0, 0, 0),
+        "EC2": (0, 0, 0, 0, 1),
+        "EC3": (q(1, 2), q(1, 4), q(-1, 2), q(1, 2), 0),
+        "EC4": (0, 0, 0, 1, 0),
+        "EC5": (q(6, 7), 0, 0, 0, q(-1, 4)),
+        "EC6": (q(1, 4), q(1, 4), 0, 0, q(1, 4)),
+        "EC7": (q(-1, 2), q(-1, 4), 0, 0, q(1, 4)),
+        "EC8": (0, q(-3, 7), 0, 0, q(1, 4)),
+        "EC9": (q(6, 7), 0, 0, 0, q(1, 4)),
+        "EC10": (q(-6, 7), 0, 0, 0, q(1, 4)),
+    }
+    assert K2_CLASSES == {"EC5", "EC8", "EC9", "EC10"}
+    for ec, values in expected.items():
+        got = canonical_form(MINKOWSKI, ec, k2 if ec in K2_CLASSES else None)
+        assert got.values == values, ec
 
 
 def test_canonical_form_k2_arity_checks():

@@ -18,7 +18,8 @@ from killingwebs.isometry import (act_kt_params, act_kv_params, act_point,
 from killingwebs.poly import MultiPoly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, embed_nontrivial, metric_params)
-from killingwebs.symbolic import (general_killing_tensor, j2_oracle,
+from killingwebs.generators import joint_generators
+from killingwebs.symbolic import (general_killing_tensor,
                                   joint_invariant_polynomials,
                                   joint_invariants, symbolic_killing_tensor)
 from samplers import literal_forms, random_element, random_params
@@ -176,11 +177,29 @@ def test_i2_is_not_invariant_under_the_coordinate_swap():
 # -- the sixth joint invariant -----------------------------------------------
 
 def test_j2_oracle_rejects_every_reading_of_the_corrupt_display():
-    name, j2, rejected = j2_oracle()
-    assert name == "derived weight-matched completion"
-    assert len(rejected) == 3
-    assert all(r.startswith("tabulated") for r in rejected)
+    """The tabulated closed form of the sixth joint invariant is corrupt at
+    the source: it references a vector parameter alpha5 that does not
+    exist, and a weight count under the rotation generator shows that no
+    expression linear in the vector parameters can be rotation invariant
+    at all.  So the joint generators annihilate none of the plausible
+    one-symbol repairs of the tabulated form, and they do annihilate the
+    completion derived by solving the annihilation system."""
+    a = {i: var(f"alpha{i}") for i in (1, 2, 3)}
+    b = {i: var(f"beta{i}") for i in range(1, 7)}
+    # The tabulated form (beta6 alpha2 + alpha5 alpha3) s2 + tail, as printed.
+    tail = 2 * (b[3] * b[6] + b[4] * b[5]) * (b[6] * a[1] - b[4] * a[3])
+    s2 = b[6] * b[2] - b[5] ** 2
+    readings = {
+        "alpha5 read as beta5": (b[6] * a[2] + a[3] * b[5]) * s2 + tail,
+        "alpha5 read as beta4": (b[6] * a[2] + a[3] * b[4]) * s2 + tail,
+        "alpha5 read as -beta5": (b[6] * a[2] - a[3] * b[5]) * s2 + tail,
+    }
+    fields = joint_generators(EUCLIDEAN, (1, 2))
+    for name, reading in readings.items():
+        assert not all(f.apply(reading).is_zero() for f in fields), name
+    j2 = joint_invariant_polynomials()[5]
     assert not j2.is_zero()
+    assert all(f.apply(j2).is_zero() for f in fields)
 
 
 def test_joint_invariant_examples():

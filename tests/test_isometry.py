@@ -38,11 +38,11 @@ from samplers import random_element, random_params
 
 def test_rational_curve_parametrization():
     g = rotation_from_parameter(EUCLIDEAN, 0)
-    assert g.cs() == (1, 0)
+    assert g.rot == (1, 0)
     g = rotation_from_parameter(EUCLIDEAN, 1)
-    assert g.cs() == (0, 1)
+    assert g.rot == (0, 1)
     g = rotation_from_parameter(MINKOWSKI, 2)
-    assert g.cs() == (Fraction(5, 4), Fraction(3, 4))
+    assert g.rot == (Fraction(5, 4), Fraction(3, 4))
 
 
 def test_boost_parameter_zero_rejected():
@@ -52,7 +52,7 @@ def test_boost_parameter_zero_rejected():
 
 def test_negative_boost_parameter_stays_on_unit_branch():
     g = rotation_from_parameter(MINKOWSKI, Fraction(-1, 2))
-    c, s = g.cs()
+    c, s = g.rot
     assert c >= 1 and c * c - s * s == 1
 
 
@@ -81,7 +81,7 @@ def test_invalid_exact_rotations_rejected():
 
 def test_element_keeps_its_coerced_rotation():
     g = IsometryElement(EUCLIDEAN, ExactRotation(1, 0), (0, 0))
-    assert all(type(v) is Fraction for v in g.cs() + g.trans)
+    assert all(type(v) is Fraction for v in g.rot + g.trans)
     assert g == identity(EUCLIDEAN)
     assert repr(g.rot) == repr(identity(EUCLIDEAN).rot)
 
@@ -135,8 +135,8 @@ def test_integer_curve_check_matches_fraction_identity(space, data):
         on_curve = fc * fc - fs * fs == 1 and fc >= 1
     if on_curve:
         g = IsometryElement(space, ExactRotation(c, s), (0, 0))
-        assert g.cs() == (c, s)
-        assert all(type(v) is Fraction for v in g.cs())
+        assert g.rot == (c, s)
+        assert all(type(v) is Fraction for v in g.rot)
     else:
         with pytest.raises(DomainError) as err:
             IsometryElement(space, ExactRotation(c, s), (0, 0))
@@ -169,7 +169,7 @@ def fraction_inverse(space, g):
 @given(rationals.filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_curve_parametrization_matches_fraction_formula(space, u):
-    assert rotation_from_parameter(space, u).cs() \
+    assert rotation_from_parameter(space, u).rot \
         == fraction_rotation(space, u)
 
 
@@ -202,17 +202,17 @@ def test_integer_elements_match_the_fraction_formulas(space, us, shifts,
     for u, trans in zip(us, (shifts[:2], shifts[2:])):
         g = rotation_from_parameter(space, u, trans)
         ref = (fraction_rotation(space, u), tuple(map(Fraction, trans)))
-        assert (g.cs(), g.trans) == ref
+        assert (g.rot, g.trans) == ref
         pairs.append((g, ref))
     (g1, ref1), (g2, ref2) = pairs
     gh, g_inv = compose(g1, g2), inverse(g1)
-    assert (gh.cs(), gh.trans) == fraction_compose(space, ref1, ref2)
-    assert (g_inv.cs(), g_inv.trans) == fraction_inverse(space, ref1)
+    assert (gh.rot, gh.trans) == fraction_compose(space, ref1, ref2)
+    assert (g_inv.rot, g_inv.trans) == fraction_inverse(space, ref1)
     assert compose(g1, g_inv) == identity(space)
     for g in (g1, g2, gh, g_inv):
         assert in_lowest_terms(g)
-        assert all(type(v) is Fraction for v in g.cs() + g.trans)
-        again = IsometryElement(space, ExactRotation(*g.cs()), g.trans)
+        assert all(type(v) is Fraction for v in g.rot + g.trans)
+        again = IsometryElement(space, ExactRotation(*g.rot), g.trans)
         assert again == g and hash(again) == hash(g)
     p, kv = KTParams(space, values[:6]), KVParams(space, values[6:])
     (c, s), (a, b) = ref1
@@ -266,7 +266,7 @@ def test_group_operations_construct_no_fraction(monkeypatch):
         compose(compose(g, h), inverse(g))
         inverse(compose(h, g))
     assert built == []
-    elements[0][0].cs()       # the guard sees the Fractions it should
+    elements[0][0].rot        # the guard sees the Fractions it should
     assert len(built) == 2
 
 
@@ -284,11 +284,11 @@ def test_point_action_examples():
 def test_composition_examples():
     half = compose(rotation_from_parameter(EUCLIDEAN, 1),
                    rotation_from_parameter(EUCLIDEAN, 1))
-    assert half.cs() == (-1, 0)
+    assert half.rot == (-1, 0)
     boosted = compose(rotation_from_parameter(MINKOWSKI, 2),
                       rotation_from_parameter(MINKOWSKI, 3))
-    assert boosted.cs() == rotation_from_parameter(MINKOWSKI, 6).cs()
-    assert boosted.cs() == (Fraction(37, 12), Fraction(35, 12))
+    assert boosted.rot == rotation_from_parameter(MINKOWSKI, 6).rot
+    assert boosted.rot == (Fraction(37, 12), Fraction(35, 12))
 
 
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
@@ -405,7 +405,7 @@ def test_killing_vector_action_matches_printed_law():
     rng = random.Random(7)
     for _ in range(200):
         g = random_element(EUCLIDEAN, rng)
-        c, s = g.cs()
+        c, s = g.rot
         a, b = g.trans
         kv = KVParams(EUCLIDEAN, tuple(
             Fraction(rng.randint(-8, 8), rng.randint(1, 3))
@@ -417,7 +417,7 @@ def test_killing_vector_action_matches_printed_law():
 
 def test_killing_vector_action_examples():
     theta = rotation_from_parameter(EUCLIDEAN, Fraction(1, 3))
-    c, s = theta.cs()
+    c, s = theta.rot
     assert act_kv_params(theta, KVParams(EUCLIDEAN, (1, 0, 0))).values \
         == (c, s, 0)
     rng = random.Random(2)
@@ -445,7 +445,7 @@ def test_float_action_agrees_with_exact_action():
             g = random_element(space, rng)
             p = random_params(space, rng)
             exact = act_kt_params(g, p).values
-            approx = act_kt_params_float(p, g.cs(), g.trans)
+            approx = act_kt_params_float(p, g.rot, g.trans)
             assert max(abs(float(e) - a)
                        for e, a in zip(exact, approx)) < 1e-9
 

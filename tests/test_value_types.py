@@ -16,7 +16,7 @@ import pytest
 
 import killingwebs
 from killingwebs.classify import WebClass
-from killingwebs.generators import LinearVectorField, StructureConstants
+from killingwebs.generators import LinearVectorField
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
                                   IsometryElement)
 from killingwebs.poly import PolynomialError, poly
@@ -37,7 +37,7 @@ def _types(values):
     (lambda: setattr(KTParams(EUCLIDEAN, [0] * 6), "extra", 1),
      AttributeError()),
     (lambda: setattr(WebClass("EC7"), "tag", "EC2"), AttributeError()),
-    # Validation in the seven validating types (the rotation-curve check
+    # Validation in the six validating types (the rotation-curve check
     # has its own tests).
     (lambda: KTParams(EUCLIDEAN, [0] * 5),
      PolynomialError("KTParams needs exactly 6 values")),
@@ -51,8 +51,6 @@ def _types(values):
      DomainError("unknown generator 'R3'")),
     (lambda: LinearVectorField(("x", "y"), (poly(1),)),
      DomainError("one coefficient per domain symbol required")),
-    (lambda: StructureConstants((((0, 0), (1, 0)), ((0, 0), (0, 0)))),
-     DomainError("structure constants must be antisymmetric")),
     # Coercion: sequences become tuples, ints become Fractions.
     (lambda: _types(KTParams(EUCLIDEAN, [1, 2, 3, 4, 5, 6]).values),
      (tuple, {Fraction})),
