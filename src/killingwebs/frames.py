@@ -160,12 +160,12 @@ def canonical_form(space: Space, ec: str,
     if ec not in table:
         raise DomainError(f"unknown equivalence class {ec!r} for {space.kind}")
     base, per_k2 = table[ec]
-    if any(per_k2) and k2 is None:
+    takes_k2 = any(per_k2)
+    if takes_k2 and k2 is None:
         raise DomainError(f"{ec} requires a k2 value")
-    if not any(per_k2) and k2 is not None:
+    if not takes_k2 and k2 is not None:
         raise DomainError(f"{ec} does not take a k2 value")
     if k2 is not None and Fraction(k2) <= 0:
         raise DomainError("k2 must be positive")
     k2 = Fraction(k2 or 0)
-    return NontrivialKT(space, tuple(Fraction(v) + c * k2
-                                     for v, c in zip(base, per_k2)))
+    return NontrivialKT(space, tuple(v + c * k2 for v, c in zip(base, per_k2)))

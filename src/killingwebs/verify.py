@@ -25,8 +25,8 @@ from .spaces import (EUCLIDEAN, MINKOWSKI, KTParams, KVParams, decompose,
                      embed_nontrivial, reconstruct)
 from .symbolic import (covariant_polynomials, geodesic_poisson_check,
                        invariant_polynomials, joint_invariant_polynomials,
-                       joint_invariants,
-                       killing_residual, symbolic_killing_tensor)
+                       joint_invariants, killing_residual,
+                       symbolic_killing_tensor)
 
 
 class CheckResult(NamedTuple):
