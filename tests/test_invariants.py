@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from killingwebs.frames import canonical_form
+from killingwebs.generators import joint_generators
 from killingwebs.invariants import (auxiliary_invariants,
                                     covariant_polynomials,
                                     fundamental_covariants,
@@ -18,7 +19,6 @@ from killingwebs.isometry import (act_kt_params, act_kv_params, act_point,
 from killingwebs.poly import MultiPoly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, embed_nontrivial, metric_params)
-from killingwebs.generators import joint_generators
 from killingwebs.symbolic import (general_killing_tensor,
                                   joint_invariant_polynomials,
                                   joint_invariants, symbolic_killing_tensor)
