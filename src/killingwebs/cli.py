@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the engine operations; reports are
+`COMMANDS` lists the subcommands, each with its handler, help text and
+arguments; every handler runs one engine operation.  Reports are
 deterministic (no timestamps) and serialize rationals as strings so that
 every printed value re-parses exactly.  Exit status: 0 success, 1 domain
 error, 2 parse error.
+
+This module holds only what a `classify` call runs: the entry point, the
+parser and `classify`'s handler.  The other handlers live in `commands`,
+which is registered here but run on first use, so a `classify` process
+neither compiles them nor builds their arguments.
 """
 
 from __future__ import annotations
@@ -15,22 +21,18 @@ from typing import Optional
 
 from . import _lazy
 from .classify import classify_full
-from .invariants import covariant_sign_classes, invariant_report
-from .spaces import (DomainError, KTParams, KVParams, NontrivialKT,
-                     PolynomialError, decompose, embed_nontrivial,
-                     parse_rational, parse_values, space_by_name)
+from .spaces import (DomainError, KTParams, NontrivialKT, PolynomialError,
+                     embed_nontrivial, space_by_name)
 
-# Only the subcommands other than `classify` need these (`isometry` through
-# `frames` and `verify`; the covariants and joint invariants in `symbolic`),
-# so a `classify` process never runs them.  Every module of the package is
-# still in sys.modules after this import.
-frames = _lazy("frames")
-generators = _lazy("generators")
-isometry = _lazy("isometry")
-symbolic = _lazy("symbolic")
+# Only the subcommands other than `classify` need these (their handlers in
+# `commands`; `isometry` through `frames` and `verify`; `run_suite` reads
+# `verify` directly), so a `classify` process never runs them.  Every
+# module of the package is still in sys.modules after this import.
+commands = _lazy("commands")
+_lazy("frames")
+_lazy("generators")
+_lazy("isometry")
 verify = _lazy("verify")
-
-JOINT_NAMES = ("I1", "I2", "I3", "I4", "J1", "J2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,73 +47,6 @@ def _emit(args, data: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _fmt(value, mode: str) -> str | float:
-    if mode == "float":
-        try:
-            return float(value)
-        except OverflowError:
-            raise DomainError("a value lies beyond the float range; "
-                              "use --mode exact") from None
-    return str(value)
-
-
-def _parse_kt(args) -> KTParams:
-    return KTParams.parse(space_by_name(args.space), args.params)
-
-
-def _cmd_invariants(args) -> int:
-    rep = invariant_report(_parse_kt(args))
-    data = {
-        "space": rep.space.kind,
-        "invariants": {"I1": _fmt(rep.i1, args.mode),
-                       "I2": _fmt(rep.i2, args.mode),
-                       "I3": _fmt(rep.i3, args.mode)},
-        "sign_classes": {"C1": rep.sign_c1.value, "C2": rep.sign_c2.value},
-    }
-    if rep.aux is not None:
-        data["auxiliary"] = {
-            "I1_prime": _fmt(rep.aux.i1_prime, args.mode),
-            "I2_prime": None if rep.aux.i2_prime is None
-            else _fmt(rep.aux.i2_prime, args.mode),
-        }
-    lines = [f"I1 = {data['invariants']['I1']}",
-             f"I2 = {data['invariants']['I2']}",
-             f"I3 = {data['invariants']['I3']}",
-             f"C1 sign class: {rep.sign_c1.value}",
-             f"C2 sign class: {rep.sign_c2.value}"]
-    if rep.aux is not None:
-        lines.append(f"I1' = {data['auxiliary']['I1_prime']}")
-        lines.append(f"I2' = {data['auxiliary']['I2_prime']}")
-    _emit(args, data, lines)
-    return 0
-
-
-def _cmd_covariants(args) -> int:
-    p = _parse_kt(args)
-    c1, c2 = symbolic.fundamental_covariants(p)
-    s1, s2 = covariant_sign_classes(p)
-    data = {
-        "space": p.space.kind,
-        "C1": c1.pretty(),
-        "C2": c2.pretty(),
-        "sign_classes": {"C1": s1.value, "C2": s2.value},
-    }
-    lines = [f"C1 = {data['C1']}  [{s1.value}]",
-             f"C2 = {data['C2']}  [{s2.value}]"]
-    if args.point is not None:
-        u, w = p.space.point_vars
-        pu, pw = parse_values(args.point, 2)
-        point = {u: pu, w: pw}
-        vals = {}
-        for name, poly in (("C1", c1), ("C2", c2)):
-            value = poly.evaluate({s: point[s] for s in poly.variables})
-            vals[name] = _fmt(value, args.mode)
-            lines.append(f"{name}({pu}, {pw}) = {vals[name]}")
-        data["at_point"] = {"point": [str(pu), str(pw)], **vals}
-    _emit(args, data, lines)
-    return 0
 
 
 def _classify_params(space, text: str) -> KTParams:
@@ -155,93 +90,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_frame(args) -> int:
-    result = frames.moving_frame(_parse_kt(args))
-    data = {
-        "angle": result.angle,
-        "a": result.a,
-        "b": result.b,
-        "residual": result.residual,
-        "ok": result.ok,
-        "notes": list(result.notes),
-    }
-    lines = [f"angle = {result.angle!r}",
-             f"a = {result.a!r}",
-             f"b = {result.b!r}",
-             f"residual = {result.residual:.3e} "
-             f"({'ok' if result.ok else 'FAILED'})"]
-    lines.extend(f"note: {n}" for n in result.notes)
-    _emit(args, data, lines)
-    return 0
-
-
-def _cmd_canonical(args) -> int:
-    space = space_by_name(args.space)
-    k2 = None if args.k2 is None else parse_rational(args.k2)
-    nt = frames.canonical_form(space, args.ec, k2)
-    full = embed_nontrivial(nt)
-    data = {"class": args.ec.upper(),
-            "nontrivial": [str(v) for v in nt.values],
-            "embedded": [str(v) for v in full.values]}
-    lines = [f"nontrivial: {', '.join(data['nontrivial'])}",
-             f"embedded:   {', '.join(data['embedded'])}"]
-    _emit(args, data, lines)
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    l0, nt = decompose(_parse_kt(args))
-    data = {"l0": str(l0), "nontrivial": [str(v) for v in nt.values]}
-    _emit(args, data, [f"l0 = {l0}",
-                       f"nontrivial: {', '.join(data['nontrivial'])}"])
-    return 0
-
-
-def _cmd_generators(args) -> int:
-    space = space_by_name(args.space)
-    fields = generators.sigma_generators(space, args.valence)
-    data = {"space": space.kind, "valence": args.valence,
-            "generators": [f.pretty() for f in fields]}
-    _emit(args, data, [f"V{i + 1} = {s}"
-                       for i, s in enumerate(data["generators"])])
-    return 0
-
-
-def _cmd_orbit_dim(args) -> int:
-    p = _parse_kt(args)
-    fields = generators.sigma_generators(p.space, 2)
-    at = dict(zip(p.space.param_vars, p.values))
-    dim = generators.orbit_dimension(fields, at)
-    _emit(args, {"orbit_dimension": dim}, [f"orbit dimension = {dim}"])
-    return 0
-
-
-def _cmd_joint(args) -> int:
-    space = space_by_name(args.space)
-    kv = KVParams.parse(space, args.kv)
-    kt = KTParams.parse(space, args.kt)
-    values = symbolic.joint_invariants(kv, kt)
-    data = {name: _fmt(v, args.mode)
-            for name, v in zip(JOINT_NAMES, values)}
-    _emit(args, data, [f"{name} = {data[name]}" for name in JOINT_NAMES])
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    results = verify.run_suite(trials=args.trials, seed=args.seed)
-    if args.output == "json":
-        print(json.dumps([{"name": r.name, "passed": r.passed,
-                           "detail": r.detail} for r in results]))
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            suffix = f"  ({r.detail})" if r.detail else ""
-            print(f"{mark}  {r.name}{suffix}")
-    passed, failed = verify.summarize(results)
-    print(f"{passed} passed, {failed} failed", file=sys.stderr)
-    return 0 if failed == 0 else 1
-
-
 def run_suite(trials: int = 50, seed: int = 0):
     """The verification suite (`verify.run_suite`), under the name the
     benchmark's traced run calls."""
@@ -255,80 +103,83 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+SPACE = ("--space", {"required": True})
+PARAMS = ("--params", {"required": True})
+
+# name -> (handler, help, takes --mode, arguments), in the order of the
+# usage line.  A handler named by a string is looked up on `commands`.
+# Each argument is (flag, keyword arguments of `add_argument`).
+COMMANDS = {
+    "invariants": (
+        "_cmd_invariants", "fundamental invariants and covariant sign classes",
+        True, (SPACE, ("--params", {"required": True,
+                                    "help": "6 comma-separated rationals"}))),
+    "covariants": (
+        "_cmd_covariants",
+        "covariant polynomials, optionally evaluated at a point", True,
+        (SPACE, PARAMS, ("--point", {"help": "2 comma-separated rationals"}))),
+    "classify": (
+        _cmd_classify, "web classification report", False,
+        (SPACE,
+         ("--params", {"help": "6 (full) or 5 (nontrivial) rationals"}),
+         ("--batch", {"help": "JSON file with a list of parameter vectors; "
+                              "emits JSON Lines"}))),
+    "frame": ("_cmd_frame", "moving-frame normalization (float)", False,
+              (SPACE, PARAMS)),
+    "canonical": (
+        "_cmd_canonical", "canonical representative of an equivalence class",
+        False, (SPACE, ("--ec", {"required": True}), ("--k2", {}))),
+    "decompose": ("_cmd_decompose", "split off the metric multiple", False,
+                  (SPACE, PARAMS)),
+    "generators": (
+        "_cmd_generators", "isometry generators on parameter space", False,
+        (SPACE, ("--valence", {"type": int, "choices": (1, 2),
+                               "default": 2}))),
+    "orbit-dim": (
+        "_cmd_orbit_dim", "group orbit dimension at a parameter point", False,
+        (SPACE, PARAMS)),
+    "joint": (
+        "_cmd_joint", "joint invariants of a vector/tensor pair (Euclidean)",
+        True, (("--space", {"default": "euclidean"}),
+               ("--kv", {"required": True,
+                         "help": "3 comma-separated rationals"}),
+               ("--kt", {"required": True,
+                         "help": "6 comma-separated rationals"}))),
+    "verify": (
+        "_cmd_verify", "run the verification suite", False,
+        (("--trials", {"type": positive_int, "default": 50}),
+         ("--seed", {"type": int, "default": 0}))),
+}
+
+
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser with every subcommand listed, but with arguments only for
+    `command`, the one a call runs."""
     parser = _Parser(prog="killingwebs",
                      description="Invariant classification of orthogonal "
                                  "coordinate webs in the plane.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, func, mode=False, **kwargs):
-        # --mode goes only to the subcommands whose handlers read it.
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+    for name, (_, text, mode, arguments) in COMMANDS.items():
+        # A sub-parser that parses nothing needs no -h either.
+        p = sub.add_parser(name, help=text, add_help=name == command)
+        if name != command:
+            continue
         p.add_argument("--output", choices=("json", "text"), default="text")
+        # --mode goes only to the subcommands whose handlers read it.
         if mode:
             p.add_argument("--mode", choices=("exact", "float"),
                            default="exact")
-        return p
-
-    p = add("invariants", _cmd_invariants, mode=True,
-            help="fundamental invariants and covariant sign classes")
-    p.add_argument("--space", required=True)
-    p.add_argument("--params", required=True,
-                   help="6 comma-separated rationals")
-
-    p = add("covariants", _cmd_covariants, mode=True,
-            help="covariant polynomials, optionally evaluated at a point")
-    p.add_argument("--space", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--point", help="2 comma-separated rationals")
-
-    p = add("classify", _cmd_classify, help="web classification report")
-    p.add_argument("--space", required=True)
-    p.add_argument("--params", help="6 (full) or 5 (nontrivial) rationals")
-    p.add_argument("--batch", help="JSON file with a list of parameter "
-                                   "vectors; emits JSON Lines")
-
-    p = add("frame", _cmd_frame, help="moving-frame normalization (float)")
-    p.add_argument("--space", required=True)
-    p.add_argument("--params", required=True)
-
-    p = add("canonical", _cmd_canonical,
-            help="canonical representative of an equivalence class")
-    p.add_argument("--space", required=True)
-    p.add_argument("--ec", required=True)
-    p.add_argument("--k2")
-
-    p = add("decompose", _cmd_decompose,
-            help="split off the metric multiple")
-    p.add_argument("--space", required=True)
-    p.add_argument("--params", required=True)
-
-    p = add("generators", _cmd_generators,
-            help="isometry generators on parameter space")
-    p.add_argument("--space", required=True)
-    p.add_argument("--valence", type=int, choices=(1, 2), default=2)
-
-    p = add("orbit-dim", _cmd_orbit_dim,
-            help="group orbit dimension at a parameter point")
-    p.add_argument("--space", required=True)
-    p.add_argument("--params", required=True)
-
-    p = add("joint", _cmd_joint, mode=True,
-            help="joint invariants of a vector/tensor pair (Euclidean)")
-    p.add_argument("--space", default="euclidean")
-    p.add_argument("--kv", required=True, help="3 comma-separated rationals")
-    p.add_argument("--kt", required=True, help="6 comma-separated rationals")
-
-    p = add("verify", _cmd_verify, help="run the verification suite")
-    p.add_argument("--trials", type=positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so the first word
+    # that names a subcommand is the one argparse dispatches to.
+    parser = build_parser(next((a for a in argv if a in COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -337,8 +188,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         print("killingwebs: error: classify needs --params or --batch",
               file=sys.stderr)
         return 2
+    handler = COMMANDS[args.subcommand][0]
+    if isinstance(handler, str):
+        handler = getattr(commands, handler)
     try:
-        return args.func(args)
+        return handler(args)
     except PolynomialError as exc:
         print(f"killingwebs: parse error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, determinism, round trips."""
 
+import argparse
 import json
 import random
 import re
@@ -12,7 +13,11 @@ import pytest
 
 import killingwebs
 from killingwebs import verify
-from killingwebs.cli import run
+from killingwebs.cli import COMMANDS, _cmd_classify, _Parser, positive_int, run
+from killingwebs.commands import (_cmd_canonical, _cmd_covariants,
+                                  _cmd_decompose, _cmd_frame, _cmd_generators,
+                                  _cmd_invariants, _cmd_joint, _cmd_orbit_dim,
+                                  _cmd_verify)
 from killingwebs.poly import parse_rational
 from killingwebs.verify import run_suite
 
@@ -261,6 +266,107 @@ def test_mode_is_rejected_where_it_is_not_read(capsys, argv):
     assert "unrecognized arguments: --mode float" in err
 
 
+# The parser as it was built before the COMMANDS table, kept verbatim: the
+# oracle for every byte of usage, help and error that the table prints.
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="killingwebs",
+                     description="Invariant classification of orthogonal "
+                                 "coordinate webs in the plane.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name, func, mode=False, **kwargs):
+        # --mode goes only to the subcommands whose handlers read it.
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        p.add_argument("--output", choices=("json", "text"), default="text")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"),
+                           default="exact")
+        return p
+
+    p = add("invariants", _cmd_invariants, mode=True,
+            help="fundamental invariants and covariant sign classes")
+    p.add_argument("--space", required=True)
+    p.add_argument("--params", required=True,
+                   help="6 comma-separated rationals")
+
+    p = add("covariants", _cmd_covariants, mode=True,
+            help="covariant polynomials, optionally evaluated at a point")
+    p.add_argument("--space", required=True)
+    p.add_argument("--params", required=True)
+    p.add_argument("--point", help="2 comma-separated rationals")
+
+    p = add("classify", _cmd_classify, help="web classification report")
+    p.add_argument("--space", required=True)
+    p.add_argument("--params", help="6 (full) or 5 (nontrivial) rationals")
+    p.add_argument("--batch", help="JSON file with a list of parameter "
+                                   "vectors; emits JSON Lines")
+
+    p = add("frame", _cmd_frame, help="moving-frame normalization (float)")
+    p.add_argument("--space", required=True)
+    p.add_argument("--params", required=True)
+
+    p = add("canonical", _cmd_canonical,
+            help="canonical representative of an equivalence class")
+    p.add_argument("--space", required=True)
+    p.add_argument("--ec", required=True)
+    p.add_argument("--k2")
+
+    p = add("decompose", _cmd_decompose,
+            help="split off the metric multiple")
+    p.add_argument("--space", required=True)
+    p.add_argument("--params", required=True)
+
+    p = add("generators", _cmd_generators,
+            help="isometry generators on parameter space")
+    p.add_argument("--space", required=True)
+    p.add_argument("--valence", type=int, choices=(1, 2), default=2)
+
+    p = add("orbit-dim", _cmd_orbit_dim,
+            help="group orbit dimension at a parameter point")
+    p.add_argument("--space", required=True)
+    p.add_argument("--params", required=True)
+
+    p = add("joint", _cmd_joint, mode=True,
+            help="joint invariants of a vector/tensor pair (Euclidean)")
+    p.add_argument("--space", default="euclidean")
+    p.add_argument("--kv", required=True, help="3 comma-separated rationals")
+    p.add_argument("--kt", required=True, help="6 comma-separated rationals")
+
+    p = add("verify", _cmd_verify, help="run the verification suite")
+    p.add_argument("--trials", type=positive_int, default=50)
+    p.add_argument("--seed", type=int, default=0)
+
+    return parser
+
+
+ORACLE_ARGV = [
+    ["--help"], [], ["florp"],
+    *([name, "--help"] for name in COMMANDS),
+    # Reported with the top-level usage.
+    ["classify", "--space", "euclidean", "--params=1,2,3,4,5,6", "--bogus"],
+    ["invariants", "--params=1,2,3,4,5,6"],
+    ["generators", "--space", "minkowski", "--valence", "3"],
+    ["decompose", "--space", "euclidean", "--params=1,2,3,4,5,6",
+     "--output", "xml"],
+    ["verify", "--trials", "0"],
+    ["decompose", "--space", "euclidean", "--params=1,2,3,4,5,6",
+     "--mode", "float"],
+]
+
+
+@pytest.mark.parametrize("argv", ORACLE_ARGV,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_prints_what_the_imperative_parser_printed(
+        capsys, monkeypatch, argv):
+    """Status, stdout and stderr match the oracle's, at a fixed width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = (exc.value.code, *capsys.readouterr())
+    assert invoke(capsys, *argv) == expected
+
+
 def test_invariants_rejects_k2(capsys):
     status, out, err = invoke(capsys, "invariants", "--space", "minkowski",
                               "--params=0,0,-1,0,0,1/4", "--k2", "1")
@@ -372,35 +478,46 @@ def fresh(code: str) -> list[str]:
 def test_classify_leaves_subcommand_modules_unexecuted():
     """The modules only other subcommands use, `poly` and `symbolic` are
     registered but not run by `classify`, and run on first use (here
-    through `run_suite`).  The type check does not trigger a load.  The
-    package attribute `poly` stays the function: the module is registered
-    unbound, and running it binds nothing."""
+    through `run_suite`).  `commands`, the other subcommands' handlers, is
+    registered too; a `classify` call, from the CLI or the library, and
+    `run_suite` leave it unexecuted, and the first other subcommand runs
+    it.  The type check does not trigger a load.  The package attribute
+    `poly` stays the function: the module is registered unbound, and
+    running it binds nothing."""
     lines = fresh(f"""
-import types
+import contextlib, io, types
 import killingwebs
 from killingwebs import cli
+from killingwebs.classify import classify_full
+from killingwebs.spaces import EUCLIDEAN, KTParams
 
-def state():
-    for name in {LAZY!r}:
+def state(names):
+    for name in names:
         module = sys.modules["killingwebs." + name]
         assert vars(killingwebs).get(name) is (
             None if name == "poly" else module)
         print(name, type(module) is types.ModuleType)
 
-state()
-assert cli.run(["classify", "--space", "euclidean",
-                "--params", "1,2,3,4,5,6", "--output", "json"]) == 0
-state()
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(list(argv)) == 0
+
+state({LAZY!r} + ("commands",))
+call("classify", "--space", "euclidean", "--params", "1,2,3,4,5,6",
+     "--output", "json")
+classify_full(KTParams(EUCLIDEAN, (1, 2, 3, 4, 5, 6)))
+state({LAZY!r} + ("commands",))
 print("checks", len(cli.run_suite(trials=1, seed=0)))
-state()
+state({LAZY!r})
+state(("commands",))
+call("decompose", "--space", "euclidean", "--params=1,2,3,4,5,6")
+state(("commands",))
 print(killingwebs.poly is sys.modules["killingwebs.poly"].poly)
 """)
-    n = len(LAZY)
-    unexecuted = [f"{name} False" for name in LAZY]
-    assert lines[:n] == unexecuted
-    assert lines[n + 1:2 * n + 1] == unexecuted
-    assert lines[2 * n + 1] == "checks 23"
-    assert lines[2 * n + 2:] == [f"{name} True" for name in LAZY] + ["True"]
+    unexecuted = [f"{name} False" for name in LAZY + ("commands",)]
+    assert lines == (unexecuted + unexecuted + ["checks 23"]
+                     + [f"{name} True" for name in LAZY]
+                     + ["commands False", "commands True", "True"])
 
 
 def test_library_classify_leaves_symbolic_layer_unexecuted():
