@@ -22,7 +22,7 @@ from typing import Optional
 from . import _lazy
 from .classify import classify_full
 from .spaces import (DomainError, KTParams, NontrivialKT, PolynomialError,
-                     embed_nontrivial, space_by_name)
+                     _emit, embed_nontrivial, space_by_name)
 
 # Only the subcommands other than `classify` need these (their handlers in
 # `commands`; `isometry` through `frames` and `verify`; `run_suite` reads
@@ -39,14 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse exits with status 2 already; keep the message on stderr.
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def _emit(args, data: dict, text_lines: list[str]) -> None:
-    if args.output == "json":
-        print(json.dumps(data))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _classify_params(space, text: str) -> KTParams:

@@ -7,13 +7,11 @@ takes the parsed arguments and returns the exit status.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from . import frames, generators, symbolic, verify
-from .cli import _emit
 from .invariants import covariant_sign_classes, invariant_report
-from .spaces import (DomainError, KTParams, KVParams, decompose,
+from .spaces import (DomainError, KTParams, KVParams, _emit, decompose,
                      embed_nontrivial, parse_rational, parse_values,
                      space_by_name)
 
@@ -161,14 +159,9 @@ def _cmd_joint(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_suite(trials=args.trials, seed=args.seed)
-    if args.output == "json":
-        print(json.dumps([{"name": r.name, "passed": r.passed,
-                           "detail": r.detail} for r in results]))
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            suffix = f"  ({r.detail})" if r.detail else ""
-            print(f"{mark}  {r.name}{suffix}")
+    _emit(args, [r._asdict() for r in results],
+          [f"{'PASS' if r.passed else 'FAIL'}  {r.name}"
+           + (f"  ({r.detail})" if r.detail else "") for r in results])
     passed, failed = verify.summarize(results)
     print(f"{passed} passed, {failed} failed", file=sys.stderr)
     return 0 if failed == 0 else 1

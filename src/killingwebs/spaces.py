@@ -1,12 +1,12 @@
 """The two flat 2-spaces and their Killing tensor vector spaces.
 
-Houses the metric data, the parameter vectors, the parsing of rationals,
-the dimension formula for Killing tensor spaces in constant-curvature
-spaces and the trace decomposition.  The tensor forms as polynomials, the
-Killing-equation and Poisson-bracket residuals and the eigenvalue
-discriminant live in `symbolic`; this module serves only
-`eigen_discriminant` and `extract_kt_params`, which the benchmark reaches
-through it.
+Houses the metric data, the parameter vectors, the command line's text
+formats (rationals in, reports out), the dimension formula for Killing
+tensor spaces in constant-curvature spaces and the trace decomposition.
+The tensor forms as polynomials, the Killing-equation and Poisson-bracket
+residuals and the eigenvalue discriminant live in `symbolic`; this module
+serves only `eigen_discriminant` and `extract_kt_params`, which the
+benchmark reaches through it.
 """
 
 from __future__ import annotations
@@ -95,6 +95,16 @@ def parse_values(text: str, count: int) -> tuple[Fraction, ...]:
         raise PolynomialError(
             f"expected {count} comma-separated rationals, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)
+
+
+def _emit(args, data, text_lines: list[str]) -> None:
+    """Print `data` as one JSON line under `--output json`, else the lines."""
+    if args.output == "json":
+        import json     # the CLI has loaded it; the library never does
+        print(json.dumps(data))
+    else:
+        for line in text_lines:
+            print(line)
 
 
 def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:

@@ -58,6 +58,22 @@ def _random_params(space, rng) -> KTParams:
         rng.choice(rng.choice(_PARAMS)) for _ in range(6)))
 
 
+# The tabulated class of each canonical row.
+_CLASSES = {
+    EUCLIDEAN: {"EC1": "Cartesian", "EC2": "Polar", "EC3": "Parabolic",
+                "EC4": "EllipticHyperbolic"},
+    MINKOWSKI: {"EC1": "EC1", "EC2": "EC2", "EC3": "EC3", "EC4": "EC4",
+                "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
+                "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"}}
+
+
+def _canonical_rows(space):
+    """(row, class, embedded canonical form); k2 = 1 where a row takes one."""
+    for ec, tag in _CLASSES[space].items():
+        k2 = Fraction(1) if ec in K2_CLASSES else None
+        yield ec, tag, embed_nontrivial(canonical_form(space, ec, k2))
+
+
 def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
     """Run every check; each randomised one draws `trials` samples."""
     if trials < 1:
@@ -158,30 +174,16 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
           lambda: (len(discrete_group_elements()) == 8, ""))
 
     def table_reproduction():
-        expect_e = {"EC1": "Cartesian", "EC2": "Polar", "EC3": "Parabolic",
-                    "EC4": "EllipticHyperbolic"}
-        for ec, tag in expect_e.items():
-            p = embed_nontrivial(canonical_form(EUCLIDEAN, ec))
-            got = classify_full(p).web.tag
-            if got != tag:
-                return False, f"{ec}: {got}"
-        expect_m = {"EC1": "EC1", "EC2": "EC2", "EC3": "EC3", "EC4": "EC4",
-                    "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
-                    "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"}
-        for ec, tag in expect_m.items():
-            k2 = Fraction(1) if ec in K2_CLASSES else None
-            p = embed_nontrivial(canonical_form(MINKOWSKI, ec, k2))
-            got = classify_full(p).web.tag
-            if got != tag:
-                return False, f"{ec}: {got}"
+        for space in _CLASSES:
+            for ec, tag, p in _canonical_rows(space):
+                got = classify_full(p).web.tag
+                if got != tag:
+                    return False, f"{ec}: {got}"
         return True, "all 14 canonical forms"
     check("canonical forms reproduce their table rows", table_reproduction)
 
     def discrete_classification():
-        for ec in ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6", "EC7", "EC8",
-                   "EC9", "EC10"):
-            k2 = Fraction(1) if ec in K2_CLASSES else None
-            p = embed_nontrivial(canonical_form(MINKOWSKI, ec, k2))
+        for ec, _, p in _canonical_rows(MINKOWSKI):
             base = classify_full(p).web.tag
             for r in discrete_group_elements():
                 if classify_full(discrete_act_params(r, p)).web.tag != base:
