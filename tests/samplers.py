@@ -1,16 +1,48 @@
-"""Seeded samplers and oracles shared by the test modules.
+"""Samplers, oracles and tables shared by the test modules.
 
 Each sampler draws from the `random.Random` it is given, so a test's inputs
 are fixed by its seed.  `killingwebs.verify` keeps a sampler of its own:
-its translation range differs, and its goldens pin its stream.
+its translation range differs, and its goldens pin its stream.  The
+hypothesis strategies, the symbol table `A`, the tabulated class of each
+canonical row and the package's source directory are defined here once.
 """
 
 from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import strategies as st
 
 from killingwebs.classify import classify_euclidean, classify_minkowski
 from killingwebs.frames import K2_CLASSES, canonical_form
 from killingwebs.isometry import rotation_from_parameter
+from killingwebs.poly import var
 from killingwebs.spaces import KTParams, decompose
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The six Killing tensor parameter symbols alpha1..alpha6.
+A = {i: var(f"alpha{i}") for i in range(1, 7)}
+
+# The tabulated class of each canonical row, in the order of the tables.
+CLASSES = {
+    "euclidean": {"EC1": "Cartesian", "EC2": "Polar", "EC3": "Parabolic",
+                  "EC4": "EllipticHyperbolic"},
+    "minkowski": {"EC1": "EC1", "EC2": "EC2", "EC3": "EC3", "EC4": "EC4",
+                  "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
+                  "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"},
+}
+
+# Small rationals: numerators -20..20 over denominators 1..7.
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
+
+# Nonzero rationals of small height or of heights up to 10^6, and a slot
+# that is zero or one of them.
+BIG = 10 ** 6
+nonzero = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool),
+              st.integers(1, BIG)))
+slot = st.one_of(st.just(Fraction(0)), nonzero)
 
 
 def random_element(space, rng):

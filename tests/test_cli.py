@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import random
 import re
 import subprocess
@@ -19,7 +20,9 @@ from killingwebs.commands import (_cmd_canonical, _cmd_covariants,
                                   _cmd_invariants, _cmd_joint, _cmd_orbit_dim,
                                   _cmd_verify)
 from killingwebs.poly import parse_rational
+from killingwebs.spaces import space_by_name
 from killingwebs.verify import run_suite
+from samplers import CLASSES, SRC, canonical
 
 
 def invoke(capsys, *argv):
@@ -76,15 +79,29 @@ def test_frame_domain_error_message(capsys):
     assert "outside arctanh domain: argument = -2" in err
 
 
+# `classify` on each of the 14 canonical rows, with k2 = 1 where the row
+# takes one.
+CANONICAL_ARGV = [
+    ("classify", "--space", kind, "--params=" + ",".join(
+        str(v) for v in canonical(space_by_name(kind), ec).values),
+     "--output", "json")
+    for kind, classes in CLASSES.items() for ec in classes]
+
+
 def test_determinism(capsys):
-    argv = ("classify", "--space", "minkowski",
-            "--params", "1,2,3,4,5,6", "--output", "json")
-    first = invoke(capsys, *argv)
-    second = invoke(capsys, *argv)
-    assert first == second
+    """Two runs print the same bytes, on one input and on each canonical
+    row."""
+    for argv in [("classify", "--space", "minkowski",
+                  "--params", "1,2,3,4,5,6", "--output", "json"),
+                 *CANONICAL_ARGV]:
+        first = invoke(capsys, *argv)
+        assert first[0] == 0
+        assert invoke(capsys, *argv) == first
 
 
 def test_json_rationals_round_trip(capsys):
+    """The input, l0 and the invariants print as canonical rationals that
+    re-parse to themselves, on one input and on each canonical row."""
     status, out, _ = invoke(capsys, "classify", "--space", "minkowski",
                             "--params", "1/3,-2/7,3,4,5,6", "--output", "json")
     assert status == 0
@@ -92,8 +109,16 @@ def test_json_rationals_round_trip(capsys):
     values = [parse_rational(v) for v in data["input"]]
     assert values == [Fraction(1, 3), Fraction(-2, 7), 3, 4, 5, 6]
     assert parse_rational(data["l0"]) == Fraction(2, 7)
-    for v in data["invariants"].values():
-        assert parse_rational(v) == parse_rational(str(parse_rational(v)))
+    outputs = [out]
+    for argv in CANONICAL_ARGV:
+        status, out, _ = invoke(capsys, *argv)
+        assert status == 0
+        outputs.append(out)
+    for out in outputs:
+        data = json.loads(out)
+        for text in (*data["input"], data["l0"],
+                     *data["invariants"].values()):
+            assert str(parse_rational(text)) == text
 
 
 def test_batch_mode_emits_json_lines(tmp_path, capsys):
@@ -459,8 +484,7 @@ def test_version_matches_pyproject():
     assert killingwebs.__version__ == match.group(1)
 
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+ROOT = SRC.parent
 # The modules a `classify` process registers but does not run: those only
 # the other subcommands use, the polynomial type and the symbolic layer.
 LAZY = ("frames", "generators", "isometry", "poly", "symbolic", "verify")
@@ -518,6 +542,23 @@ print(killingwebs.poly is sys.modules["killingwebs.poly"].poly)
     assert lines == (unexecuted + unexecuted + ["checks 23"]
                      + [f"{name} True" for name in LAZY]
                      + ["commands False", "commands True", "True"])
+
+
+def test_module_run_executes_cli_once():
+    """`python -m killingwebs.cli` runs cli.py as `__main__`.  A subcommand
+    whose handler lives in `commands` imports no second copy of it under
+    the name `killingwebs.cli`."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "killingwebs.cli",
+         "decompose", "--space", "euclidean", "--params=1,2,3,4,5,6"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, check=True)
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "killingwebs.classify" in imported
+    assert "killingwebs.cli" not in imported
+    assert proc.stdout == "l0 = 2\nnontrivial: -1, 3, 4, 5, 6\n"
 
 
 def test_library_classify_leaves_symbolic_layer_unexecuted():

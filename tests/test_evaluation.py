@@ -54,16 +54,9 @@ from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
 from killingwebs.symbolic import (_joint_invariants, extract_kv_params,
                                   joint_invariant_polynomials,
                                   joint_invariants)
-from samplers import literal_forms
+from samplers import BIG, literal_forms, nonzero, slot
 
 SPACES = [EUCLIDEAN, MINKOWSKI]
-BIG = 10 ** 6
-
-nonzero = st.one_of(
-    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 5)),
-    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool),
-              st.integers(1, BIG)))
-slot = st.one_of(st.just(Fraction(0)), nonzero)
 values = st.one_of(st.tuples(*[nonzero] * 6),      # dense
                    st.tuples(*[slot] * 6))         # sparse
 vectors = st.one_of(st.tuples(*[nonzero] * 3), st.tuples(*[slot] * 3))

@@ -24,8 +24,8 @@ from killingwebs.invariants import (covariant_polynomials,
 from killingwebs.poly import MultiPoly, poly, var
 from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, DomainError
 from killingwebs.symbolic import joint_invariant_polynomials
+from samplers import A
 
-A = {i: var(f"alpha{i}") for i in range(1, 7)}
 B = {i: var(f"beta{i}") for i in range(1, 7)}
 
 

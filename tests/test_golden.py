@@ -28,24 +28,21 @@ from pathlib import Path
 import pytest
 
 from killingwebs.cli import run
-from killingwebs.frames import canonical_form
+from killingwebs.frames import K2_CLASSES, canonical_form
 from killingwebs.isometry import (IsometryElement, act_kt_params,
                                   rotation_from_parameter)
 from killingwebs.spaces import embed_nontrivial, space_by_name
+from samplers import CLASSES
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.jsonl"
 
 SPACES = ("euclidean", "minkowski")
-EUCLIDEAN_ROWS = ("EC1", "EC2", "EC3", "EC4")
-MINKOWSKI_ROWS = ("EC1", "EC2", "EC3", "EC4", "EC5", "EC6", "EC7", "EC8",
-                  "EC9", "EC10")
-K2_ROWS = ("EC5", "EC8", "EC9", "EC10")
 TABLE_GAP = ["classify", "--space", "minkowski", "--params=0,2,-1,0,0,3/2",
              "--output", "json"]
-ROWS = ([("euclidean", ec, None) for ec in EUCLIDEAN_ROWS]
-        + [("minkowski", ec, k2) for ec in MINKOWSKI_ROWS
+ROWS = ([("euclidean", ec, None) for ec in CLASSES["euclidean"]]
+        + [("minkowski", ec, k2) for ec in CLASSES["minkowski"]
            for k2 in ((Fraction(1), Fraction(4), Fraction(1, 16))
-                      if ec in K2_ROWS else (None,))])
+                      if ec in K2_CLASSES else (None,))])
 
 
 def _text(values) -> str:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from killingwebs.poly import MultiPoly, PolynomialError, poly, var
 from killingwebs.signs import SignClass, _nonnegative, quadratic_sign_class
+from samplers import rationals
 
 X, Y = var("x"), var("y")
 POINT_VARS = ("x", "y")
 
-rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
 tall = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
                  st.integers(1, 10 ** 6))
 

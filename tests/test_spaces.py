@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs.poly import poly, var
+from killingwebs.poly import MultiPoly, poly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, NontrivialKT, decompose,
                                 dtt_dimension, eigen_discriminant,
@@ -18,8 +18,8 @@ from killingwebs.symbolic import (TensorField, field_discriminant,
                                   geodesic_poisson_check, killing_residual,
                                   kt_components, kv_components,
                                   symbolic_killing_tensor)
+from samplers import A, rationals
 
-rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
 param_vectors = st.tuples(*([rationals] * 6))
 
 
@@ -60,6 +60,22 @@ def test_general_form_satisfies_killing_equation_symbolically(space):
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
 def test_general_form_commutes_with_geodesic_hamiltonian(space):
     assert geodesic_poisson_check(symbolic_killing_tensor(space)).is_zero()
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
+def test_general_killing_vector_gives_a_linear_first_integral(space):
+    """{H, V^i p_i} = 0 identically for the general Killing vector V: H
+    has constant coefficients, so the bracket is, up to sign, the sum
+    over i of dH/dp_i dF/dq_i."""
+    v = kv_components(space, [A[1], A[2], A[3]])
+    p1, p2 = var("p1"), var("p2")
+    g0, g1 = space.metric_diag
+    H = g0 * p1 * p1 + g1 * p2 * p2
+    F = v[0] * p1 + v[1] * p2
+    bracket = MultiPoly.zero()
+    for i, q in enumerate(space.point_vars):
+        bracket = bracket + H.diff(f"p{i + 1}") * F.diff(q)
+    assert bracket.is_zero()
 
 
 def test_non_killing_field_fails_both_checks():

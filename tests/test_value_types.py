@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,8 +21,7 @@ from killingwebs.isometry import (DiscreteReflection, ExactRotation,
 from killingwebs.poly import PolynomialError, poly
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, NontrivialKT)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from samplers import SRC
 
 
 def _types(values):
