@@ -36,25 +36,18 @@ class ClassificationReport(NamedTuple):
     caveats: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        inv = self.invariants
-        aux = inv.aux
-        data = {
+        blocks = self.invariants.to_json_dict()
+        return {
             "space": self.params.space.kind,
             "input": [str(v) for v in self.params.values],
             "l0": str(self.l0),
-            "invariants": {"I1": str(inv.i1), "I2": str(inv.i2),
-                           "I3": str(inv.i3)},
-            "sign_classes": {"C1": inv.sign_c1.value, "C2": inv.sign_c2.value},
+            "invariants": blocks.pop("invariants"),
+            "sign_classes": blocks.pop("sign_classes"),
             "class": self.web.tag if self.web else "trivial",
             "caveats": list(self.caveats),
             "eigen_precondition": self.eigen_precondition,
+            **blocks,                   # "auxiliary" on the Minkowski plane
         }
-        if aux is not None:
-            data["auxiliary"] = {
-                "I1_prime": str(aux.i1_prime),
-                "I2_prime": None if aux.i2_prime is None else str(aux.i2_prime),
-            }
-        return data
 
 
 def _root_type(a: int, b: int, c: int) -> str:

@@ -34,27 +34,14 @@ def _parse_kt(args) -> KTParams:
 
 def _cmd_invariants(args) -> int:
     rep = invariant_report(_parse_kt(args))
-    data = {
-        "space": rep.space.kind,
-        "invariants": {"I1": _fmt(rep.i1, args.mode),
-                       "I2": _fmt(rep.i2, args.mode),
-                       "I3": _fmt(rep.i3, args.mode)},
-        "sign_classes": {"C1": rep.sign_c1.value, "C2": rep.sign_c2.value},
-    }
-    if rep.aux is not None:
-        data["auxiliary"] = {
-            "I1_prime": _fmt(rep.aux.i1_prime, args.mode),
-            "I2_prime": None if rep.aux.i2_prime is None
-            else _fmt(rep.aux.i2_prime, args.mode),
-        }
-    lines = [f"I1 = {data['invariants']['I1']}",
-             f"I2 = {data['invariants']['I2']}",
-             f"I3 = {data['invariants']['I3']}",
-             f"C1 sign class: {rep.sign_c1.value}",
-             f"C2 sign class: {rep.sign_c2.value}"]
-    if rep.aux is not None:
-        lines.append(f"I1' = {data['auxiliary']['I1_prime']}")
-        lines.append(f"I2' = {data['auxiliary']['I2_prime']}")
+    data = {"space": rep.space.kind,
+            **rep.to_json_dict(lambda value: _fmt(value, args.mode))}
+    lines = [f"{name} = {value}"
+             for name, value in data["invariants"].items()]
+    lines += [f"{name} sign class: {value}"
+              for name, value in data["sign_classes"].items()]
+    lines += [name.replace("_prime", "'") + f" = {value}"
+              for name, value in data.get("auxiliary", {}).items()]
     _emit(args, data, lines)
     return 0
 

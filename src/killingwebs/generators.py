@@ -232,17 +232,3 @@ def _exact_rank(rows: list[list[Fraction]]) -> int:
             break
     return rank
 
-
-def jacobian_rank(functions: Sequence[MultiPoly], symbols: Sequence[str],
-                  at: Mapping[str, Fraction]) -> int:
-    """Exact rank of the Jacobian of the functions at a rational point."""
-    rows = []
-    for f in functions:
-        row = []
-        for sym in symbols:
-            d = f.diff(sym)
-            row.append(d.evaluate({s: Fraction(at.get(s, 0))
-                                   for s in d.variables})
-                       if not d.is_zero() else Q(0))
-        rows.append(row)
-    return _exact_rank(rows)

@@ -104,6 +104,19 @@ class InvariantReport(NamedTuple):
     aux: Optional[AuxInvariants]
     numerators: tuple[int, ...]    # the input over its common denominator
 
+    def to_json_dict(self, fmt=str) -> dict:
+        """The invariants, the sign classes and, on the Minkowski plane,
+        the auxiliary invariants, each value written by `fmt`."""
+        data = {"invariants": {"I1": fmt(self.i1), "I2": fmt(self.i2),
+                               "I3": fmt(self.i3)},
+                "sign_classes": {"C1": self.sign_c1.value,
+                                 "C2": self.sign_c2.value}}
+        if self.aux is not None:
+            i2p = self.aux.i2_prime
+            data["auxiliary"] = {"I1_prime": fmt(self.aux.i1_prime),
+                                 "I2_prime": None if i2p is None else fmt(i2p)}
+        return data
+
 
 def invariant_report(p: KTParams) -> InvariantReport:
     """Every per-input quantity, each computed once, and the integer

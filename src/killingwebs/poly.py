@@ -25,15 +25,14 @@ Q = Fraction
 
 # Every symbol a polynomial may mention.  Parameter symbols come first, then
 # point coordinates, group-element coordinates (c, s are the rotation/boost
-# matrix entries, a, b the translation), the canonical-form scale k2 and the
-# momenta/positions used by the Poisson-bracket check.
+# matrix entries, a, b the translation) and the momenta used by the
+# Poisson-bracket check.
 SYMBOLS = (
     "alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6",
     "beta1", "beta2", "beta3", "beta4", "beta5", "beta6",
     "t", "x", "y",
     "a", "b", "c", "s",
-    "k2",
-    "p1", "p2", "q1", "q2",
+    "p1", "p2",
 )
 MAX_EXPONENT = 127
 # The bit offset of each symbol's 8-bit field, and the guard bit of every
@@ -47,12 +46,6 @@ Scalar = Union[int, Fraction]
 def _canonical(coeff: Scalar) -> Scalar:
     """An integral coefficient as an int, any other as a Fraction."""
     return coeff.numerator if coeff.denominator == 1 else coeff
-
-
-def format_rational(value: Scalar) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _shift(name: str) -> int:
@@ -275,13 +268,13 @@ class MultiPoly:
             mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in
                             zip(SYMBOLS, _exponents(key)) if e)
             if not mono:
-                text = format_rational(coeff)
+                text = str(coeff)
             elif coeff == 1:
                 text = mono
             elif coeff == -1:
                 text = f"-{mono}"
             else:
-                text = f"{format_rational(coeff)}*{mono}"
+                text = f"{coeff}*{mono}"
             parts.append(text)
         out = parts[0]
         for part in parts[1:]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import _forward
 
@@ -107,11 +107,6 @@ def _emit(args, data, text_lines: list[str]) -> None:
             print(line)
 
 
-def fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    """The values as Fractions, keeping those that already are."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
 # The three Killing vector parameter symbols, in both spaces.
 KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
 
@@ -120,7 +115,8 @@ _VECTOR = [("space", Space), ("values", tuple[Fraction, ...])]
 
 
 class _ParamVector(NamedTuple("_ParamVector", _VECTOR)):
-    """Exactly `size` rational parameters, coerced to Fractions."""
+    """Exactly `size` rational parameters, coerced to Fractions; a value
+    that already is one is kept."""
     __slots__ = ()
     size = 0
 
@@ -128,7 +124,8 @@ class _ParamVector(NamedTuple("_ParamVector", _VECTOR)):
         if len(values) != cls.size:
             raise PolynomialError(
                 f"{cls.__name__} needs exactly {cls.size} values")
-        return super().__new__(cls, space, fraction_tuple(values))
+        return super().__new__(cls, space, tuple(
+            v if type(v) is Fraction else Fraction(v) for v in values))
 
     @classmethod
     def parse(cls, space: Space, text: str):

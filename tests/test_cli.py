@@ -59,6 +59,11 @@ def test_bad_rational_exits_2(capsys):
     status, _, _ = invoke(capsys, "invariants", "--space", "euclidean",
                           "--params", "1,2,3,4,5,banana")
     assert status == 2
+    # Exponent notation is refused before 10^100000000 is built.
+    status, _, err = invoke(capsys, "classify", "--space", "minkowski",
+                            "--params=1e100000000,0,0,0,0,1")
+    assert status == 2
+    assert "no exponents" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -35,11 +35,8 @@ from killingwebs import classify, spaces
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
 from killingwebs.generators import sigma_generators
-from killingwebs.invariants import (covariant_polynomials,
-                                    covariant_sign_classes,
-                                    fundamental_covariants,
-                                    fundamental_invariants,
-                                    invariant_polynomials, invariant_report)
+from killingwebs.invariants import (covariant_sign_classes,
+                                    fundamental_invariants, invariant_report)
 from killingwebs.isometry import (_GROUP_VARS, IsometryElement, _derive,
                                   _kt_action, _kv_action,
                                   _transformed_components,
@@ -49,9 +46,11 @@ from killingwebs.isometry import (_GROUP_VARS, IsometryElement, _derive,
 from killingwebs.poly import MultiPoly, var
 from killingwebs.signs import SignClass, quadratic_sign_class
 from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
-                                KVParams, Space, eigen_discriminant,
-                                embed_nontrivial, extract_kt_params)
-from killingwebs.symbolic import (_joint_invariants, extract_kv_params,
+                                KVParams, Space, embed_nontrivial)
+from killingwebs.symbolic import (_joint_invariants, covariant_polynomials,
+                                  eigen_discriminant, extract_kt_params,
+                                  extract_kv_params, fundamental_covariants,
+                                  invariant_polynomials,
                                   joint_invariant_polynomials,
                                   joint_invariants)
 from samplers import BIG, literal_forms, nonzero, slot

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from killingwebs.frames import canonical_form
 from killingwebs.generators import joint_generators
 from killingwebs.invariants import (auxiliary_invariants,
-                                    covariant_polynomials,
-                                    fundamental_covariants,
-                                    fundamental_invariants,
-                                    invariant_polynomials)
+                                    fundamental_invariants)
 from killingwebs.isometry import (act_kt_params, act_kv_params, act_point,
                                   discrete_group_elements)
 from killingwebs.poly import MultiPoly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, embed_nontrivial, metric_params)
-from killingwebs.symbolic import (general_killing_tensor,
+from killingwebs.symbolic import (covariant_polynomials,
+                                  fundamental_covariants,
+                                  general_killing_tensor,
+                                  invariant_polynomials,
                                   joint_invariant_polynomials,
                                   joint_invariants, symbolic_killing_tensor)
 from samplers import (A, literal_forms, nonzero, random_element,

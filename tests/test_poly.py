@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingwebs.poly import (SYMBOLS, MultiPoly, PolynomialError,
-                              format_rational, parse_rational, poly, var)
+                              parse_rational, poly, var)
 from killingwebs.generators import sigma_generators
 from killingwebs.isometry import derived_kt_action
 from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, KTParams
@@ -63,7 +63,7 @@ def test_substitution_matches_evaluation(p, a, b):
 
 # Symbols from every block of the universe, so merged variable lists must be
 # re-sorted by symbol order, not alphabetically.
-UNIVERSE = ("alpha1", "beta2", "x", "y", "c", "k2")
+UNIVERSE = ("alpha1", "beta2", "x", "y", "c", "p2")
 
 
 @st.composite
@@ -164,7 +164,7 @@ def test_degree_and_coefficient_queries():
 def test_rational_parsing_round_trip():
     for text in ("3", "-5/7", "0", "12/4", "1.25", "-.5"):
         value = parse_rational(text)
-        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(str(value)) == value
     assert parse_rational("1.25") == Fraction(5, 4)
     with pytest.raises(PolynomialError):
         parse_rational("not a number")

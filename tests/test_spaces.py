@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from killingwebs.poly import MultiPoly, poly, var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, NontrivialKT, decompose,
-                                dtt_dimension, eigen_discriminant,
-                                embed_nontrivial, extract_kt_params,
+                                dtt_dimension, embed_nontrivial,
                                 metric_params, reconstruct)
-from killingwebs.symbolic import (TensorField, field_discriminant,
+from killingwebs.symbolic import (TensorField, eigen_discriminant,
+                                  extract_kt_params, field_discriminant,
                                   general_killing_tensor,
                                   geodesic_poisson_check, killing_residual,
                                   kt_components, kv_components,
