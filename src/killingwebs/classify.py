@@ -63,9 +63,9 @@ def _cell(inv: InvariantReport) -> str | tuple[str, ...]:
     """The root type of h (Euclidean), or the sorted root types of f and g
     (Minkowski), with the sign pattern of two nonzero constants."""
     v1, v2, v3, v4, v5, v6 = inv.numerators
-    if inv.space.eps > 0:
+    if inv.aux is None:                 # only Minkowski reports have I1', I2'
         if v6:                          # I1 = |quarter discriminant of h|^2
-            return "double" if inv.i1 == 0 else "two"
+            return "two" if inv.i1.numerator else "double"
         return "linear" if v4 or v5 else "const" if v1 != v2 or v3 else "zero"
     f0, g0 = v1 + v2 - 2 * v3, v1 + v2 + 2 * v3
     cell = tuple(sorted((_root_type(v6, v5 - v4, f0),
@@ -113,15 +113,23 @@ _CELLS = {
 }
 
 
-def _row(inv: InvariantReport) -> tuple[Optional[str], str, tuple[str, ...]]:
-    """The row of the input's cell, with the negation caveat first on a
-    Minkowski input with I3 < 0."""
-    tag, verdict, caveats = _CELLS[_cell(inv)]
-    if inv.space.eps < 0 and inv.i3 < 0:
-        # K and -K generate the same web and share their cell; the tables
-        # are written for the representative with I3 > 0.
-        caveats = ("parameters negated to normalize I3 > 0",) + caveats
-    return tag, verdict, caveats
+_NEGATED = ("parameters negated to normalize I3 > 0",)
+_COMPLEX = ("eigenvalues complex on an open region of the plane; the "
+            "tensor does not generate a web there",)
+
+# cell -> [its row, its row for a Minkowski input with I3 < 0], each (class,
+# verdict, caveats, the report's caveats: those and `_COMPLEX` on a complex
+# verdict).  K and -K generate the same web and share their cell; the
+# tables are written for the representative with I3 > 0.
+_ROWS = {cell: [(None if tag is None else WebClass(tag), verdict, row,
+                 row + (_COMPLEX if verdict == "complex" else ()))
+                for row in (caveats, _NEGATED + caveats)]
+         for cell, (tag, verdict, caveats) in _CELLS.items()}
+
+
+def _row(inv: InvariantReport):
+    """The row of the input's cell; I3 = v6 / d takes the sign of v6."""
+    return _ROWS[_cell(inv)][inv.aux is not None and inv.numerators[5] < 0]
 
 
 def _checked_input(nt: NontrivialKT, kind: str) -> KTParams:
@@ -133,13 +141,13 @@ def _checked_input(nt: NontrivialKT, kind: str) -> KTParams:
 
 
 def classify_euclidean(nt: NontrivialKT) -> WebClass:
-    return WebClass(_row(invariant_report(_checked_input(nt, "euclidean")))[0])
+    return _row(invariant_report(_checked_input(nt, "euclidean")))[0]
 
 
 def classify_minkowski(nt: NontrivialKT) -> tuple[WebClass, tuple[str, ...]]:
     """The class and the row's caveats."""
-    tag, _, caveats = _row(invariant_report(_checked_input(nt, "minkowski")))
-    return WebClass(tag), caveats
+    web, _, caveats, _ = _row(invariant_report(_checked_input(nt, "minkowski")))
+    return web, caveats
 
 
 def _eigen_precondition(inv: InvariantReport) -> str:
@@ -152,10 +160,6 @@ def classify_full(p: KTParams) -> ClassificationReport:
     """The two-step procedure: strip the metric multiple, then classify.
     l0 = eps v2, and the input is trivial iff its cell is a zero cell."""
     inv = invariant_report(p)
-    tag, verdict, caveats = _row(inv)
-    l0 = p.values[1] if p.space.eps > 0 else -p.values[1]
-    if verdict == "complex":
-        caveats += ("eigenvalues complex on an open region of the plane; the "
-                    "tensor does not generate a web there",)
-    web = None if tag is None else WebClass(tag)
+    web, verdict, _, caveats = _row(inv)
+    l0 = p.values[1] if inv.aux is None else -p.values[1]
     return ClassificationReport(p, l0, inv, web, verdict, caveats)

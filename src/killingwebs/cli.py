@@ -4,7 +4,7 @@
 arguments; every handler runs one engine operation.  Reports are
 deterministic (no timestamps) and serialize rationals as strings so that
 every printed value re-parses exactly.  Exit status: 0 success, 1 domain
-error, 2 parse error.
+error, 2 parse error; a batch exits with the highest among its records.
 
 This module holds only what a `classify` call runs: the entry point, the
 parser and `classify`'s handler.  The other handlers live in `commands`,
@@ -41,11 +41,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _classify_params(space, text: str) -> KTParams:
-    n = len(text.split(","))
-    if n == 5:
+def _classify_params(space, entry) -> KTParams:
+    """6 (full) or 5 (nontrivial) rationals, in a string or a list."""
+    text = entry if isinstance(entry, str) else ",".join(map(str, entry))
+    if len(text.split(",")) == 5:
         return embed_nontrivial(NontrivialKT.parse(space, text))
     return KTParams.parse(space, text)
+
+
+def _failure(exc: ValueError) -> tuple[str, str, int]:
+    """The kind, message and exit status of an error a command ends in."""
+    if isinstance(exc, PolynomialError):
+        return "parse", str(exc), 2
+    if isinstance(exc, DomainError):
+        return "domain", str(exc), 1
+    if "integer string conversion" not in str(exc):     # str() of a long int
+        raise exc                       # any other is a fault of the program
+    return "too_large", ("a value has too many digits to print (over "
+                         f"{sys.get_int_max_str_digits()})"), 1
 
 
 def _cmd_classify(args) -> int:
@@ -58,18 +71,22 @@ def _cmd_classify(args) -> int:
             raise PolynomialError(f"cannot read batch file: {exc}") from None
         if not isinstance(entries, list):
             raise PolynomialError("batch file must hold a JSON array")
+        status = 0              # one line per entry: its report or its error
         for i, entry in enumerate(entries):
-            if isinstance(entry, list):
-                entry = ",".join(str(v) for v in entry)
-            elif not isinstance(entry, str):
-                raise PolynomialError(f"batch entry {i} is neither a string "
-                                      "nor a list")
-            print(json.dumps(classify_full(
-                _classify_params(space, entry)).to_json_dict()))
-        return 0
-    p = _classify_params(space, args.params)
-    report = classify_full(p)
-    data = report.to_json_dict()
+            try:
+                if not isinstance(entry, (str, list)):
+                    raise PolynomialError(f"batch entry {i} is neither a "
+                                          "string nor a list")
+                data = classify_full(
+                    _classify_params(space, entry)).to_json_dict()
+            except ValueError as exc:
+                kind, message, code = _failure(exc)
+                status = max(status, code)
+                data = {"index": i, "input": entry,
+                        "error": {"kind": kind, "message": message}}
+            print(json.dumps(data))
+        return status
+    data = classify_full(_classify_params(space, args.params)).to_json_dict()
     lines = [f"class: {data['class']}", f"l0: {data['l0']}"]
     lines.append("invariants: " + ", ".join(
         f"{k} = {v}" for k, v in data["invariants"].items()))
@@ -185,18 +202,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         handler = getattr(commands, handler)
     try:
         return handler(args)
-    except PolynomialError as exc:
-        print(f"killingwebs: parse error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"killingwebs: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:       # str() of an int too long to print
-        if "integer string conversion" not in str(exc):
-            raise
-        print("killingwebs: a value has too many digits to print (over "
-              f"{sys.get_int_max_str_digits()})", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        kind, message, status = _failure(exc)
+        prefix = "parse error: " if kind == "parse" else ""
+        print(f"killingwebs: {prefix}{message}", file=sys.stderr)
+        return status
 
 
 def main() -> None:

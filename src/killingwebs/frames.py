@@ -12,11 +12,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .invariants import _quad_cross
+from .invariants import _numerators
 from .isometry import act_kt_params_float
 from .poly import Q
-from .spaces import (DomainError, KTParams, NontrivialKT, Space,
-                     common_numerators)
+from .spaces import DomainError, KTParams, NontrivialKT, Space
 
 RESIDUAL_TOL = 1e-9
 
@@ -108,12 +107,10 @@ def moving_frame(p: KTParams) -> MovingFrameResult:
     translations, which depend on it) and validates by applying the element:
     the residual on the constrained parameters is the success criterion.
     """
-    nums, d = common_numerators(p.values)
+    eps, nums, d, quad, cross = _numerators(p)
     if nums[5] == 0:
         raise FrameDomainError("group does not act freely here")
-    quad, cross = _quad_cross(p.space.eps, *nums)
-    frame = _euclidean_frame if p.space.kind == "euclidean" \
-        else _minkowski_frame
+    frame = _euclidean_frame if eps > 0 else _minkowski_frame
     try:
         return frame(p, nums, d, 2 * cross, quad)
     except (OverflowError, ZeroDivisionError):

@@ -64,10 +64,7 @@ class LinearVectorField(NamedTuple("LinearVectorField",
             a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "LinearVectorField") -> "LinearVectorField":
-        if self.domain != other.domain:
-            raise DomainError("domain mismatch")
-        return LinearVectorField(self.domain, tuple(
-            a - b for a, b in zip(self.coefficients, other.coefficients)))
+        return self + other.scale(-1)
 
     def scale(self, factor) -> "LinearVectorField":
         return LinearVectorField(self.domain, tuple(
@@ -207,12 +204,7 @@ def structure_residuals(fields: Sequence[LinearVectorField],
 def orbit_dimension(fields: Sequence[LinearVectorField],
                     at: Mapping[str, Fraction]) -> int:
     """Rank over the rationals of the generator values at a point."""
-    rows = [field.evaluate(at) for field in fields]
-    return _exact_rank(rows)
-
-
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    matrix = [list(map(Fraction, row)) for row in rows]
+    matrix = [field.evaluate(at) for field in fields]
     rank = 0
     cols = len(matrix[0]) if matrix else 0
     for col in range(cols):
@@ -231,4 +223,3 @@ def _exact_rank(rows: list[list[Fraction]]) -> int:
         if rank == len(matrix):
             break
     return rank
-

@@ -1,12 +1,13 @@
 """Fundamental invariants, covariant sign classes, auxiliary invariants.
 
-I1-I3 and the covariants' coefficient rows are closed forms in epsilon and
-the parameters, written once for any ring: evaluated here on the integer
-numerators of an input over their common denominator d (a form of degree
-k takes d^k times its value), and in `symbolic` on `var` symbols.  The
-polynomials and the joint invariants live there; this module serves only
-`invariant_polynomials`, `covariant_polynomials` and
-`fundamental_covariants`, which the benchmark reaches through it.
+I1-I3 and the covariants' coefficient rows are closed forms in epsilon, the
+parameters and the quadratics quad and cross, written once for any ring:
+evaluated here on the integer numerators of an input over their common
+denominator d (a form of degree k takes d^k times its value), and in
+`symbolic` on `var` symbols.  The polynomials and the joint invariants
+live there; this module serves only `invariant_polynomials`,
+`covariant_polynomials` and `fundamental_covariants`, which the benchmark
+reaches through it.
 """
 
 from __future__ import annotations
@@ -28,21 +29,20 @@ def _quad_cross(eps, p1, p2, p3, p4, p5, p6):
             p3 * p6 + eps * p4 * p5)
 
 
-def _invariants(eps, p):
-    """(I1, I2, I3), homogeneous of degrees 4, 2 and 1."""
+def _invariants(eps, p, quad, cross):
+    """(I1, I2, I3) from quad and cross at p, of degrees 4, 2 and 1."""
     p1, p2, _, p4, p5, p6 = p
-    quad, cross = _quad_cross(eps, *p)
     return (quad * quad + 4 * eps * cross * cross,
             p6 * (p1 + eps * p2) - p4 * p4 - eps * p5 * p5,
             p6)
 
 
-def _covariant_rows(eps, p):
+def _covariant_rows(eps, p, quad, cross):
     """The coefficients of C1 and C2 at the point monomials `MONOMIALS`,
-    homogeneous of degrees 2 and 4.  With lu = p6 u + p5, lw = p6 w + p4:
-    C1 = lu^2 + eps lw^2 and C2 = (lu^2 - eps lw^2) quad + 4 lu lw cross."""
+    homogeneous of degrees 2 and 4, given quad and cross at p.  With
+    lu = p6 u + p5, lw = p6 w + p4: C1 = lu^2 + eps lw^2 and
+    C2 = (lu^2 - eps lw^2) quad + 4 lu lw cross."""
     _, _, _, p4, p5, p6 = p
-    quad, cross = _quad_cross(eps, *p)
     sq, x4 = p6 * p6, 4 * cross
     return ((sq, 0, eps * sq, 2 * p6 * p5, 2 * eps * p6 * p4,
              p5 * p5 + eps * p4 * p4),
@@ -52,20 +52,27 @@ def _covariant_rows(eps, p):
              (p5 * p5 - eps * p4 * p4) * quad + p4 * p5 * x4))
 
 
+def _numerators(p: KTParams):
+    """eps, p's numerators over their lcm d, and quad and cross at them."""
+    nums, d = common_numerators(p.values)
+    eps = p.space.eps
+    return eps, nums, d, *_quad_cross(eps, *nums)
+
+
+def _scaled_invariants(p, eps, nums, d, quad, cross):
+    """(I1, I2, I3) of p; I3 = v6 is p's own Fraction."""
+    i1, i2, _ = _invariants(eps, nums, quad, cross)
+    return Fraction(i1, d ** 4), Fraction(i2, d * d), p.values[5]
+
+
 def fundamental_invariants(p: KTParams) -> tuple[Fraction, Fraction, Fraction]:
-    return _scaled_invariants(p.space.eps, *common_numerators(p.values))
-
-
-def _scaled_invariants(eps, nums, d):
-    """(I1, I2, I3) of the input with numerators `nums` over d."""
-    i1, i2, i3 = _invariants(eps, nums)
-    return Fraction(i1, d ** 4), Fraction(i2, d * d), Fraction(i3, d)
+    return _scaled_invariants(p, *_numerators(p))
 
 
 def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
     """The sign classes of C1 and C2, decided on their integer rows."""
-    nums, _ = common_numerators(p.values)
-    return tuple(map(row_sign_class, _covariant_rows(p.space.eps, nums)))
+    eps, nums, _, quad, cross = _numerators(p)
+    return tuple(map(row_sign_class, _covariant_rows(eps, nums, quad, cross)))
 
 
 # -- auxiliary Minkowski invariants -----------------------------------------
@@ -121,10 +128,9 @@ class InvariantReport(NamedTuple):
 def invariant_report(p: KTParams) -> InvariantReport:
     """Every per-input quantity, each computed once, and the integer
     numerators they are computed from."""
-    nums, d = common_numerators(p.values)
-    eps = p.space.eps
-    i1, i2, i3 = _scaled_invariants(eps, nums, d)
-    s1, s2 = map(row_sign_class, _covariant_rows(eps, nums))
+    eps, nums, d, quad, cross = _numerators(p)
+    i1, i2, i3 = _scaled_invariants(p, eps, nums, d, quad, cross)
+    s1, s2 = map(row_sign_class, _covariant_rows(eps, nums, quad, cross))
     aux = _auxiliary(nums, d) if eps < 0 else None
     return InvariantReport(p.space, i1, i2, i3, s1, s2, aux, tuple(nums))
 

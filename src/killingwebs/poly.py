@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from math import lcm
+from operator import add, or_
 from typing import Iterable, Mapping, Sequence, Union
 
 # Re-exported: the exact layer has these from `spaces`, without this module.
@@ -219,24 +220,31 @@ class MultiPoly:
         return result
 
     def evaluate(self, assignment: Mapping[str, Union[Scalar, float]]):
-        """Evaluate at a full assignment of the used variables.
-
-        Returns a Fraction when every value is exact, a float otherwise.
-        """
+        """Evaluate at a full assignment of the used variables: a float,
+        summed in term order, if a value is a float, else a Fraction, built
+        once from the integer terms over one common denominator."""
         fields = self._fields()
         for v, _ in fields:
             if v not in assignment:
                 raise PolynomialError(f"unbound variable {v!r} in evaluation")
-        total = Fraction(0) if not any(
-            isinstance(v, float) for v in assignment.values()) else 0.0
+        values = [assignment[v] for v, _ in fields]
+        exact = not any(isinstance(v, float) for v in assignment.values())
+        nums, den = common_numerators(values) if exact else (values, 1)
+        terms = []                  # (numerator, denominator, degree)
         for key, coeff in self._terms.items():
-            term = coeff if isinstance(total, Fraction) else float(coeff)
-            for v, shift in fields:
+            term, degree = coeff.numerator if exact else float(coeff), 0
+            for n, (_, shift) in zip(nums, fields):
                 e = key >> shift & MAX_EXPONENT
                 if e:
-                    term *= assignment[v] ** e
-            total += term
-        return total
+                    term *= n ** e
+                    degree += e
+            terms.append((term, coeff.denominator, degree))
+        if not exact:
+            return reduce(add, [n for n, _, _ in terms], 0.0)
+        top = max([k for _, _, k in terms], default=0)
+        lcd = lcm(*[q for _, q, _ in terms])
+        return Fraction(sum(n * (lcd // q) * den ** (top - k)
+                            for n, q, k in terms), lcd * den ** top)
 
     def coefficients_in(self, variables: Sequence[str]) -> dict[tuple[int, ...], "MultiPoly"]:
         """Collect coefficients with respect to a subset of the variables.
@@ -290,9 +298,5 @@ def _coerce(value) -> MultiPoly:
     raise PolynomialError(f"cannot coerce {value!r} to a polynomial")
 
 
-def poly(value: Scalar) -> MultiPoly:
-    return MultiPoly.constant(value)
-
-
-def var(name: str) -> MultiPoly:
-    return MultiPoly.variable(name)
+# The constant and the variable polynomials, as functions.
+poly, var = MultiPoly.constant, MultiPoly.variable

@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
-from .invariants import (_covariant_rows, _invariants, _quad_cross,
-                         _scaled_invariants)
+from .invariants import (_covariant_rows, _invariants, _numerators,
+                         _quad_cross, _scaled_invariants)
 from .poly import MultiPoly, Q, _canonical, pack, poly, var
 from .signs import MONOMIALS
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
@@ -75,11 +75,7 @@ def extract_kt_params(space: Space, components: Sequence[MultiPoly]
     if the components do not fit the general Killing tensor pattern (the
     residue is reported); callers treat that as an internal error.
     """
-    k00, k01, k11 = components
-    u, w = space.point_vars
-    c00 = k00.coefficients_in([u, w])
-    c01 = k01.coefficients_in([u, w])
-    c11 = k11.coefficients_in([u, w])
+    c00, c01, c11 = (k.coefficients_in(space.point_vars) for k in components)
     zero = MultiPoly.zero()
     v1 = c00.get((0, 0), zero)
     v2 = c11.get((0, 0), zero)
@@ -99,13 +95,11 @@ def extract_kt_params(space: Space, components: Sequence[MultiPoly]
 def extract_kv_params(space: Space, components: Sequence[MultiPoly]
                       ) -> list[MultiPoly]:
     """Recover the three Killing vector parameters, with residue check."""
-    w0, w1 = components
-    u, w = space.point_vars
-    c0 = w0.coefficients_in([u, w])
+    c0, c1 = (k.coefficients_in(space.point_vars) for k in components)
     zero = MultiPoly.zero()
     v1 = c0.get((0, 0), zero)
     v3 = c0.get((0, 1), zero)
-    v2 = w1.coefficients_in([u, w]).get((0, 0), zero)
+    v2 = c1.get((0, 0), zero)
     rebuilt = kv_components(space, [v1, v2, v3])
     residues = [a - b for a, b in zip(components, rebuilt)]
     if any(not r.is_zero() for r in residues):
@@ -184,10 +178,16 @@ def field_discriminant(field: TensorField) -> MultiPoly:
 
 # -- invariants and covariants as polynomials -------------------------------
 
+def _symbols(space: Space):
+    """eps, the parameter symbols, and quad and cross on them."""
+    params = [var(v) for v in space.param_vars]
+    return (space.eps, params, *_quad_cross(space.eps, *params))
+
+
 @lru_cache(maxsize=None)
 def invariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(I1, I2, I3) as polynomials in the six parameter symbols."""
-    return _invariants(space.eps, [var(v) for v in space.param_vars])
+    return _invariants(*_symbols(space))
 
 
 @lru_cache(maxsize=None)
@@ -195,32 +195,33 @@ def covariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly]:
     """(C1, C2) as polynomials in parameters and the point coordinates."""
     u, w = (var(v) for v in space.point_vars)
     monomials = [u ** i * w ** j for i, j in MONOMIALS]
-    rows = _covariant_rows(space.eps, [var(v) for v in space.param_vars])
+    rows = _covariant_rows(*_symbols(space))
     return tuple(sum((c * m for c, m in zip(row, monomials)), MultiPoly.zero())
                  for row in rows)
 
 
 def fundamental_covariants(p: KTParams) -> tuple[MultiPoly, MultiPoly]:
     """C1, C2 with the parameters bound, as polynomials in the point vars."""
-    nums, d = common_numerators(p.values)
+    eps, nums, d, quad, cross = _numerators(p)
     keys = [pack(p.space.point_vars, m) for m in MONOMIALS]
     return tuple(MultiPoly._of({key: _canonical(Fraction(n, d ** k))
                                 for key, n in zip(keys, row) if n})
-                 for row, k in zip(_covariant_rows(p.space.eps, nums), (2, 4)))
+                 for row, k in zip(_covariant_rows(eps, nums, quad, cross),
+                                   (2, 4)))
 
 
 # -- joint invariants -------------------------------------------------------
 
-def _joint_invariants(alpha, beta):
+def _joint_invariants(alpha, beta, d, x):
     """(J1, J2) of the Euclidean vector alpha and tensor beta, in any ring,
-    homogeneous of degrees (2, 2) and (2, 4) in (alpha, beta).  The pairs
-    (P, Q) and (D, 2X) turn with weights 1 and 2 under the rotation.  J2
+    homogeneous of degrees (2, 2) and (2, 4) in (alpha, beta), given
+    d = quad and x = cross at beta.  The pairs (P, Q) and (D, 2X) turn
+    with weights 1 and 2 under the rotation.  J2
     is the completion solved from the annihilation system; the tabulated
     form is corrupt at the source (the tests keep its readings)."""
     a1, a2, a3 = alpha
     _, _, _, b4, b5, b6 = beta
     p, q = b6 * a1 - b4 * a3, b6 * a2 + b5 * a3
-    d, x = _quad_cross(1, *beta)
     return p * p + q * q, (p * p - q * q) * d + 4 * p * q * x
 
 
@@ -231,10 +232,10 @@ def joint_invariants(kv: KVParams, kt: KTParams) -> tuple[Fraction, ...]:
     if kv.space.kind != "euclidean" or kt.space.kind != "euclidean":
         raise DomainError("joint invariants are defined for the Euclidean plane")
     alpha, da = common_numerators(kv.values)
-    beta, db = common_numerators(kt.values)
-    j1, j2 = _joint_invariants(alpha, beta)
+    _, beta, db, quad, cross = tensor = _numerators(kt)
+    j1, j2 = _joint_invariants(alpha, beta, quad, cross)
     den = da * da * db * db
-    return (*_scaled_invariants(1, beta, db), kv.values[2],
+    return (*_scaled_invariants(kt, *tensor), kv.values[2],
             Fraction(j1, den), Fraction(j2, den * db * db))
 
 
@@ -243,4 +244,4 @@ def joint_invariant_polynomials() -> tuple[MultiPoly, ...]:
     """(I1, I2, I3, I4, J1, J2) on the 9-symbol Euclidean product space."""
     alpha = [var(v) for v in KV_PARAM_VARS]
     return (*invariant_polynomials(EUCLIDEAN), alpha[2],
-            *_joint_invariants(alpha, [var(v) for v in EUCLIDEAN.param_vars]))
+            *_joint_invariants(alpha, *_symbols(EUCLIDEAN)[1:]))

@@ -146,24 +146,49 @@ def test_batch_mode_emits_json_lines(tmp_path, capsys):
 ])
 def test_batch_file_errors_exit_2(tmp_path, capsys, content, message,
                                   records):
+    """A file that is unreadable or holds no JSON array is refused whole,
+    with the message on stderr.  In an array, an entry that is neither a
+    string nor a list gets its own error line after the `records` answered
+    ones, and the batch exits 2 at the end."""
     batch = tmp_path / "batch.json"
     if content is not None:
         batch.write_text(content)
     status, out, err = invoke(capsys, "classify", "--space", "minkowski",
                               "--batch", str(batch))
     assert status == 2
-    assert err.startswith("killingwebs: parse error: ") and message in err
-    assert len(out.splitlines()) == records
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert all("class" in line for line in lines[:records])
+    if len(lines) == records:
+        assert err.startswith("killingwebs: parse error: ") and message in err
+    else:
+        assert err == ""
+        assert lines[records:] == [{
+            "index": records, "input": json.loads(content)[records],
+            "error": {"kind": "parse", "message": message}}]
 
 
-def test_batch_stops_at_first_bad_record(tmp_path, capsys):
+def _single_call(capsys, params):
+    """The JSON line `classify --params` prints for a Minkowski input."""
+    status, out, _ = invoke(capsys, "classify", "--space", "minkowski",
+                            f"--params={params}", "--output", "json")
+    assert status == 0
+    return out
+
+
+def test_batch_answers_past_a_bad_record(tmp_path, capsys):
+    """A record that does not parse gets an error line; the records around
+    it get the lines single calls print, and the batch exits 2."""
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps(["0,0,0,0,1", "0,0,0", "1,0,0,0,0"]))
     status, out, err = invoke(capsys, "classify", "--space", "minkowski",
                               "--batch", str(batch))
-    assert status == 2
-    assert [json.loads(line)["class"] for line in out.splitlines()] == ["EC2"]
-    assert "expected 6 comma-separated rationals" in err
+    assert (status, err) == (2, "")
+    first, bad, last = out.splitlines(keepends=True)
+    assert json.loads(bad) == {"index": 1, "input": "0,0,0", "error": {
+        "kind": "parse",
+        "message": "expected 6 comma-separated rationals, got 3"}}
+    assert (first, last) == (_single_call(capsys, "0,0,0,0,1"),
+                             _single_call(capsys, "1,0,0,0,0"))
 
 
 def test_batch_answers_the_cell_no_tabulated_row_covers(tmp_path, capsys):
@@ -239,16 +264,18 @@ def test_values_beyond_the_printing_limit_are_a_domain_error(
                    "(over 4300)\n")
 
 
-def test_batch_stops_at_a_record_beyond_the_printing_limit(
+def test_batch_answers_past_a_record_beyond_the_printing_limit(
         tmp_path, capsys, int_digit_limit):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps(["0,0,0,0,1", BEYOND_PRINTING, "1,0,0,0,0"]))
     status, out, err = invoke(capsys, "classify", "--space", "minkowski",
                               "--batch", str(batch))
-    assert status == 1
-    assert [json.loads(line)["class"] for line in out.splitlines()] == ["EC2"]
-    assert err == ("killingwebs: a value has too many digits to print "
-                   "(over 4300)\n")
+    assert (status, err) == (1, "")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[1] == {"index": 1, "input": BEYOND_PRINTING, "error": {
+        "kind": "too_large",
+        "message": "a value has too many digits to print (over 4300)"}}
+    assert [lines[0]["class"], lines[2]["class"]] == ["EC2", "EC1"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,11 +31,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs import classify, spaces
+from killingwebs import classify, invariants, spaces
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
 from killingwebs.generators import sigma_generators
-from killingwebs.invariants import (covariant_sign_classes,
+from killingwebs.invariants import (_quad_cross, covariant_sign_classes,
                                     fundamental_invariants, invariant_report)
 from killingwebs.isometry import (_GROUP_VARS, IsometryElement, _derive,
                                   _kt_action, _kv_action,
@@ -71,7 +71,12 @@ def _assignment(p):
 def test_invariants_match_substitution(space, vals):
     """Against the literal per-space forms, evaluated on the Fractions."""
     p = KTParams(space, vals)
-    assert fundamental_invariants(p) == literal_forms(space, p.values)[0]
+    literal = literal_forms(space, p.values)[0]
+    assert fundamental_invariants(p) == literal
+    report = invariant_report(p)
+    assert (report.i1, report.i2, report.i3) == literal
+    assert all(type(v) is Fraction for v in (report.i1, report.i2, report.i3))
+    assert report.i3 is p.values[5]           # v6 itself, no new Fraction
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
@@ -175,7 +180,7 @@ def test_closed_form_actions_equal_the_derived_maps(space):
 def test_closed_form_joint_invariants_equal_the_oracle_selection():
     alpha = [var(v) for v in KV_PARAM_VARS]
     beta = [var(v) for v in EUCLIDEAN.param_vars]
-    j1, j2 = _joint_invariants(alpha, beta)
+    j1, j2 = _joint_invariants(alpha, beta, *_quad_cross(1, *beta))
     assert (j1, j2) == joint_invariant_polynomials()[4:]
     # J1 written out: `joint_invariant_polynomials` builds it from
     # `_joint_invariants` too.
@@ -400,8 +405,10 @@ def _records():
 def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     """Traced with the benchmark's own spans: no substitution, product or
     polynomial evaluation, and one invariant report per record, which
-    brings the input to integer numerators once and evaluates the
-    invariants and decides both covariant sign classes on them, with no
+    brings the input to integer numerators once, evaluates quad and cross
+    on them once (`_quad_cross`, the one home of their closed form, counted
+    wherever it is bound) and from those the invariants and both covariant
+    sign classes, with no
     call to the public per-quantity functions, no covariant built and no
     polynomial sign decision; l0, triviality and I1', I2' come from those
     numerators too, with no `decompose` or `auxiliary_invariants`; the
@@ -411,16 +418,20 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
         classify_full(p)
     action_calls = derived_kt_action.cache_info()
     tracer = _load_spans().Tracer()
-    original, numerators = spaces.common_numerators, []
+    calls = {}          # function name -> the record of each call
+    for original in (spaces.common_numerators, invariants._quad_cross):
+        name = original.__name__
+        calls[name] = []
 
-    def counted(values):
-        numerators.append(tracer.record_id)
-        return original(values)
+        def counted(*args, original=original, seen=calls[name]):
+            seen.append(tracer.record_id)
+            return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("killingwebs") and \
-                vars(module).get("common_numerators") is original:
-            monkeypatch.setattr(module, "common_numerators", counted)
+        bound = [m for n, m in sys.modules.items() if n.startswith(
+            "killingwebs") and vars(m).get(name) is original]
+        assert bound
+        for module in bound:
+            monkeypatch.setattr(module, name, counted)
     tracer.install()
     try:
         for i, p in enumerate(records):
@@ -441,5 +452,5 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     assert sorted(r for n, r in zip(tracer.name, tracer.record)
                   if tracer.names[n] == "invariants.invariant_report") \
         == list(range(len(records)))
-    assert sorted(numerators) == list(range(len(records)))
+    assert calls == {name: list(range(len(records))) for name in calls}
     assert derived_kt_action.cache_info() == action_calls
