@@ -1,13 +1,13 @@
 """Fundamental invariants, covariant sign classes, auxiliary invariants.
 
-I1-I3 and the covariants' coefficient rows are closed forms in epsilon, the
-parameters and the quadratics quad and cross, written once for any ring:
-evaluated here on the integer numerators of an input over their common
-denominator d (a form of degree k takes d^k times its value), and in
-`symbolic` on `var` symbols.  The polynomials and the joint invariants
-live there; this module serves only `invariant_polynomials`,
-`covariant_polynomials` and `fundamental_covariants`, which the benchmark
-reaches through it.
+I1-I3 are closed forms in epsilon, the parameters and the quadratics quad
+and cross, written once for any ring: evaluated here on the integer
+numerators of an input over their common denominator d (a form of degree
+k takes d^k times its value), and in `symbolic` on `var` symbols.  The
+covariants' sign classes are read off quad and cross; their coefficient
+rows, the polynomials and the joint invariants live in `symbolic`.  This
+module serves only `invariant_polynomials`, `covariant_polynomials` and
+`fundamental_covariants`, which the benchmark reaches through it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import _forward
-from .signs import SignClass, row_sign_class
+from .signs import SignClass
 from .spaces import DomainError, KTParams, Space, common_numerators
 
 
@@ -37,21 +37,6 @@ def _invariants(eps, p, quad, cross):
             p6)
 
 
-def _covariant_rows(eps, p, quad, cross):
-    """The coefficients of C1 and C2 at the point monomials `MONOMIALS`,
-    homogeneous of degrees 2 and 4, given quad and cross at p.  With
-    lu = p6 u + p5, lw = p6 w + p4: C1 = lu^2 + eps lw^2 and
-    C2 = (lu^2 - eps lw^2) quad + 4 lu lw cross."""
-    _, _, _, p4, p5, p6 = p
-    sq, x4 = p6 * p6, 4 * cross
-    return ((sq, 0, eps * sq, 2 * p6 * p5, 2 * eps * p6 * p4,
-             p5 * p5 + eps * p4 * p4),
-            (sq * quad, sq * x4, -eps * sq * quad,
-             p6 * (2 * p5 * quad + p4 * x4),
-             p6 * (p5 * x4 - 2 * eps * p4 * quad),
-             (p5 * p5 - eps * p4 * p4) * quad + p4 * p5 * x4))
-
-
 def _numerators(p: KTParams):
     """eps, p's numerators over their lcm d, and quad and cross at them."""
     nums, d = common_numerators(p.values)
@@ -69,10 +54,32 @@ def fundamental_invariants(p: KTParams) -> tuple[Fraction, Fraction, Fraction]:
     return _scaled_invariants(p, *_numerators(p))
 
 
+# The classes as module globals, which are read faster than enum members.
+_ZERO, _CONST, _POS, _NEG, _INDEF = SignClass
+
+
+def _sign_classes(eps, p, quad, cross):
+    """The sign classes of C1 and C2 at integers p, given quad and cross
+    there.  If p6 = 0, C1 = p5^2 + eps p4^2 and C2 = C1^2.  Else
+    lu = p6 u + p5 and lw = p6 w + p4 run over the plane.  Euclidean:
+    C1 = lu^2 + lw^2, and C2 is a form in (lu, lw) of determinant
+    -I1 = -(quad^2 + 4 cross^2).  Minkowski, with s, t = lu -+ lw and
+    Df, Dg = quad +- 2 cross: C1 = s t and 2 C2 = s^2 Dg + t^2 Df."""
+    if not p[5]:
+        c1 = _CONST if p[4] * p[4] + eps * p[3] * p[3] else _ZERO
+        return c1, c1
+    if eps > 0:
+        return _POS, _INDEF if quad or cross else _ZERO
+    df, dg = quad + 2 * cross, quad - 2 * cross
+    if df >= 0 and dg >= 0:
+        return _INDEF, _POS if df or dg else _ZERO
+    return _INDEF, _NEG if df <= 0 and dg <= 0 else _INDEF
+
+
 def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
-    """The sign classes of C1 and C2, decided on their integer rows."""
+    """The sign classes of C1 and C2."""
     eps, nums, _, quad, cross = _numerators(p)
-    return tuple(map(row_sign_class, _covariant_rows(eps, nums, quad, cross)))
+    return _sign_classes(eps, nums, quad, cross)
 
 
 # -- auxiliary Minkowski invariants -----------------------------------------
@@ -130,7 +137,7 @@ def invariant_report(p: KTParams) -> InvariantReport:
     numerators they are computed from."""
     eps, nums, d, quad, cross = _numerators(p)
     i1, i2, i3 = _scaled_invariants(p, eps, nums, d, quad, cross)
-    s1, s2 = map(row_sign_class, _covariant_rows(eps, nums, quad, cross))
+    s1, s2 = _sign_classes(eps, nums, quad, cross)
     aux = _auxiliary(nums, d) if eps < 0 else None
     return InvariantReport(p.space, i1, i2, i3, s1, s2, aux, tuple(nums))
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
-from .invariants import (_covariant_rows, _invariants, _numerators,
-                         _quad_cross, _scaled_invariants)
+from .invariants import (_invariants, _numerators, _quad_cross,
+                         _scaled_invariants)
 from .poly import MultiPoly, Q, _canonical, pack, poly, var
 from .signs import MONOMIALS
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
@@ -188,6 +188,21 @@ def _symbols(space: Space):
 def invariant_polynomials(space: Space) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(I1, I2, I3) as polynomials in the six parameter symbols."""
     return _invariants(*_symbols(space))
+
+
+def _covariant_rows(eps, p, quad, cross):
+    """The coefficients of C1 and C2 at the point monomials `MONOMIALS`,
+    homogeneous of degrees 2 and 4, given quad and cross at p.  With
+    lu = p6 u + p5, lw = p6 w + p4: C1 = lu^2 + eps lw^2 and
+    C2 = (lu^2 - eps lw^2) quad + 4 lu lw cross."""
+    _, _, _, p4, p5, p6 = p
+    sq, x4 = p6 * p6, 4 * cross
+    return ((sq, 0, eps * sq, 2 * p6 * p5, 2 * eps * p6 * p4,
+             p5 * p5 + eps * p4 * p4),
+            (sq * quad, sq * x4, -eps * sq * quad,
+             p6 * (2 * p5 * quad + p4 * x4),
+             p6 * (p5 * x4 - 2 * eps * p4 * quad),
+             (p5 * p5 - eps * p4 * p4) * quad + p4 * p5 * x4))
 
 
 @lru_cache(maxsize=None)

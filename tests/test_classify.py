@@ -222,8 +222,9 @@ nonzero_small = small.filter(bool)
        nonzero_small, small)
 @settings(max_examples=100, deadline=None)
 def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
-    """The verdict and the cell are unchanged by the connected group, the
-    discrete group, nonzero scaling and adding a multiple of the metric."""
+    """The verdict, the cell and the sign classes of C1 and C2 are
+    unchanged by the connected group, the discrete group, nonzero scaling
+    (negative factors too) and adding a multiple of the metric."""
     p = KTParams(space, vals)
     inv = invariant_report(p)
     metric = metric_params(space).values
@@ -235,6 +236,8 @@ def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
     assert {_eigen_precondition(r) for r in reports} \
         == {_eigen_precondition(inv)}
     assert {_cell(r) for r in reports} == {_cell(inv)}
+    assert {(r.sign_c1, r.sign_c2) for r in reports} \
+        == {(inv.sign_c1, inv.sign_c2)}
 
 
 # The cell no tabulated row covers: f has a double root and g none.

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import killingwebs
 from killingwebs import verify
@@ -22,7 +24,7 @@ from killingwebs.commands import (_cmd_canonical, _cmd_covariants,
 from killingwebs.poly import parse_rational
 from killingwebs.spaces import space_by_name
 from killingwebs.verify import run_suite
-from samplers import CLASSES, SRC, canonical
+from samplers import CLASSES, SRC, canonical, rationals
 
 
 def invoke(capsys, *argv):
@@ -251,6 +253,61 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(old)
+
+
+def _as_single_call(capsys, space, index, entry):
+    """The status of `classify --params` on a batch entry, and the line a
+    batch prints for it: the call's output, or the call's error as an
+    error object with the entry's index."""
+    def error(kind, message):
+        return {"index": index, "input": entry,
+                "error": {"kind": kind, "message": message}}
+    if not isinstance(entry, (str, list)):
+        return 2, error("parse", f"batch entry {index} is neither a string "
+                                 "nor a list")
+    params = entry if isinstance(entry, str) else ",".join(map(str, entry))
+    status, out, err = invoke(capsys, "classify", "--space", space,
+                              f"--params={params}", "--output", "json")
+    if status == 0:
+        return 0, out
+    message = err.removeprefix("killingwebs: ").removesuffix("\n")
+    if message.startswith("parse error: "):
+        return status, error("parse", message.removeprefix("parse error: "))
+    return status, error("too_large", message)
+
+
+_good_entries = st.one_of(
+    st.tuples(*[rationals] * 6).map(lambda v: ",".join(map(str, v))),
+    st.tuples(*[rationals] * 5).map(lambda v: [str(x) for x in v]))
+_bad_entries = st.sampled_from([
+    "1,2,x,4,5,6", "1/0,1,1,1,1,1", "0,0,0", ["x"], 5, None,
+    {"params": "1,2,3,4,5,6"}, BEYOND_PRINTING])
+
+
+@pytest.mark.parametrize("space", ["euclidean", "minkowski"])
+@given(st.lists(st.one_of(_good_entries, _bad_entries), max_size=8))
+@example(entries=["0,0,0", BEYOND_PRINTING, "1,2,3,4,5,6"])   # 2, then 1
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_batch_answers_every_record_as_a_single_call_does(
+        tmp_path, capsys, space, entries):
+    """Bad records interleaved with good ones: each good record's line is
+    the one its single call prints, each bad one gets an error object with
+    its index (its message the single call's, for a string or a list), and
+    the batch exits with the highest status among its records.  A record
+    beyond the printing limit fails only where the interpreter has one."""
+    expected = [_as_single_call(capsys, space, i, entry)
+                for i, entry in enumerate(entries)]
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(entries))
+    status, out, err = invoke(capsys, "classify", "--space", space,
+                              "--batch", str(batch))
+    assert (status, err) == (max((s for s, _ in expected), default=0), "")
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == len(entries)
+    assert [line if code == 0 else json.loads(line)
+            for line, (code, _) in zip(lines, expected)] \
+        == [line for _, line in expected]
 
 
 @pytest.mark.parametrize("command", ["classify", "invariants", "covariants"])

@@ -10,7 +10,7 @@ numerators; on `var` symbols they must equal the derived actions and the
 oracle's joint invariants as polynomials, and at rationals they must agree
 exactly with substituting into (or evaluating) those.  Both hold on sparse
 and dense rationals with heights up to 10^6, and the covariant sign
-classes decided on the integer rows must agree with deciding them on the
+classes read off quad and cross must agree with deciding them on the
 polynomials.  `classify_full` derives no polynomial and does no polynomial
 arithmetic.  The float action, the
 same closed form on floats, must agree bit for bit with
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs import classify, invariants, spaces
+from killingwebs import classify, invariants, signs, spaces
 from killingwebs.classify import _eigen_precondition, classify_full
 from killingwebs.frames import canonical_form
 from killingwebs.generators import sigma_generators
@@ -102,9 +102,9 @@ covariant_inputs = st.one_of(
 @given(covariant_inputs)
 @settings(max_examples=200, deadline=None)
 def test_sign_classes_from_rows_match_the_polynomial_oracles(space, vals):
-    """The classes decided on the integer rows equal
-    `quadratic_sign_class` on the covariants as polynomials, built from
-    the same rows and, as the oracle, by substitution."""
+    """The classes read off quad and cross equal `quadratic_sign_class`
+    on the covariants as polynomials, built from the integer rows and, as
+    the oracle, by substitution."""
     p = KTParams(space, vals)
     rows = covariant_sign_classes(p)
     substituted = [c.subst(_assignment(p)) for c in covariant_polynomials(space)]
@@ -410,7 +410,9 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     wherever it is bound) and from those the invariants and both covariant
     sign classes, with no
     call to the public per-quantity functions, no covariant built and no
-    polynomial sign decision; l0, triviality and I1', I2' come from those
+    sign decision on a polynomial or on a row: the classes are read off
+    v6, quad and cross, and `row_sign_class`, counted the same way, is
+    never called, on any record; l0, triviality and I1', I2' come from those
     numerators too, with no `decompose` or `auxiliary_invariants`; the
     group action is never derived or evaluated."""
     records = _records()
@@ -419,7 +421,8 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     action_calls = derived_kt_action.cache_info()
     tracer = _load_spans().Tracer()
     calls = {}          # function name -> the record of each call
-    for original in (spaces.common_numerators, invariants._quad_cross):
+    once = (spaces.common_numerators, invariants._quad_cross)
+    for original in once + (signs.row_sign_class,):
         name = original.__name__
         calls[name] = []
 
@@ -452,5 +455,6 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     assert sorted(r for n, r in zip(tracer.name, tracer.record)
                   if tracer.names[n] == "invariants.invariant_report") \
         == list(range(len(records)))
-    assert calls == {name: list(range(len(records))) for name in calls}
+    assert calls == {**{f.__name__: list(range(len(records))) for f in once},
+                     "row_sign_class": []}
     assert derived_kt_action.cache_info() == action_calls
