@@ -42,11 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _classify_params(space, entry) -> KTParams:
-    """6 (full) or 5 (nontrivial) rationals, in a string or a list."""
-    text = entry if isinstance(entry, str) else ",".join(map(str, entry))
-    if len(text.split(",")) == 5:
-        return embed_nontrivial(NontrivialKT.parse(space, text))
-    return KTParams.parse(space, text)
+    """6 (full) or 5 (nontrivial) rationals, in a string or a list.  A
+    finite float in a list is read as the decimal written: the float range
+    bounds its exponent.  inf and nan are left to fail as literals."""
+    if not isinstance(entry, str):
+        from fractions import Fraction      # `spaces` has loaded it
+        entry = ",".join(str(Fraction(repr(v)) if isinstance(v, float)
+                             and v - v == 0 else v) for v in entry)
+    if len(entry.split(",")) == 5:
+        return embed_nontrivial(NontrivialKT.parse(space, entry))
+    return KTParams.parse(space, entry)
 
 
 def _failure(exc: ValueError) -> tuple[str, str, int]:
@@ -193,7 +198,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.subcommand == "classify" and not args.batch and not args.params:
+    if args.subcommand == "classify" and not args.batch and args.params is None:
         print("killingwebs: error: classify needs --params or --batch",
               file=sys.stderr)
         return 2

@@ -121,42 +121,42 @@ def moving_frame(p: KTParams) -> MovingFrameResult:
 
 # -- canonical forms ---------------------------------------------------------
 
-# Each row is (values at k2 = 0, coefficients of k2); the classes that take
-# k2 are the rows with a nonzero coefficient.
+# Each plane's rows: class -> (the class `classify` reports, values at
+# k2 = 0, coefficients of k2); the rows that take k2 have a nonzero one.
 _NO_K2 = (0, 0, 0, 0, 0)
 
-_EUCLIDEAN_CANONICAL = {
-    "EC1": ((1, 0, 0, 0, 0), _NO_K2),
-    "EC2": ((0, 0, 0, 0, 1), _NO_K2),
-    "EC3": ((0, 0, 0, 1, 0), _NO_K2),
-    "EC4": ((1, 0, 0, 0, 1), _NO_K2),
+CANONICAL = {
+    "euclidean": {
+        "EC1": ("Cartesian", (1, 0, 0, 0, 0), _NO_K2),
+        "EC2": ("Polar", (0, 0, 0, 0, 1), _NO_K2),
+        "EC3": ("Parabolic", (0, 0, 0, 1, 0), _NO_K2),
+        "EC4": ("EllipticHyperbolic", (1, 0, 0, 0, 1), _NO_K2),
+    },
+    "minkowski": {
+        "EC1": ("EC1", (1, 0, 0, 0, 0), _NO_K2),
+        "EC2": ("EC2", (0, 0, 0, 0, 1), _NO_K2),
+        "EC3": ("EC3", (Q(1, 2), Q(1, 4), Q(-1, 2), Q(1, 2), 0), _NO_K2),
+        "EC4": ("EC4", (0, 0, 0, 1, 0), _NO_K2),
+        "EC5": ("EC5_or_EC10", (0, 0, 0, 0, Q(-1, 4)), (2, 0, 0, 0, 0)),
+        "EC6": ("EC6_or_EC8", (Q(1, 4), Q(1, 4), 0, 0, Q(1, 4)), _NO_K2),
+        "EC7": ("EC7", (Q(-1, 2), Q(-1, 4), 0, 0, Q(1, 4)), _NO_K2),
+        "EC8": ("EC6_or_EC8", (0, 0, 0, 0, Q(1, 4)), (0, -1, 0, 0, 0)),
+        "EC9": ("EC9", (0, 0, 0, 0, Q(1, 4)), (2, 0, 0, 0, 0)),
+        "EC10": ("EC5_or_EC10", (0, 0, 0, 0, Q(1, 4)), (-2, 0, 0, 0, 0)),
+    },
 }
 
-_MINKOWSKI_CANONICAL = {
-    "EC1": ((1, 0, 0, 0, 0), _NO_K2),
-    "EC2": ((0, 0, 0, 0, 1), _NO_K2),
-    "EC3": ((Q(1, 2), Q(1, 4), Q(-1, 2), Q(1, 2), 0), _NO_K2),
-    "EC4": ((0, 0, 0, 1, 0), _NO_K2),
-    "EC5": ((0, 0, 0, 0, Q(-1, 4)), (2, 0, 0, 0, 0)),
-    "EC6": ((Q(1, 4), Q(1, 4), 0, 0, Q(1, 4)), _NO_K2),
-    "EC7": ((Q(-1, 2), Q(-1, 4), 0, 0, Q(1, 4)), _NO_K2),
-    "EC8": ((0, 0, 0, 0, Q(1, 4)), (0, -1, 0, 0, 0)),
-    "EC9": ((0, 0, 0, 0, Q(1, 4)), (2, 0, 0, 0, 0)),
-    "EC10": ((0, 0, 0, 0, Q(1, 4)), (-2, 0, 0, 0, 0)),
-}
-
-K2_CLASSES = {ec for ec, (_, k2) in _MINKOWSKI_CANONICAL.items() if any(k2)}
+K2_CLASSES = {ec for ec, row in CANONICAL["minkowski"].items() if any(row[2])}
 
 
 def canonical_form(space: Space, ec: str,
                    k2: Optional[Fraction] = None) -> NontrivialKT:
     """The tabulated nontrivial representative of an equivalence class."""
-    table = _EUCLIDEAN_CANONICAL if space.kind == "euclidean" \
-        else _MINKOWSKI_CANONICAL
+    table = CANONICAL[space.kind]
     ec = ec.upper()
     if ec not in table:
         raise DomainError(f"unknown equivalence class {ec!r} for {space.kind}")
-    base, per_k2 = table[ec]
+    _, base, per_k2 = table[ec]
     takes_k2 = any(per_k2)
     if takes_k2 and k2 is None:
         raise DomainError(f"{ec} requires a k2 value")

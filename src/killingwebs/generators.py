@@ -129,7 +129,7 @@ def sigma_generators(space: Space, valence: int
     (space, valence); the tuple is shared by every caller."""
     if valence == 2:
         domain = space.param_vars
-        comps = symbolic_killing_tensor(space).components
+        comps = symbolic_killing_tensor(space)
         lie_derivative, extract = _lie_derivative_tensor, extract_kt_params
     elif valence == 1:
         domain = KV_PARAM_VARS

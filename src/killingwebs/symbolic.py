@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .invariants import (_invariants, _numerators, _quad_cross,
                          _scaled_invariants)
@@ -19,16 +19,6 @@ from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, PolynomialError, Space, common_numerators)
 
 Coeff = Union[int, Fraction, MultiPoly]
-
-
-class TensorField(NamedTuple):
-    """Symmetric contravariant 2-tensor field with polynomial components.
-
-    Components are stored as (K^00, K^01, K^11) in the space's coordinate
-    order; symmetry is structural.
-    """
-    space: Space
-    components: tuple[MultiPoly, MultiPoly, MultiPoly]
 
 
 def kt_components(space: Space, values: Sequence[Coeff]
@@ -46,14 +36,9 @@ def kt_components(space: Space, values: Sequence[Coeff]
     return (k00, k01, k11)
 
 
-def general_killing_tensor(params: KTParams) -> TensorField:
-    return TensorField(params.space, kt_components(params.space, params.values))
-
-
-def symbolic_killing_tensor(space: Space) -> TensorField:
-    """General form with the six parameters left symbolic."""
-    return TensorField(space, kt_components(
-        space, [var(s) for s in space.param_vars]))
+def symbolic_killing_tensor(space: Space) -> tuple[MultiPoly, ...]:
+    """The general form's components, the six parameters left symbolic."""
+    return kt_components(space, [var(s) for s in space.param_vars])
 
 
 def kv_components(space: Space, values: Sequence[Coeff]
@@ -107,16 +92,10 @@ def extract_kv_params(space: Space, components: Sequence[MultiPoly]
     return [v1, v2, v3]
 
 
-def lower_indices(field: TensorField) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Covariant components K_ij = g_ia g_jb K^ab (diagonal metric)."""
-    g0, g1 = field.space.metric_diag
-    k00, k01, k11 = field.components
-    return (g0 * g0 * k00, g0 * g1 * k01, g1 * g1 * k11)
-
-
-def killing_residual(field: TensorField
+def killing_residual(space: Space, components: Sequence[MultiPoly]
                      ) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
-    """Fully symmetrized gradient of the covariant components.
+    """Fully symmetrized gradient of the covariant components
+    K_ij = g_ia g_jb K^ab of the field (K^00, K^01, K^11).
 
     In flat Cartesian coordinates the Killing tensor equation reduces to the
     vanishing of d_(i K_jk).  A symmetric 3-index tensor in two dimensions
@@ -124,10 +103,11 @@ def killing_residual(field: TensorField
     (111), (112), (122), (222); the field is a Killing tensor iff all four
     are identically zero.
     """
-    u, w = field.space.point_vars
-    K = {}
-    K[(0, 0)], K[(0, 1)], K[(1, 1)] = lower_indices(field)
-    K[(1, 0)] = K[(0, 1)]
+    u, w = space.point_vars
+    g0, g1 = space.metric_diag
+    k00, k01, k11 = components
+    K = {(0, 0): g0 * g0 * k00, (1, 1): g1 * g1 * k11}
+    K[(0, 1)] = K[(1, 0)] = g0 * g1 * k01
     d = {0: u, 1: w}
 
     def sym(i: int, j: int, k: int) -> MultiPoly:
@@ -137,19 +117,20 @@ def killing_residual(field: TensorField
     return (sym(0, 0, 0), sym(0, 0, 1), sym(0, 1, 1), sym(1, 1, 1))
 
 
-def geodesic_poisson_check(field: TensorField) -> MultiPoly:
+def geodesic_poisson_check(space: Space, components: Sequence[MultiPoly]
+                           ) -> MultiPoly:
     """Canonical Poisson bracket of the geodesic Hamiltonian with the
-    quadratic momentum function built from the field.
+    quadratic momentum function built from the field (K^00, K^01, K^11).
 
     Zero iff the quadratic function is a first integral of geodesic flow,
     which is the Killing tensor condition.
     """
-    g0, g1 = field.space.metric_diag
+    g0, g1 = space.metric_diag
     p1, p2 = var("p1"), var("p2")
-    k00, k01, k11 = field.components
+    k00, k01, k11 = components
     H = g0 * p1 * p1 + g1 * p2 * p2
     F = k00 * p1 * p1 + 2 * k01 * p1 * p2 + k11 * p2 * p2
-    coords = field.space.point_vars
+    coords = space.point_vars
     bracket = MultiPoly.zero()
     for i in range(2):
         # H has constant coefficients, so the dH/dq half of the canonical
@@ -164,13 +145,15 @@ def eigen_discriminant(params: KTParams) -> MultiPoly:
     The tensor generates an orthogonal web on the open region where this is
     positive (real distinct eigenvalues).
     """
-    return field_discriminant(general_killing_tensor(params))
+    return field_discriminant(params.space,
+                              kt_components(params.space, params.values))
 
 
-def field_discriminant(field: TensorField) -> MultiPoly:
-    """The eigenvalue discriminant of any tensor field, symbolic or not."""
-    g0, g1 = field.space.metric_diag
-    k00, k01, k11 = field.components
+def field_discriminant(space: Space, components: Sequence[MultiPoly]
+                       ) -> MultiPoly:
+    """The eigenvalue discriminant of a field (K^00, K^01, K^11)."""
+    g0, g1 = space.metric_diag
+    k00, k01, k11 = components
     trace = g0 * k00 + g1 * k11
     det = g0 * g1 * (k00 * k11 - k01 * k01)
     return trace * trace - 4 * det

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .classify import classify_full
-from .frames import K2_CLASSES, FrameDomainError, canonical_form, moving_frame
+from .frames import CANONICAL, FrameDomainError, canonical_form, moving_frame
 from .generators import (extended_generators, joint_generators,
                          sigma_generators, sigma_structure_constants,
                          structure_residuals)
@@ -58,19 +58,10 @@ def _random_params(space, rng) -> KTParams:
         rng.choice(rng.choice(_PARAMS)) for _ in range(6)))
 
 
-# The tabulated class of each canonical row.
-_CLASSES = {
-    EUCLIDEAN: {"EC1": "Cartesian", "EC2": "Polar", "EC3": "Parabolic",
-                "EC4": "EllipticHyperbolic"},
-    MINKOWSKI: {"EC1": "EC1", "EC2": "EC2", "EC3": "EC3", "EC4": "EC4",
-                "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
-                "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"}}
-
-
 def _canonical_rows(space):
     """(row, class, embedded canonical form); k2 = 1 where a row takes one."""
-    for ec, tag in _CLASSES[space].items():
-        k2 = Fraction(1) if ec in K2_CLASSES else None
+    for ec, (tag, _, per_k2) in CANONICAL[space.kind].items():
+        k2 = Fraction(1) if any(per_k2) else None
         yield ec, tag, embed_nontrivial(canonical_form(space, ec, k2))
 
 
@@ -92,10 +83,10 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
     for space in (EUCLIDEAN, MINKOWSKI):
         check(f"{space.kind}: symbolic Killing equation residual",
               lambda s=space: (all(r.is_zero() for r in killing_residual(
-                  symbolic_killing_tensor(s))), ""))
+                  s, symbolic_killing_tensor(s))), ""))
         check(f"{space.kind}: symbolic geodesic Poisson bracket",
               lambda s=space: (geodesic_poisson_check(
-                  symbolic_killing_tensor(s)).is_zero(), ""))
+                  s, symbolic_killing_tensor(s)).is_zero(), ""))
         check(f"{space.kind}: generator structure constants",
               lambda s=space: (all(
                   r.is_zero() for v in (1, 2) for r in structure_residuals(
@@ -174,7 +165,7 @@ def run_suite(trials: int = 50, seed: int = 0) -> list[CheckResult]:
           lambda: (len(discrete_group_elements()) == 8, ""))
 
     def table_reproduction():
-        for space in _CLASSES:
+        for space in (EUCLIDEAN, MINKOWSKI):
             for ec, tag, p in _canonical_rows(space):
                 got = classify_full(p).web.tag
                 if got != tag:

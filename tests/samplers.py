@@ -3,8 +3,9 @@
 Each sampler draws from the `random.Random` it is given, so a test's inputs
 are fixed by its seed.  `killingwebs.verify` keeps a sampler of its own:
 its translation range differs, and its goldens pin its stream.  The
-hypothesis strategies, the symbol table `A`, the tabulated class of each
-canonical row and the package's source directory are defined here once.
+hypothesis strategies, the symbol table `A`, the class of each canonical
+row (read off `frames.CANONICAL`) and the package's source directory are
+defined here once.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from killingwebs.classify import classify_euclidean, classify_minkowski
-from killingwebs.frames import K2_CLASSES, canonical_form
+from killingwebs.frames import CANONICAL, K2_CLASSES, canonical_form
 from killingwebs.isometry import rotation_from_parameter
 from killingwebs.poly import var
 from killingwebs.spaces import KTParams, decompose
@@ -24,13 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 A = {i: var(f"alpha{i}") for i in range(1, 7)}
 
 # The tabulated class of each canonical row, in the order of the tables.
-CLASSES = {
-    "euclidean": {"EC1": "Cartesian", "EC2": "Polar", "EC3": "Parabolic",
-                  "EC4": "EllipticHyperbolic"},
-    "minkowski": {"EC1": "EC1", "EC2": "EC2", "EC3": "EC3", "EC4": "EC4",
-                  "EC5": "EC5_or_EC10", "EC6": "EC6_or_EC8", "EC7": "EC7",
-                  "EC8": "EC6_or_EC8", "EC9": "EC9", "EC10": "EC5_or_EC10"},
-}
+CLASSES = {kind: {ec: row[0] for ec, row in rows.items()}
+           for kind, rows in CANONICAL.items()}
 
 # Small rationals: numerators -20..20 over denominators 1..7.
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))

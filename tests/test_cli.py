@@ -193,6 +193,34 @@ def test_batch_answers_past_a_bad_record(tmp_path, capsys):
                              _single_call(capsys, "1,0,0,0,0"))
 
 
+def test_batch_reads_list_numbers_in_exponent_form(tmp_path, capsys):
+    """A number in a list is read as the decimal written in the file, in
+    either spelling; inf and nan are that record's parse errors."""
+    batch = tmp_path / "batch.json"
+    batch.write_text("[[1e-05, 0, 0, 0, 0, 1], [0.00001, 0, 0, 0, 0, 1], "
+                     "[1e16, 0, 0, 0, 0, 1], [Infinity, 0, 0, 0, 0, 1], "
+                     "[NaN, 0, 0, 0, 0, 1]]")
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch", str(batch))
+    assert (status, err) == (2, "")
+    *lines, inf, nan = out.splitlines(keepends=True)
+    assert lines == [_single_call(capsys, "1/100000,0,0,0,0,1")] * 2 \
+        + [_single_call(capsys, f"{10 ** 16},0,0,0,0,1")]
+    assert [json.loads(line)["error"] for line in (inf, nan)] == [
+        {"kind": "parse", "message": f"bad rational literal {text!r}"}
+        for text in ("inf", "nan")]
+
+
+def test_empty_params_is_a_parse_error(capsys):
+    """An empty `--params=` gets the arity message a batch record gets;
+    only a call with neither option is told it needs one."""
+    assert invoke(capsys, "classify", "--space", "minkowski", "--params=") \
+        == (2, "", "killingwebs: parse error: expected 6 comma-separated "
+                   "rationals, got 1\n")
+    assert invoke(capsys, "classify", "--space", "minkowski") == (
+        2, "", "killingwebs: error: classify needs --params or --batch\n")
+
+
 def test_batch_answers_the_cell_no_tabulated_row_covers(tmp_path, capsys):
     """Two records in the cell (double, none), the second one record 27 of
     the dense benchmark corpus at seed 23, between good records: one line
@@ -280,7 +308,7 @@ _good_entries = st.one_of(
     st.tuples(*[rationals] * 6).map(lambda v: ",".join(map(str, v))),
     st.tuples(*[rationals] * 5).map(lambda v: [str(x) for x in v]))
 _bad_entries = st.sampled_from([
-    "1,2,x,4,5,6", "1/0,1,1,1,1,1", "0,0,0", ["x"], 5, None,
+    "1,2,x,4,5,6", "1/0,1,1,1,1,1", "0,0,0", "", ["x"], 5, None,
     {"params": "1,2,3,4,5,6"}, BEYOND_PRINTING])
 
 

@@ -18,10 +18,10 @@ from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams,
                                 KVParams, embed_nontrivial, metric_params)
 from killingwebs.symbolic import (covariant_polynomials,
                                   fundamental_covariants,
-                                  general_killing_tensor,
                                   invariant_polynomials,
                                   joint_invariant_polynomials,
-                                  joint_invariants, symbolic_killing_tensor)
+                                  joint_invariants, kt_components,
+                                  symbolic_killing_tensor)
 from samplers import (A, literal_forms, nonzero, random_element,
                       random_params, slot)
 
@@ -59,10 +59,10 @@ def trace_identity_check(p: KTParams | None = None) -> MultiPoly:
     if space.kind != "euclidean":
         raise DomainError("the trace identity is a Euclidean statement")
     if p is None:
-        comps = symbolic_killing_tensor(space).components
+        comps = symbolic_killing_tensor(space)
         assignment = None
     else:
-        comps = general_killing_tensor(p).components
+        comps = kt_components(space, p.values)
         assignment = _param_assignment(p)
     g0, g1 = space.metric_diag
     trace = g0 * comps[0] + g1 * comps[2]

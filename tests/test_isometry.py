@@ -30,7 +30,7 @@ from killingwebs.isometry import (DiscreteReflection, ExactRotation,
 from killingwebs.poly import var
 from killingwebs.spaces import (EUCLIDEAN, MINKOWSKI, DomainError,
                                 KTParams, KVParams, Space)
-from killingwebs.symbolic import general_killing_tensor
+from killingwebs.symbolic import kt_components
 from samplers import random_element, random_params
 
 
@@ -331,7 +331,7 @@ def test_point_and_parameter_actions_are_compatible(space):
         u, w = space.point_vars
 
         def value(params, at):
-            comps = general_killing_tensor(params).components
+            comps = kt_components(params.space, params.values)
             binding = {u: at[0], w: at[1]}
             return tuple(
                 c.evaluate({s: binding[s] for s in c.variables})
