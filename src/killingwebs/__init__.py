@@ -6,8 +6,8 @@ arithmetic, derives the group actions and their infinitesimal generators
 from first principles, and uses them to classify the orthogonal web
 (separable coordinate system) a given tensor determines.
 
-Classification runs on the exact layer alone; the polynomial type (`poly`)
-and the symbolic layer (`symbolic`) are compiled and run on first use.
+Classification runs on the exact layer alone; the polynomial type (`poly`),
+the sign classifier (`signs`) and the symbolic layer run on first use.
 """
 
 import importlib.util
@@ -45,16 +45,17 @@ def _forward(owner: str, **homes: str):
 # The package attribute `poly` is the `poly` function, served below.  The
 # module stays unbound, and being in sys.modules, no later import binds it.
 _lazy("poly", bind=False)
+_lazy("signs")
 _lazy("symbolic")
 
 from .spaces import (EUCLIDEAN, MINKOWSKI, DomainError, KTParams, KVParams,
                      NontrivialKT, PolynomialError, Space, decompose,
                      dtt_dimension, metric_params, parse_rational,
                      reconstruct, space_by_name)
-from .signs import SignClass, quadratic_sign_class
-from .invariants import fundamental_invariants, invariant_report
+from .invariants import SignClass, fundamental_invariants, invariant_report
 
 __getattr__ = _forward(__name__, poly="MultiPoly poly var",
+                       signs="quadratic_sign_class",
                        symbolic="fundamental_covariants joint_invariants")
 
 __all__ = [

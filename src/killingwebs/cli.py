@@ -9,14 +9,15 @@ error, 2 parse error; a batch exits with the highest among its records.
 This module holds only what a `classify` call runs: the entry point, the
 parser and `classify`'s handler.  The other handlers live in `commands`,
 which is registered here but run on first use, so a `classify` process
-neither compiles them nor builds their arguments.
+neither compiles them nor builds their arguments.  Only usage, help and
+errors import argparse: `_parse` reads a well-formed line off `COMMANDS`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import _lazy
@@ -35,10 +36,17 @@ _lazy("isometry")
 verify = _lazy("verify")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse exits with status 2 already; keep the message on stderr.
-        self.exit(2, f"{self.prog}: error: {message}\n")
+def __getattr__(name: str):
+    """`_Parser`, the argparse parser class, defined on first use."""
+    if name != "_Parser":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import argparse
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # argparse exits with status 2 already; keep the message on stderr.
+            self.exit(2, f"{self.prog}: error: {message}\n")
+    globals()[name] = _Parser
+    return _Parser
 
 
 def _classify_params(space, entry) -> KTParams:
@@ -113,16 +121,20 @@ def run_suite(trials: int = 50, seed: int = 0):
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 SPACE = ("--space", {"required": True})
 PARAMS = ("--params", {"required": True})
+OUTPUT = ("--output", {"choices": ("json", "text"), "default": "text"})
+MODE = ("--mode", {"choices": ("exact", "float"), "default": "exact"})
 
 # name -> (handler, help, takes --mode, arguments), in the order of the
-# usage line.  A handler named by a string is looked up on `commands`.
-# Each argument is (flag, keyword arguments of `add_argument`).
+# usage line.  Each takes OUTPUT too, and MODE where its handler reads it.
+# A handler named by a string is looked up on `commands`.  Each argument is
+# (flag, keyword arguments of `add_argument`).
 COMMANDS = {
     "invariants": (
         "_cmd_invariants", "fundamental invariants and covariant sign classes",
@@ -166,41 +178,73 @@ COMMANDS = {
 }
 
 
+def _arguments(command: str) -> tuple:
+    """`command`'s arguments, in the order of its usage line."""
+    _, _, mode, arguments = COMMANDS[command]
+    return (OUTPUT, MODE, *arguments) if mode else (OUTPUT, *arguments)
+
+
 def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     """The parser with every subcommand listed, but with arguments only for
     `command`, the one a call runs."""
-    parser = _Parser(prog="killingwebs",
-                     description="Invariant classification of orthogonal "
-                                 "coordinate webs in the plane.")
+    parser = (globals().get("_Parser") or __getattr__("_Parser"))(
+        prog="killingwebs", description="Invariant classification of "
+        "orthogonal coordinate webs in the plane.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, text, mode, arguments) in COMMANDS.items():
+    for name, (_, text, _, _) in COMMANDS.items():
         # A sub-parser that parses nothing needs no -h either.
         p = sub.add_parser(name, help=text, add_help=name == command)
-        if name != command:
-            continue
-        p.add_argument("--output", choices=("json", "text"), default="text")
-        # --mode goes only to the subcommands whose handlers read it.
-        if mode:
-            p.add_argument("--mode", choices=("exact", "float"),
-                           default="exact")
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+        if name == command:
+            for flag, kwargs in _arguments(name):
+                p.add_argument(flag, **kwargs)
     return parser
+
+
+def _parse(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What argparse returns for a command, then each of its flags at most
+    once as --flag=value or --flag value (no leading "-"), the required ones
+    given and every value converting and in its choices; else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    specs, given, words = dict(_arguments(argv[0])), {}, iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        value = value if eq else next(words, "-")
+        if (flag not in specs or flag in given
+                or not eq and value.startswith("-")):
+            return None
+        given[flag] = value
+    args = SimpleNamespace(subcommand=argv[0])
+    for flag, kwargs in specs.items():
+        value = kwargs.get("default")
+        if flag in given:
+            try:
+                value = kwargs.get("type", str)(given[flag])
+            except Exception:       # argparse reports it, or raises it
+                return None
+        if (kwargs.get("required") and flag not in given
+                or value not in kwargs.get("choices", (value,))):
+            return None
+        setattr(args, flag[2:], value)
+    return args
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level parser takes no option with a value, so the first word
-    # that names a subcommand is the one argparse dispatches to.
-    parser = build_parser(next((a for a in argv if a in COMMANDS), None))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if args.subcommand == "classify" and not args.batch and args.params is None:
-        print("killingwebs: error: classify needs --params or --batch",
-              file=sys.stderr)
+    if (args := _parse(argv)) is None:
+        # The top-level parser takes no option with a value, so the first
+        # word that names a subcommand is the one argparse dispatches to.
+        parser = build_parser(next((a for a in argv if a in COMMANDS), None))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+    if args.subcommand == "classify" and (
+            (args.params is None) == (not args.batch)):
+        print("killingwebs: error: classify " + (
+            "needs --params or --batch" if args.params is None
+            else "takes --params or --batch, not both"), file=sys.stderr)
         return 2
     handler = COMMANDS[args.subcommand][0]
     if isinstance(handler, str):

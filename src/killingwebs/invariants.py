@@ -12,12 +12,20 @@ module serves only `invariant_polynomials`, `covariant_polynomials` and
 
 from __future__ import annotations
 
+import enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import _forward
-from .signs import SignClass
 from .spaces import DomainError, KTParams, Space, common_numerators
+
+
+class SignClass(enum.Enum):
+    ZERO = "zero"
+    NONZERO_CONST = "nonzero_const"
+    POS = "positive"
+    NEG = "negative"
+    INDEF = "indefinite"
 
 
 # -- invariants and covariants, in any ring ---------------------------------

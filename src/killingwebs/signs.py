@@ -14,21 +14,13 @@ lcm of the denominators, or a power of it) gives the same class.
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, Sequence
 
+from .invariants import SignClass     # its home: the report carries it
 from .spaces import PolynomialError, common_numerators
 
 if TYPE_CHECKING:
     from .poly import MultiPoly
-
-
-class SignClass(enum.Enum):
-    ZERO = "zero"
-    NONZERO_CONST = "nonzero_const"
-    POS = "positive"
-    NEG = "negative"
-    INDEF = "indefinite"
 
 
 # The exponents in the point variables (u, w) of the six coefficients of a

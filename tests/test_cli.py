@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import killingwebs
-from killingwebs import verify
+from killingwebs import cli, verify
 from killingwebs.cli import COMMANDS, _cmd_classify, _Parser, positive_int, run
 from killingwebs.commands import (_cmd_canonical, _cmd_covariants,
                                   _cmd_decompose, _cmd_frame, _cmd_generators,
@@ -219,6 +219,18 @@ def test_empty_params_is_a_parse_error(capsys):
                    "rationals, got 1\n")
     assert invoke(capsys, "classify", "--space", "minkowski") == (
         2, "", "killingwebs: error: classify needs --params or --batch\n")
+
+
+@pytest.mark.parametrize("params", ["--params=0,0,0,0,1", "--par=0,0,0,0,1"],
+                         ids=["plain", "abbreviated"])
+def test_classify_refuses_params_with_batch(tmp_path, capsys, params):
+    """Both options is a parse error, whichever parser reads the line."""
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(["1,0,0,0,0"]))
+    assert invoke(capsys, "classify", "--space", "minkowski", params,
+                  "--batch", str(batch)) == (
+        2, "", "killingwebs: error: classify takes --params or --batch, "
+               "not both\n")
 
 
 def test_batch_answers_the_cell_no_tabulated_row_covers(tmp_path, capsys):
@@ -509,6 +521,52 @@ def test_parser_prints_what_the_imperative_parser_printed(
     assert invoke(capsys, *argv) == expected
 
 
+# Values for any flag: choices and non-choices, ints and non-ints, the empty
+# string, one that the separate form takes for an option ("-1") and one
+# holding "=".
+_VALUES = st.sampled_from([
+    "", "-1", "0", "1", "2", "3", "x", "a=b", "1,2,3,4,5,6", "euclidean",
+    "minkowski", "json", "text", "xml", "exact", "float", "EC5"])
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and most of its flags, each exact or abbreviated, perhaps
+    one repeated, as --flag=value or --flag value, and perhaps -h.  A flag
+    with choices mostly takes one of them."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    arguments = dict(cli._arguments(command))
+    flags = [flag for flag in draw(st.permutations(list(arguments)))
+             if draw(st.integers(0, 7))]
+    if not draw(st.integers(0, 4)):
+        flags.append(draw(st.sampled_from(list(arguments))))
+    argv = [command]
+    for flag in flags:
+        choices = [str(c) for c in arguments[flag].get("choices", ())]
+        value = draw(st.sampled_from(choices) if choices and draw(
+            st.integers(0, 3)) else _VALUES)
+        flag = flag[:draw(st.sampled_from([len(flag)] * 9 + [3, -1]))]
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(1, len(argv))), "-h")
+    return argv
+
+
+@given(_command_lines())
+@example(["classify", "--space", "minkowski", "--params=1,2,3,4,5,6"])
+@example(["verify", "--trials=1", "--seed", "7", "--output", "json"])
+@example(["generators", "--space=euclidean", "--valence", "1"])
+@example(["generators", "--space=x", "--valence", "3", "--valence", "1"])
+@example(["decompose", "--params=1", "--space", "-h"])
+@settings(max_examples=300, deadline=None)
+def test_plain_parser_returns_what_argparse_returns(argv):
+    """Whenever the table-driven parser accepts a command line, its
+    namespace holds what argparse's does; the rest go to argparse."""
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser(argv[0]).parse_args(argv))
+
+
 def test_invariants_rejects_k2(capsys):
     status, out, err = invoke(capsys, "invariants", "--space", "minkowski",
                               "--params=0,0,-1,0,0,1/4", "--k2", "1")
@@ -603,8 +661,10 @@ def test_version_matches_pyproject():
 
 ROOT = SRC.parent
 # The modules a `classify` process registers but does not run: those only
-# the other subcommands use, the polynomial type and the symbolic layer.
-LAZY = ("frames", "generators", "isometry", "poly", "symbolic", "verify")
+# the other subcommands use, the polynomial type, the sign classifier of
+# polynomials and the symbolic layer.
+LAZY = ("frames", "generators", "isometry", "poly", "signs", "symbolic",
+        "verify")
 
 
 def fresh(code: str) -> list[str]:
@@ -659,6 +719,38 @@ print(killingwebs.poly is sys.modules["killingwebs.poly"].poly)
     assert lines == (unexecuted + unexecuted + ["checks 23"]
                      + [f"{name} True" for name in LAZY]
                      + ["commands False", "commands True", "True"])
+
+
+ARGPARSE_PROBE = """
+import contextlib, io
+from killingwebs import cli
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        status = cli.run(argv)
+    print(argv[0], status, "argparse" in sys.modules)
+"""
+
+
+def test_argparse_is_imported_only_to_print(tmp_path):
+    """A single `classify`, a `--batch` and `verify` in one process never
+    import argparse; `--help`, a usage error and an abbreviated flag, each
+    in a process of its own, do."""
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(["1,2,3,4,5,6", [1, 2, 3, 4, 5]]))
+    quiet = [["classify", "--space", "euclidean", "--params=1,2,3,4,5,6",
+              "--output", "json"],
+             ["classify", "--space", "minkowski", "--batch", str(batch)],
+             ["verify", "--trials", "1"]]
+    assert fresh(f"ARGVS = {quiet!r}" + ARGPARSE_PROBE) == [
+        "classify 0 False", "classify 0 False", "verify 0 False"]
+    for argv, status in [
+            (["--help"], 0),
+            (["classify", "--space", "minkowski", "--params=1,2,3,4,5,6",
+              "--bogus", "1"], 2),
+            (["classify", "--spa", "minkowski", "--par=0,0,1,0,0,0"], 0)]:
+        assert fresh(f"ARGVS = {[argv]!r}" + ARGPARSE_PROBE) == [
+            f"{argv[0]} {status} True"]
 
 
 def test_module_run_executes_cli_once():
