@@ -9,8 +9,8 @@ error, 2 parse error; a batch exits with the highest among its records.
 This module holds only what a `classify` call runs: the entry point, the
 parser and `classify`'s handler.  The other handlers live in `commands`,
 which is registered here but run on first use, so a `classify` process
-neither compiles them nor builds their arguments.  Only usage, help and
-errors import argparse: `_parse` reads a well-formed line off `COMMANDS`.
+does not compile them.  Only usage, help and errors import argparse and
+build its parser: `_parse` reads a well-formed line off `COMMANDS`.
 """
 
 from __future__ import annotations
@@ -75,8 +75,13 @@ def _failure(exc: ValueError) -> tuple[str, str, int]:
 
 
 def _cmd_classify(args) -> int:
+    if (args.params is None) == (args.batch is None):
+        print("killingwebs: error: classify " + (
+            "needs --params or --batch" if args.params is None
+            else "takes --params or --batch, not both"), file=sys.stderr)
+        return 2
     space = space_by_name(args.space)
-    if args.batch:
+    if args.batch is not None:
         try:
             with open(args.batch) as handle:
                 entries = json.load(handle)
@@ -184,19 +189,16 @@ def _arguments(command: str) -> tuple:
     return (OUTPUT, MODE, *arguments) if mode else (OUTPUT, *arguments)
 
 
-def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser with every subcommand listed, but with arguments only for
-    `command`, the one a call runs."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser: every subcommand with its help and arguments."""
     parser = (globals().get("_Parser") or __getattr__("_Parser"))(
         prog="killingwebs", description="Invariant classification of "
         "orthogonal coordinate webs in the plane.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, text, _, _) in COMMANDS.items():
-        # A sub-parser that parses nothing needs no -h either.
-        p = sub.add_parser(name, help=text, add_help=name == command)
-        if name == command:
-            for flag, kwargs in _arguments(name):
-                p.add_argument(flag, **kwargs)
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in _arguments(name):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -233,19 +235,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if (args := _parse(argv)) is None:
-        # The top-level parser takes no option with a value, so the first
-        # word that names a subcommand is the one argparse dispatches to.
-        parser = build_parser(next((a for a in argv if a in COMMANDS), None))
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    if args.subcommand == "classify" and (
-            (args.params is None) == (not args.batch)):
-        print("killingwebs: error: classify " + (
-            "needs --params or --batch" if args.params is None
-            else "takes --params or --batch, not both"), file=sys.stderr)
-        return 2
     handler = COMMANDS[args.subcommand][0]
     if isinstance(handler, str):
         handler = getattr(commands, handler)

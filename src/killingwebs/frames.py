@@ -14,7 +14,6 @@ from typing import NamedTuple, Optional
 
 from .invariants import _numerators
 from .isometry import act_kt_params_float
-from .poly import Q
 from .spaces import DomainError, KTParams, NontrivialKT, Space
 
 RESIDUAL_TOL = 1e-9
@@ -135,14 +134,20 @@ CANONICAL = {
     "minkowski": {
         "EC1": ("EC1", (1, 0, 0, 0, 0), _NO_K2),
         "EC2": ("EC2", (0, 0, 0, 0, 1), _NO_K2),
-        "EC3": ("EC3", (Q(1, 2), Q(1, 4), Q(-1, 2), Q(1, 2), 0), _NO_K2),
+        "EC3": ("EC3", (Fraction(1, 2), Fraction(1, 4), Fraction(-1, 2),
+                        Fraction(1, 2), 0), _NO_K2),
         "EC4": ("EC4", (0, 0, 0, 1, 0), _NO_K2),
-        "EC5": ("EC5_or_EC10", (0, 0, 0, 0, Q(-1, 4)), (2, 0, 0, 0, 0)),
-        "EC6": ("EC6_or_EC8", (Q(1, 4), Q(1, 4), 0, 0, Q(1, 4)), _NO_K2),
-        "EC7": ("EC7", (Q(-1, 2), Q(-1, 4), 0, 0, Q(1, 4)), _NO_K2),
-        "EC8": ("EC6_or_EC8", (0, 0, 0, 0, Q(1, 4)), (0, -1, 0, 0, 0)),
-        "EC9": ("EC9", (0, 0, 0, 0, Q(1, 4)), (2, 0, 0, 0, 0)),
-        "EC10": ("EC5_or_EC10", (0, 0, 0, 0, Q(1, 4)), (-2, 0, 0, 0, 0)),
+        "EC5": ("EC5_or_EC10", (0, 0, 0, 0, Fraction(-1, 4)),
+                (2, 0, 0, 0, 0)),
+        "EC6": ("EC6_or_EC8", (Fraction(1, 4), Fraction(1, 4), 0, 0,
+                               Fraction(1, 4)), _NO_K2),
+        "EC7": ("EC7", (Fraction(-1, 2), Fraction(-1, 4), 0, 0,
+                        Fraction(1, 4)), _NO_K2),
+        "EC8": ("EC6_or_EC8", (0, 0, 0, 0, Fraction(1, 4)),
+                (0, -1, 0, 0, 0)),
+        "EC9": ("EC9", (0, 0, 0, 0, Fraction(1, 4)), (2, 0, 0, 0, 0)),
+        "EC10": ("EC5_or_EC10", (0, 0, 0, 0, Fraction(1, 4)),
+                 (-2, 0, 0, 0, 0)),
     },
 }
 

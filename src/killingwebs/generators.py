@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .poly import MultiPoly, Q, poly, var
+from .poly import MultiPoly, var
 from .spaces import KV_PARAM_VARS, DomainError, Space
 from .symbolic import (extract_kt_params, extract_kv_params, kv_components,
                        symbolic_killing_tensor)
@@ -45,7 +45,7 @@ class LinearVectorField(NamedTuple("LinearVectorField",
 
     def evaluate(self, point: Mapping[str, Fraction]) -> list[Fraction]:
         assignment = {sym: Fraction(point.get(sym, 0)) for sym in self.domain}
-        return [c.evaluate(assignment) if not c.is_zero() else Q(0)
+        return [c.evaluate(assignment) if not c.is_zero() else Fraction(0)
                 for c in self.coefficients]
 
     def is_zero(self) -> bool:
@@ -86,10 +86,10 @@ def sigma_structure_constants(space: Space
 
 
 def coordinate_killing_vectors(space: Space) -> list[tuple[MultiPoly, MultiPoly]]:
-    """Components of the three coordinate generators of the isometry algebra."""
-    u, w = (var(v) for v in space.point_vars)
-    zero, one = MultiPoly.zero(), poly(1)
-    return [(one, zero), (zero, one), (-space.eps * w, u)]
+    """Components of the three coordinate generators of the isometry algebra:
+    the two translations, and the rotation or boost scaled to (-eps w, u)."""
+    return [kv_components(space, e)
+            for e in ((1, 0, 0), (0, 1, 0), (0, 0, -space.eps))]
 
 
 def _lie_derivative_tensor(X: tuple[MultiPoly, MultiPoly],

@@ -290,16 +290,14 @@ def derived_kt_action(space: Space) -> tuple[MultiPoly, ...]:
 
 # -- the discrete group of the Minkowski plane ------------------------------
 
-# Signed-permutation images of (a1..a6) under the two generators.
-_R1 = ((1, 1), (2, 1), (3, -1), (4, -1), (5, 1), (6, 1))
-_R2 = ((2, 1), (1, 1), (3, 1), (5, 1), (4, 1), (6, 1))
-_IDENT = tuple((i + 1, 1) for i in range(6))
-
-
-def _sp_compose(second, first):
-    """Apply `first`, then `second` (both signed permutations)."""
-    return tuple((first[idx - 1][0], sign * first[idx - 1][1])
-                 for idx, sign in second)
+# The images of (a1..a6) under the spatial reflection R1 and the coordinate
+# swap R2, as signed permutations: entry i is (j, sign) for sign * a_j.
+_GENERATORS = {"R1": ((1, 1), (2, 1), (3, -1), (4, -1), (5, 1), (6, 1)),
+               "R2": ((2, 1), (1, 1), (3, 1), (5, 1), (4, 1), (6, 1))}
+# The eight elements, each by its shortest word: R1 and R2 are involutions
+# and (R1 R2)^4 = 1, so R1 R2 R1 R2 = R2 R1 R2 R1.
+_WORDS = ((), ("R1",), ("R2",), ("R1", "R2"), ("R2", "R1"),
+          ("R1", "R2", "R1"), ("R2", "R1", "R2"), ("R1", "R2", "R1", "R2"))
 
 
 class DiscreteReflection(NamedTuple("DiscreteReflection",
@@ -309,20 +307,18 @@ class DiscreteReflection(NamedTuple("DiscreteReflection",
 
     def __new__(cls, word: tuple[str, ...]):
         for letter in word:
-            if letter not in ("R1", "R2"):
+            if letter not in _GENERATORS:
                 raise DomainError(f"unknown generator {letter!r}")
         return super().__new__(cls, word)
 
     def signed_permutation(self):
-        return _word_permutation(self.word)
-
-
-@lru_cache(maxsize=128)
-def _word_permutation(word: tuple[str, ...]):
-    perm = _IDENT
-    for letter in word:
-        perm = _sp_compose(_R1 if letter == "R1" else _R2, perm)
-    return perm
+        """The word's letters applied left to right, as one signed
+        permutation."""
+        perm = tuple((j, 1) for j in range(1, 7))
+        for letter in self.word:
+            perm = tuple((perm[j - 1][0], sign * perm[j - 1][1])
+                         for j, sign in _GENERATORS[letter])
+        return perm
 
 
 def discrete_act_params(r: DiscreteReflection, p: KTParams) -> KTParams:
@@ -335,21 +331,6 @@ def discrete_act_params(r: DiscreteReflection, p: KTParams) -> KTParams:
 
 
 def discrete_group_elements() -> list[DiscreteReflection]:
-    """All distinct elements of the group generated by R1 and R2, in a new
-    list each call."""
-    return list(_discrete_group())
-
-
-@lru_cache(maxsize=None)
-def _discrete_group() -> tuple[DiscreteReflection, ...]:
-    seen: dict[tuple, DiscreteReflection] = {}
-    frontier = [DiscreteReflection(())]
-    while frontier:
-        elem = frontier.pop()
-        key = elem.signed_permutation()
-        if key in seen:
-            continue
-        seen[key] = elem
-        for letter in ("R1", "R2"):
-            frontier.append(DiscreteReflection(elem.word + (letter,)))
-    return tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word)))
+    """The eight elements of the group generated by R1 and R2, by shortest
+    word, in a new list each call."""
+    return [DiscreteReflection(word) for word in _WORDS]

@@ -22,8 +22,6 @@ from typing import Iterable, Mapping, Sequence, Union
 # Re-exported: the exact layer has these from `spaces`, without this module.
 from .spaces import PolynomialError, common_numerators, parse_rational
 
-Q = Fraction
-
 # Every symbol a polynomial may mention.  Parameter symbols come first, then
 # point coordinates, group-element coordinates (c, s are the rotation/boost
 # matrix entries, a, b the translation) and the momenta used by the

@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 from .invariants import (_invariants, _numerators, _quad_cross,
                          _scaled_invariants)
-from .poly import MultiPoly, Q, _canonical, pack, poly, var
+from .poly import MultiPoly, _canonical, pack, poly, var
 from .signs import MONOMIALS
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, PolynomialError, Space, common_numerators)
@@ -65,8 +65,8 @@ def extract_kt_params(space: Space, components: Sequence[MultiPoly]
     v1 = c00.get((0, 0), zero)
     v2 = c11.get((0, 0), zero)
     v3 = c01.get((0, 0), zero)
-    v4 = Q(1, 2) * c00.get((0, 1), zero)
-    v5 = Q(1, 2) * c11.get((1, 0), zero)
+    v4 = Fraction(1, 2) * c00.get((0, 1), zero)
+    v5 = Fraction(1, 2) * c11.get((1, 0), zero)
     v6 = c00.get((0, 2), zero)
     rebuilt = kt_components(space, [v1, v2, v3, v4, v5, v6])
     residues = [a - b for a, b in zip(components, rebuilt)]

@@ -212,25 +212,32 @@ def test_batch_reads_list_numbers_in_exponent_form(tmp_path, capsys):
 
 
 def test_empty_params_is_a_parse_error(capsys):
-    """An empty `--params=` gets the arity message a batch record gets;
+    """An empty `--params=` gets the arity message a batch record gets and
+    an empty `--batch=` the message of a batch file that cannot be read;
     only a call with neither option is told it needs one."""
     assert invoke(capsys, "classify", "--space", "minkowski", "--params=") \
         == (2, "", "killingwebs: parse error: expected 6 comma-separated "
                    "rationals, got 1\n")
     assert invoke(capsys, "classify", "--space", "minkowski") == (
         2, "", "killingwebs: error: classify needs --params or --batch\n")
+    status, out, err = invoke(capsys, "classify", "--space", "minkowski",
+                              "--batch=")
+    assert (status, out) == (2, "")
+    assert err.startswith("killingwebs: parse error: cannot read batch file")
 
 
 @pytest.mark.parametrize("params", ["--params=0,0,0,0,1", "--par=0,0,0,0,1"],
                          ids=["plain", "abbreviated"])
 def test_classify_refuses_params_with_batch(tmp_path, capsys, params):
-    """Both options is a parse error, whichever parser reads the line."""
+    """Both options is a parse error, whichever parser reads the line and
+    even when the batch path is empty."""
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps(["1,0,0,0,0"]))
-    assert invoke(capsys, "classify", "--space", "minkowski", params,
-                  "--batch", str(batch)) == (
-        2, "", "killingwebs: error: classify takes --params or --batch, "
-               "not both\n")
+    for given in (["--batch", str(batch)], ["--batch="]):
+        assert invoke(capsys, "classify", "--space", "minkowski", params,
+                      *given) == (
+            2, "", "killingwebs: error: classify takes --params or --batch, "
+                   "not both\n")
 
 
 def test_batch_answers_the_cell_no_tabulated_row_covers(tmp_path, capsys):
@@ -564,7 +571,7 @@ def test_plain_parser_returns_what_argparse_returns(argv):
     namespace holds what argparse's does; the rest go to argparse."""
     args = cli._parse(argv)
     if args is not None:
-        assert vars(args) == vars(cli.build_parser(argv[0]).parse_args(argv))
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_invariants_rejects_k2(capsys):

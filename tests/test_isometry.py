@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from killingwebs import isometry, verify
 from killingwebs.isometry import (DiscreteReflection, ExactRotation,
-                                  IsometryElement, _discrete_group,
-                                  _kt_action, _kv_action, act_kt_params,
-                                  act_kt_params_float, act_kv_params,
-                                  act_point, compose, derived_kt_action,
+                                  IsometryElement, _kt_action, _kv_action,
+                                  act_kt_params, act_kt_params_float,
+                                  act_kv_params, act_point, compose,
+                                  derived_kt_action,
                                   discrete_act_params,
                                   discrete_group_elements, identity, inverse,
                                   reduce_rotation_identity,
@@ -460,19 +460,22 @@ def test_discrete_group_has_exactly_eight_elements():
     assert len(images) == 8
 
 
-def test_discrete_group_is_computed_once_and_returned_fresh():
-    discrete_group_elements()
-    before = _discrete_group.cache_info()
-    first = discrete_group_elements()
-    words = [r.word for r in first]
-    first.clear()
-    second = discrete_group_elements()
-    assert [r.word for r in second] == words and len(words) == 8
-    assert second is not discrete_group_elements()
-    after = _discrete_group.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits + 3)
-    assert all(r.signed_permutation() is r.signed_permutation()
-               for r in second)
+def test_discrete_group_is_closed_under_its_generators():
+    """The eight images of a probe are distinct and R1 or R2 maps each back
+    into them; every word has at most four letters, since (R1 R2)^4 = 1;
+    each call returns a new list."""
+    probe = KTParams(MINKOWSKI, (1, 2, 3, 4, 5, 6))
+    elements = discrete_group_elements()
+    images = {discrete_act_params(r, probe) for r in elements}
+    assert len(images) == 8
+    for q in images:
+        for letter in ("R1", "R2"):
+            assert discrete_act_params(DiscreteReflection((letter,)), q) \
+                in images
+    assert max(len(r.word) for r in elements) <= 4
+    elements.clear()
+    assert len(discrete_group_elements()) == 8
+    assert discrete_group_elements() is not discrete_group_elements()
 
 
 def test_discrete_generator_actions():
