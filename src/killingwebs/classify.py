@@ -17,23 +17,21 @@ classes and I2' are the tests' oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .invariants import InvariantReport, invariant_report
 from .spaces import DomainError, KTParams, NontrivialKT, embed_nontrivial
 
-class WebClass(NamedTuple):
-    tag: str
+WebClass = namedtuple("WebClass", "tag")         # tag: str
 
 
-class ClassificationReport(NamedTuple):
-    params: KTParams
-    l0: Fraction
-    invariants: InvariantReport
-    web: Optional[WebClass]        # None for trivial (metric-multiple) input
-    eigen_precondition: str
-    caveats: tuple[str, ...]
+class ClassificationReport(namedtuple(
+        "ClassificationReport",
+        "params l0 invariants web eigen_precondition caveats")):
+    """params: KTParams; l0: Fraction; invariants: InvariantReport; web:
+    WebClass | None, None for trivial (metric-multiple) input;
+    eigen_precondition: str; caveats: tuple[str, ...]."""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         blocks = self.invariants.to_json_dict()

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import sys
 from types import SimpleNamespace
-from typing import Optional
 
 from . import _lazy
 from .classify import classify_full
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> Optional[SimpleNamespace]:
+def _parse(argv: list[str]) -> SimpleNamespace | None:
     """What argparse returns for a command, then each of its flags at most
     once as --flag=value or --flag value (no leading "-"), the required ones
     given and every value converting and in its choices; else None."""
@@ -231,7 +230,7 @@ def _parse(argv: list[str]) -> Optional[SimpleNamespace]:
     return args
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if (args := _parse(argv)) is None:

@@ -9,8 +9,8 @@ frame's rotation/boost entries and translation.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .invariants import _numerators
 from .isometry import act_kt_params_float
@@ -23,12 +23,13 @@ class FrameDomainError(DomainError):
     """The frame map is undefined or leaves its real domain at this input."""
 
 
-class MovingFrameResult(NamedTuple):
-    angle: float                   # rotation angle / boost rapidity
-    a: float
-    b: float
-    residual: float                # max |constrained parameter| after applying
-    notes: tuple[str, ...] = ()
+class MovingFrameResult(namedtuple("MovingFrameResult",
+                                   "angle a b residual notes",
+                                   defaults=((),))):
+    """angle: float, the rotation angle or boost rapidity; a, b: float;
+    residual: float, max |constrained parameter| after applying; notes:
+    tuple[str, ...]."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -155,7 +156,7 @@ K2_CLASSES = {ec for ec, row in CANONICAL["minkowski"].items() if any(row[2])}
 
 
 def canonical_form(space: Space, ec: str,
-                   k2: Optional[Fraction] = None) -> NontrivialKT:
+                   k2: Fraction | None = None) -> NontrivialKT:
     """The tabulated nontrivial representative of an equivalence class."""
     table = CANONICAL[space.kind]
     ec = ec.upper()

@@ -9,9 +9,10 @@ test vectors.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
 
 from .poly import MultiPoly, var
 from .spaces import KV_PARAM_VARS, DomainError, Space
@@ -19,10 +20,11 @@ from .symbolic import (extract_kt_params, extract_kv_params, kv_components,
                        symbolic_killing_tensor)
 
 
-class LinearVectorField(NamedTuple("LinearVectorField",
-                                   [("domain", tuple[str, ...]),
-                                    ("coefficients", tuple[MultiPoly, ...])])):
-    """A vector field sum_i coeff_i d/d(domain_i) with polynomial coefficients."""
+class LinearVectorField(namedtuple("LinearVectorField",
+                                   "domain coefficients")):
+    """A vector field sum_i coeff_i d/d(domain_i) with polynomial
+    coefficients.  domain: tuple[str, ...]; coefficients:
+    tuple[MultiPoly, ...]."""
     __slots__ = ()
 
     def __new__(cls, domain, coefficients):

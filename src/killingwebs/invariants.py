@@ -13,8 +13,8 @@ module serves only `invariant_polynomials`, `covariant_polynomials` and
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from . import _forward
 from .spaces import DomainError, KTParams, Space, common_numerators
@@ -26,6 +26,12 @@ class SignClass(enum.Enum):
     POS = "positive"
     NEG = "negative"
     INDEF = "indefinite"
+
+
+# The exponents in the point variables (u, w) of the six coefficients of a
+# row (A, B, C, D, E, F): u^2, uw, w^2, u, w, 1.  Here, beside the class
+# the report carries, so that `symbolic` reads them without running `signs`.
+MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 
 # -- invariants and covariants, in any ring ---------------------------------
@@ -92,9 +98,8 @@ def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
 
 # -- auxiliary Minkowski invariants -----------------------------------------
 
-class AuxInvariants(NamedTuple):
-    i1_prime: Fraction
-    i2_prime: Optional[Fraction]          # None off the defining slice
+# i1_prime: Fraction; i2_prime: Fraction | None, None off the defining slice.
+AuxInvariants = namedtuple("AuxInvariants", "i1_prime i2_prime")
 
 
 def auxiliary_invariants(p: KTParams) -> AuxInvariants:
@@ -116,15 +121,12 @@ def _auxiliary(nums, d) -> AuxInvariants:
 
 # -- report container --------------------------------------------------------
 
-class InvariantReport(NamedTuple):
-    space: Space
-    i1: Fraction
-    i2: Fraction
-    i3: Fraction
-    sign_c1: SignClass
-    sign_c2: SignClass
-    aux: Optional[AuxInvariants]
-    numerators: tuple[int, ...]    # the input over its common denominator
+class InvariantReport(namedtuple(
+        "InvariantReport", "space i1 i2 i3 sign_c1 sign_c2 aux numerators")):
+    """space: Space; i1, i2, i3: Fraction; sign_c1, sign_c2: SignClass;
+    aux: AuxInvariants | None; numerators: tuple[int, ...], the input over
+    its common denominator."""
+    __slots__ = ()
 
     def to_json_dict(self, fmt=str) -> dict:
         """The invariants, the sign classes and, on the Minkowski plane,

@@ -13,10 +13,11 @@ printed elsewhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Sequence
 
 from .poly import MultiPoly, poly, var
 from .spaces import (DomainError, KTParams, KVParams, Space,
@@ -24,19 +25,14 @@ from .spaces import (DomainError, KTParams, KVParams, Space,
 from .symbolic import extract_kt_params, kt_components, kv_components
 
 
-class ExactRotation(NamedTuple):
-    c: Fraction
-    s: Fraction
+ExactRotation = namedtuple("ExactRotation", "c s")     # c, s: Fraction
 
 
-class IsometryElement(NamedTuple("IsometryElement",
-                                 [("space", Space), ("p", int), ("r", int),
-                                  ("q", int), ("A", int), ("B", int),
-                                  ("D", int)])):
+class IsometryElement(namedtuple("IsometryElement", "space p r q A B D")):
     """rot = (c, s) = (p, r)/q, then the translation trans = (a, b) =
     (A, B)/D.  Each group is in lowest terms over a positive denominator,
     so equal elements are equal tuples; rot and trans are read as
-    Fractions."""
+    Fractions.  space: Space; p, r, q, A, B, D: int."""
     __slots__ = ()
 
     def __new__(cls, space: Space, rot: ExactRotation, trans: tuple):
@@ -300,9 +296,9 @@ _WORDS = ((), ("R1",), ("R2",), ("R1", "R2"), ("R2", "R1"),
           ("R1", "R2", "R1"), ("R2", "R1", "R2"), ("R1", "R2", "R1", "R2"))
 
 
-class DiscreteReflection(NamedTuple("DiscreteReflection",
-                                    [("word", tuple[str, ...])])):
-    """A word in the spatial reflection R1 and the coordinate swap R2."""
+class DiscreteReflection(namedtuple("DiscreteReflection", "word")):
+    """A word in the spatial reflection R1 and the coordinate swap R2.
+    word: tuple[str, ...]."""
     __slots__ = ()
 
     def __new__(cls, word: tuple[str, ...]):

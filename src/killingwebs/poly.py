@@ -13,11 +13,11 @@ a polynomial at a float assignment.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import add, or_
-from typing import Iterable, Mapping, Sequence, Union
 
 # Re-exported: the exact layer has these from `spaces`, without this module.
 from .spaces import PolynomialError, common_numerators, parse_rational
@@ -39,7 +39,7 @@ MAX_EXPONENT = 127
 _SHIFT = {name: 8 * (len(SYMBOLS) - 1 - i) for i, name in enumerate(SYMBOLS)}
 _GUARD = sum(MAX_EXPONENT + 1 << shift for shift in _SHIFT.values())
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _canonical(coeff: Scalar) -> Scalar:
@@ -95,6 +95,10 @@ class MultiPoly:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        # The default would restore the slot through __setattr__.
+        return MultiPoly._of, (self._terms,)
 
     # -- constructors -------------------------------------------------------
 
@@ -202,7 +206,7 @@ class MultiPoly:
     def _fields(self) -> list[tuple[str, int]]:
         return [(v, _SHIFT[v]) for v in self.variables]
 
-    def subst(self, bindings: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
+    def subst(self, bindings: Mapping[str, MultiPoly | Scalar]) -> "MultiPoly":
         """Substitute polynomials for variables; unbound variables pass through."""
         resolved = {name: _coerce(value) for name, value in bindings.items()}
         fields = self._fields()
@@ -217,7 +221,7 @@ class MultiPoly:
             result = result + term
         return result
 
-    def evaluate(self, assignment: Mapping[str, Union[Scalar, float]]):
+    def evaluate(self, assignment: Mapping[str, Scalar | float]):
         """Evaluate at a full assignment of the used variables: a float,
         summed in term order, if a value is a float, else a Fraction, built
         once from the integer terms over one common denominator."""

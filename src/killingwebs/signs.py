@@ -14,21 +14,13 @@ lcm of the denominators, or a power of it) gives the same class.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
-from .invariants import SignClass     # its home: the report carries it
+from .invariants import MONOMIALS, SignClass
 from .spaces import PolynomialError, common_numerators
 
-if TYPE_CHECKING:
-    from .poly import MultiPoly
 
-
-# The exponents in the point variables (u, w) of the six coefficients of a
-# row (A, B, C, D, E, F): u^2, uw, w^2, u, w, 1.
-MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
-
-
-def quadratic_sign_class(p: MultiPoly, point_vars: tuple[str, str]) -> SignClass:
+def quadratic_sign_class(p: "MultiPoly", point_vars: tuple[str, str]) -> SignClass:
     """Classify a quadratic in the two given point variables, exactly."""
     coeffs = p.coefficients_in(point_vars)
     if any(eu + ev > 2 for eu, ev in coeffs):

@@ -11,9 +11,10 @@ benchmark reaches through it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm
-from typing import NamedTuple, Sequence
 
 from . import _forward
 
@@ -45,11 +46,12 @@ class DomainError(ValueError):
     """Raised when an operation is called outside its stated domain."""
 
 
-class Space(NamedTuple):
-    kind: str                      # "euclidean" | "minkowski"
-    metric_diag: tuple[Fraction, Fraction]   # contravariant = covariant here
-    point_vars: tuple[str, str]
-    param_vars: tuple[str, ...]    # the six valence-2 parameter symbols
+class Space(namedtuple("Space", "kind metric_diag point_vars param_vars")):
+    """kind: str, "euclidean" | "minkowski"; metric_diag:
+    tuple[Fraction, Fraction], contravariant = covariant here; point_vars:
+    tuple[str, str]; param_vars: tuple[str, ...], the six valence-2
+    parameter symbols."""
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.kind
@@ -110,13 +112,11 @@ def _emit(args, data, text_lines: list[str]) -> None:
 # The three Killing vector parameter symbols, in both spaces.
 KV_PARAM_VARS = ("alpha1", "alpha2", "alpha3")
 
-# The fields of a parameter vector.
-_VECTOR = [("space", Space), ("values", tuple[Fraction, ...])]
 
-
-class _ParamVector(NamedTuple("_ParamVector", _VECTOR)):
+class _ParamVector(namedtuple("_ParamVector", "space values")):
     """Exactly `size` rational parameters, coerced to Fractions; a value
-    that already is one is kept."""
+    that already is one is kept.  space: Space; values:
+    tuple[Fraction, ...]."""
     __slots__ = ()
     size = 0
 

@@ -7,18 +7,17 @@ a few of its names too."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
 
-from .invariants import (_invariants, _numerators, _quad_cross,
+from .invariants import (MONOMIALS, _invariants, _numerators, _quad_cross,
                          _scaled_invariants)
 from .poly import MultiPoly, _canonical, pack, poly, var
-from .signs import MONOMIALS
 from .spaces import (EUCLIDEAN, KV_PARAM_VARS, DomainError, KTParams,
                      KVParams, PolynomialError, Space, common_numerators)
 
-Coeff = Union[int, Fraction, MultiPoly]
+Coeff = int | Fraction | MultiPoly
 
 
 def kt_components(space: Space, values: Sequence[Coeff]

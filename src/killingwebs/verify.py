@@ -9,8 +9,8 @@ to re-run on demand in any installation.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .classify import classify_full
 from .frames import CANONICAL, FrameDomainError, canonical_form, moving_frame
@@ -29,10 +29,8 @@ from .symbolic import (covariant_polynomials, geodesic_poisson_check,
                        symbolic_killing_tensor)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
+# name: str; passed: bool; detail: str.
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 # Rows n = lo..hi of Fraction(n, d), d = 1..q.  Both randint and choice take
