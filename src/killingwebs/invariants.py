@@ -1,11 +1,13 @@
-"""Fundamental invariants, covariant sign classes, auxiliary invariants.
+"""Fundamental invariants, the cell table, auxiliary invariants.
 
 I1-I3 are closed forms in epsilon, the parameters and the quadratics quad
 and cross, written once for any ring: evaluated here on the integer
 numerators of an input over their common denominator d (a form of degree
-k takes d^k times its value), and in `symbolic` on `var` symbols.  The
-covariants' sign classes are read off quad and cross; their coefficient
-rows, the polynomials and the joint invariants live in `symbolic`.  This
+k takes d^k times its value), and in `symbolic` on `var` symbols.  Each
+input's cell is decided once from the same numerators, quad and cross;
+`_CELLS` maps it to the covariants' sign classes and the web class.  The
+covariants' rows, the polynomials and the joint invariants live in
+`symbolic`.  This
 module serves only `invariant_polynomials`, `covariant_polynomials` and
 `fundamental_covariants`, which the benchmark reaches through it.
 """
@@ -68,32 +70,82 @@ def fundamental_invariants(p: KTParams) -> tuple[Fraction, Fraction, Fraction]:
     return _scaled_invariants(p, *_numerators(p))
 
 
-# The classes as module globals, which are read faster than enum members.
-_ZERO, _CONST, _POS, _NEG, _INDEF = SignClass
+# -- the cell: one decision per input ---------------------------------------
+
+def _quadratic(disc) -> str:
+    return "two" if disc > 0 else "none" if disc < 0 else "double"
 
 
-def _sign_classes(eps, p, quad, cross):
-    """The sign classes of C1 and C2 at integers p, given quad and cross
-    there.  If p6 = 0, C1 = p5^2 + eps p4^2 and C2 = C1^2.  Else
-    lu = p6 u + p5 and lw = p6 w + p4 run over the plane.  Euclidean:
-    C1 = lu^2 + lw^2, and C2 is a form in (lu, lw) of determinant
-    -I1 = -(quad^2 + 4 cross^2).  Minkowski, with s, t = lu -+ lw and
-    Df, Dg = quad +- 2 cross: C1 = s t and 2 C2 = s^2 Dg + t^2 Df."""
-    if not p[5]:
-        c1 = _CONST if p[4] * p[4] + eps * p[3] * p[3] else _ZERO
-        return c1, c1
+def _affine(b, c) -> str:
+    return "linear" if b else "const" if c else "zero"
+
+
+def _cell(eps, nums, quad, cross):
+    """The root types of the factors of the eigenvalue discriminant, from
+    the integer numerators and quad and cross there.  Euclidean (a str):
+    the focal polynomial h(z) = -v6 z^2 - 2 (v5 + i v4) z + (v1 - v2
+    + 2 i v3), of quarter discriminant quad + 2 i cross.  Minkowski (a
+    sorted tuple): the null-coordinate factors f(s), g(s) = v6 s^2
+    + 2 (v5 -+ v4) s + (v1 + v2 -+ 2 v3), of quarter discriminants
+    quad +- 2 cross, and the sign pattern of two nonzero constants."""
+    v1, v2, v3, v4, v5, v6 = nums
     if eps > 0:
-        return _POS, _INDEF if quad or cross else _ZERO
-    df, dg = quad + 2 * cross, quad - 2 * cross
-    if df >= 0 and dg >= 0:
-        return _INDEF, _POS if df or dg else _ZERO
-    return _INDEF, _NEG if df <= 0 and dg <= 0 else _INDEF
+        if v6:
+            return "two" if quad or cross else "double"
+        return _affine(v4 or v5, v1 != v2 or v3)
+    if v6:
+        f, g = _quadratic(quad + 2 * cross), _quadratic(quad - 2 * cross)
+    else:
+        f0, g0 = v1 + v2 - 2 * v3, v1 + v2 + 2 * v3
+        f, g = _affine(v5 - v4, f0), _affine(v5 + v4, g0)
+        if f == g == "const":
+            return f, g, "same" if (f0 > 0) == (g0 > 0) else "opposite"
+    return (f, g) if f <= g else (g, f)
+
+
+_ZERO, _CONST, _POS, _NEG, _INDEF = SignClass
+_TRIVIAL = ("trivial (multiple of metric), no web",)
+
+# cell -> (the sign classes of C1 and C2, which are functions of the cell;
+# the class tag, or None for a multiple of the metric; the verdict, the
+# sign of the eigenvalue discriminant over the plane: "complex" if negative
+# somewhere, else "degenerate" if zero somewhere, else "satisfied"; the
+# row's caveats).  The paper's EC1 row is split by its verdict.  On
+# (double, none), which no tabulated row covers, disc = f g is nowhere
+# negative and vanishes on the null line of the double root.
+_CELLS = {
+    "zero": (_ZERO, _ZERO, None, "degenerate", _TRIVIAL),
+    "const": (_ZERO, _ZERO, "Cartesian", "satisfied", ()),
+    "linear": (_CONST, _CONST, "Parabolic", "degenerate", ()),
+    "double": (_POS, _ZERO, "Polar", "degenerate", ()),
+    "two": (_POS, _INDEF, "EllipticHyperbolic", "degenerate", ()),
+    ("two", "two"): (_INDEF, _POS, "EC5_or_EC10", "complex", (
+        "EC5 and EC10 share all tabulated values; they cover disjoint "
+        "regions of the same plane",)),
+    ("none", "two"): (_INDEF, _INDEF, "EC6_or_EC8", "complex", ()),
+    ("double", "two"): (_INDEF, _POS, "EC7", "complex", ()),
+    ("double", "none"): (_INDEF, _NEG, "outside_tables", "degenerate", (
+        "one null-coordinate factor has a double root and the other no real "
+        "root (I1 = 0, C2 negative): no tabulated row covers this cell",)),
+    ("none", "none"): (_INDEF, _NEG, "EC9", "satisfied", ()),
+    ("double", "double"): (_INDEF, _ZERO, "EC2", "degenerate", ()),
+    ("linear", "linear"): (_CONST, _CONST, "EC4", "complex", ()),
+    ("const", "linear"): (_ZERO, _ZERO, "EC3", "complex", ()),
+    ("const", "const", "same"): (_ZERO, _ZERO, "EC1", "satisfied", ()),
+    ("const", "const", "opposite"): (_ZERO, _ZERO, "no_real_web", "complex",
+                                     ()),
+    ("const", "zero"): (_ZERO, _ZERO, "no_web_repeated_eigenvalue",
+                        "degenerate", ()),
+    ("linear", "zero"): (_ZERO, _ZERO, "no_web_repeated_eigenvalue",
+                         "degenerate", ()),
+    ("zero", "zero"): (_ZERO, _ZERO, None, "degenerate", _TRIVIAL),
+}
 
 
 def covariant_sign_classes(p: KTParams) -> tuple[SignClass, SignClass]:
-    """The sign classes of C1 and C2."""
+    """The sign classes of C1 and C2, read from the cell's row."""
     eps, nums, _, quad, cross = _numerators(p)
-    return _sign_classes(eps, nums, quad, cross)
+    return _CELLS[_cell(eps, nums, quad, cross)][:2]
 
 
 # -- auxiliary Minkowski invariants -----------------------------------------
@@ -122,8 +174,10 @@ def _auxiliary(nums, d) -> AuxInvariants:
 # -- report container --------------------------------------------------------
 
 class InvariantReport(namedtuple(
-        "InvariantReport", "space i1 i2 i3 sign_c1 sign_c2 aux numerators")):
-    """space: Space; i1, i2, i3: Fraction; sign_c1, sign_c2: SignClass;
+        "InvariantReport",
+        "space i1 i2 i3 cell sign_c1 sign_c2 aux numerators")):
+    """space: Space; i1, i2, i3: Fraction; cell: str | tuple[str, ...], the
+    key of the input's row of `_CELLS`; sign_c1, sign_c2: SignClass;
     aux: AuxInvariants | None; numerators: tuple[int, ...], the input over
     its common denominator."""
     __slots__ = ()
@@ -147,9 +201,11 @@ def invariant_report(p: KTParams) -> InvariantReport:
     numerators they are computed from."""
     eps, nums, d, quad, cross = _numerators(p)
     i1, i2, i3 = _scaled_invariants(p, eps, nums, d, quad, cross)
-    s1, s2 = _sign_classes(eps, nums, quad, cross)
+    cell = _cell(eps, nums, quad, cross)
+    row = _CELLS[cell]
     aux = _auxiliary(nums, d) if eps < 0 else None
-    return InvariantReport(p.space, i1, i2, i3, s1, s2, aux, tuple(nums))
+    return InvariantReport(p.space, i1, i2, i3, cell, row[0], row[1], aux,
+                           tuple(nums))
 
 
 __getattr__ = _forward(__name__, symbolic="""

@@ -11,6 +11,7 @@ benchmark reaches through it.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -23,12 +24,21 @@ class PolynomialError(ValueError):
     pass
 
 
+# A signed "p/q", "p" or decimal, matched here: Fraction's grammar grows
+# with the Python release (3.11 reads "1_0", 3.12 "1 / 2").  The exponent
+# form matches with group "exp" and is refused: Fraction builds 10**exp.
+_LITERAL = re.compile(
+    r"\s*[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?P<exp>[eE][-+]?\d+)?)\s*")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the "p/q", "p" or decimal literal used on every I/O boundary."""
-    if "e" in text.lower():       # Fraction would build 10**exp first
-        raise PolynomialError(f"bad rational literal {text!r}: no exponents")
+    match = _LITERAL.fullmatch(text)
+    if match is None or match["exp"]:
+        why = ": no exponents" if match else ""
+        raise PolynomialError(f"bad rational literal {text!r}{why}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise PolynomialError(f"bad rational literal {text!r}") from exc
 

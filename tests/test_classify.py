@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingwebs.classify import (_CELLS, ClassificationReport, WebClass,
-                                  _cell, _eigen_precondition,
-                                  classify_euclidean, classify_full,
-                                  classify_minkowski)
-from killingwebs.invariants import (AuxInvariants, InvariantReport,
+from killingwebs.classify import (ClassificationReport, WebClass,
+                                  _eigen_precondition, classify_euclidean,
+                                  classify_full, classify_minkowski)
+from killingwebs.invariants import (_CELLS, AuxInvariants, InvariantReport,
                                     auxiliary_invariants, invariant_report)
 from killingwebs.isometry import (IsometryElement, act_kt_params,
                                   discrete_act_params,
@@ -235,7 +234,7 @@ def test_eigen_precondition_is_an_orbit_invariant(space, vals, rng, lam, l0):
     reports = [invariant_report(q) for q in images]
     assert {_eigen_precondition(r) for r in reports} \
         == {_eigen_precondition(inv)}
-    assert {_cell(r) for r in reports} == {_cell(inv)}
+    assert {r.cell for r in reports} == {inv.cell}
     assert {(r.sign_c1, r.sign_c2) for r in reports} \
         == {(inv.sign_c1, inv.sign_c2)}
 
@@ -265,7 +264,7 @@ def test_gap_witnesses_stay_outside_the_tables(rng, lam, l0):
                    shifted(discrete_act_params(r, moved).scale(lam))]
     for q in images:
         report = classify_full(q)
-        assert _cell(report.invariants) == GAP
+        assert report.invariants.cell == GAP
         assert (report.web.tag, report.eigen_precondition) \
             == ("outside_tables", "degenerate")
 
@@ -298,7 +297,7 @@ def test_every_input_in_the_box_gets_a_report():
                 verdicts[report.web and report.web.tag].add(
                     report.eigen_precondition)
     assert verdicts == {tag: {verdict}
-                        for tag, verdict, _ in _CELLS.values()}
+                        for _, _, tag, verdict, _ in _CELLS.values()}
 
 
 def test_eigen_precondition_does_not_depend_on_where_the_input_sits():
@@ -461,25 +460,25 @@ def test_census_of_cells_matches_the_paper_trees():
     exists: f and g share the leading coefficient v6, so both are
     quadratics (two, double or no real roots) or neither is (linear, a
     nonzero constant or zero), and h has five root types."""
-    assert _CELLS[GAP][:2] == ("outside_tables", "degenerate")
-    assert "double root" in _CELLS[GAP][2][0]
-    assert "no real root" in _CELLS[GAP][2][0]
+    assert _CELLS[GAP][2:4] == ("outside_tables", "degenerate")
+    assert "double root" in _CELLS[GAP][4][0]
+    assert "no real root" in _CELLS[GAP][4][0]
     cells = set()
     for space in (EUCLIDEAN, MINKOWSKI):
         for vals in itertools.product((-1, 0, 1), repeat=6):
             p = KTParams(space, vals)
             inv = invariant_report(p)
-            cells.add(_cell(inv))
+            cells.add(inv.cell)
             assert _eigen_precondition(inv) == paper_eigen_precondition(inv)
             try:
                 tag, verdict, caveats = paper_class(inv)
             except DomainError as exc:
                 assert str(exc) == ("sign pattern (I1=0, C2=negative) matches "
                                     "no tabulated row")
-                assert _cell(inv) == GAP
+                assert inv.cell == GAP
                 negated = ("parameters negated to normalize I3 > 0",)
                 tag, verdict = "outside_tables", paper_eigen_precondition(inv)
-                caveats = (negated if inv.i3 < 0 else ()) + _CELLS[GAP][2]
+                caveats = (negated if inv.i3 < 0 else ()) + _CELLS[GAP][4]
             if tag == "EC1":
                 tag = EC1_SPLIT[verdict]
             report = classify_full(p)
@@ -489,9 +488,31 @@ def test_census_of_cells_matches_the_paper_trees():
     assert cells == set(_CELLS)
 
 
+def test_census_patterns_read_one_class():
+    """Over the {-1..1}^6 box in both planes, each pattern (sign of I1,
+    I3 = 0, C1, C2, I2' = 0, None off its slice) of a nontrivial input
+    reads exactly one class, except the paper's EC1 pattern, which the
+    verdict splits."""
+    tags = defaultdict(set)     # (plane, pattern) -> the classes read
+    for space in (EUCLIDEAN, MINKOWSKI):
+        for vals in itertools.product((-1, 0, 1), repeat=6):
+            report = classify_full(KTParams(space, vals))
+            if report.web is None:
+                continue
+            inv = report.invariants
+            i2p = inv.aux and inv.aux.i2_prime
+            pattern = ((inv.i1 > 0) - (inv.i1 < 0), inv.i3 == 0, inv.sign_c1,
+                       inv.sign_c2, None if i2p is None else i2p == 0)
+            tags[space.kind, pattern].add(report.web.tag)
+    ec1 = ("minkowski", (0, True, SignClass.ZERO, SignClass.ZERO, True))
+    assert tags.pop(ec1) == set(EC1_SPLIT.values())
+    assert all(len(t) == 1 for t in tags.values()), dict(tags)
+
+
 def test_readme_table_is_the_cell_table():
     """The README's table of cells lists every row of `_CELLS`, with the
-    class, the verdict and whether the row carries a caveat."""
+    sign classes of C1 and C2, the class, the verdict and whether the row
+    carries a caveat."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## How the class is decided", 1)[1]
     rows = {}
@@ -499,9 +520,11 @@ def test_readme_table_is_the_cell_table():
         fields = [f.strip() for f in line.strip().strip("|").split("|")]
         if fields[0] not in ("Euclidean", "Minkowski"):
             continue
-        plane, cell, _, tag, verdict, caveat = fields
+        plane, cell, c1, c2, _, tag, verdict, caveat = fields
         cell = cell.strip("`")
         key = cell if plane == "Euclidean" else tuple(cell.split(", "))
-        rows[key] = (None if tag == "trivial" else tag, verdict, bool(caveat))
-    assert rows == {cell: (tag, verdict, bool(caveats))
-                    for cell, (tag, verdict, caveats) in _CELLS.items()}
+        rows[key] = (SignClass(c1), SignClass(c2),
+                     None if tag == "trivial" else tag, verdict, bool(caveat))
+    assert rows == {cell: (c1, c2, tag, verdict, bool(caveats))
+                    for cell, (c1, c2, tag, verdict, caveats)
+                    in _CELLS.items()}

@@ -68,6 +68,17 @@ def test_bad_rational_exits_2(capsys):
     assert "no exponents" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize("value", ["one", "1_0", "1 / 2"])
+def test_literals_outside_the_grammar_exit_2(capsys, command, value):
+    """A word, a digit group or spaces around "/" in --params is a plain
+    parse error, whatever Fraction of the running Python would read."""
+    assert invoke(capsys, command, "--space", "euclidean",
+                  f"--params={value},0,0,0,0,1") \
+        == (2, "", f"killingwebs: parse error: bad rational literal "
+                   f"{value!r}\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert invoke(capsys, "florp")[0] == 2
 
@@ -195,20 +206,22 @@ def test_batch_answers_past_a_bad_record(tmp_path, capsys):
 
 def test_batch_reads_list_numbers_in_exponent_form(tmp_path, capsys):
     """A number in a list is read as the decimal written in the file, in
-    either spelling; inf and nan are that record's parse errors."""
+    either spelling; inf, nan, true and null are that record's parse
+    errors, none of them told "no exponents"."""
     batch = tmp_path / "batch.json"
     batch.write_text("[[1e-05, 0, 0, 0, 0, 1], [0.00001, 0, 0, 0, 0, 1], "
                      "[1e16, 0, 0, 0, 0, 1], [Infinity, 0, 0, 0, 0, 1], "
-                     "[NaN, 0, 0, 0, 0, 1]]")
+                     "[NaN, 0, 0, 0, 0, 1], [true, 0, 0, 0, 0, 1], "
+                     "[null, 0, 0, 0, 0, 1]]")
     status, out, err = invoke(capsys, "classify", "--space", "minkowski",
                               "--batch", str(batch))
     assert (status, err) == (2, "")
-    *lines, inf, nan = out.splitlines(keepends=True)
-    assert lines == [_single_call(capsys, "1/100000,0,0,0,0,1")] * 2 \
+    lines = out.splitlines(keepends=True)
+    assert lines[:3] == [_single_call(capsys, "1/100000,0,0,0,0,1")] * 2 \
         + [_single_call(capsys, f"{10 ** 16},0,0,0,0,1")]
-    assert [json.loads(line)["error"] for line in (inf, nan)] == [
+    assert [json.loads(line)["error"] for line in lines[3:]] == [
         {"kind": "parse", "message": f"bad rational literal {text!r}"}
-        for text in ("inf", "nan")]
+        for text in ("inf", "nan", "True", "None")]
 
 
 def test_empty_params_is_a_parse_error(capsys):

@@ -407,12 +407,12 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     polynomial evaluation, and one invariant report per record, which
     brings the input to integer numerators once, evaluates quad and cross
     on them once (`_quad_cross`, the one home of their closed form, counted
-    wherever it is bound) and from those the invariants and both covariant
-    sign classes, with no
-    call to the public per-quantity functions, no covariant built and no
-    sign decision on a polynomial or on a row: the classes are read off
-    v6, quad and cross, and `row_sign_class`, counted the same way, is
-    never called, on any record; l0, triviality and I1', I2' come from those
+    wherever it is bound) and from those the invariants and the cell, once
+    (`_cell`, counted the same way), with no call to the public
+    per-quantity functions, no covariant built and no sign decision on a
+    polynomial or on a row: both covariant sign classes are read off the
+    cell's row, and `row_sign_class` is never called, on any record; the
+    class comes from the same row; l0, triviality and I1', I2' come from those
     numerators too, with no `decompose` or `auxiliary_invariants`; the
     group action is never derived or evaluated."""
     records = _records()
@@ -421,7 +421,8 @@ def test_warm_classify_full_computes_each_quantity_once(monkeypatch):
     action_calls = derived_kt_action.cache_info()
     tracer = _load_spans().Tracer()
     calls = {}          # function name -> the record of each call
-    once = (spaces.common_numerators, invariants._quad_cross)
+    once = (spaces.common_numerators, invariants._quad_cross,
+            invariants._cell)
     for original in once + (signs.row_sign_class,):
         name = original.__name__
         calls[name] = []

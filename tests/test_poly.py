@@ -174,6 +174,26 @@ def test_rational_parsing_round_trip():
             parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["one", "True", "None", "1e5", "1_0",
+                                  "1 / 2", "1/ 2", "1 /2", "1/0", "."])
+def test_rational_literal_errors_name_their_cause(text):
+    """Only a number in exponent form is told "no exponents"; words, digit
+    groups and spaces around "/", which some Python releases' Fraction
+    reads, are plain bad literals on every release."""
+    why = ": no exponents" if text == "1e5" else ""
+    with pytest.raises(PolynomialError) as info:
+        parse_rational(text)
+    assert str(info.value) == f"bad rational literal {text!r}{why}"
+
+
+def test_long_bad_literal_is_refused_at_once():
+    """The grammar splits a decimal one way only, so a long digit run with
+    a bad tail is refused in linear time, not after quadratic
+    backtracking (about a minute at this length)."""
+    with pytest.raises(PolynomialError):
+        parse_rational("9" * 50_000 + "x")
+
+
 def test_pretty_is_deterministic():
     x, y = var("x"), var("y")
     p = y * y - x + Fraction(1, 2)

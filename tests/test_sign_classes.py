@@ -1,8 +1,10 @@
-"""The covariant sign classes, read off quad and cross.
+"""The covariant sign classes, columns of the cell table.
 
-`invariants._sign_classes` reads the classes of C1 and C2 from eps, v6,
-quad and cross.  The identities below, as polynomial identities in the
-parameters and the point, are why that is exact for every input.  Let
+`invariant_report` reads the classes of C1 and C2 from the row of the
+input's cell in `invariants._CELLS`.  The identities below, as polynomial
+identities in the parameters and the point, are why they are functions of
+the cell, which `invariants._cell` decides from eps, the numerators, quad
+and cross.  Let
 lu = v6 u + v5 and lw = v6 w + v4; when v6 != 0, (lu, lw) runs over the
 whole plane as (u, w) does.
 
@@ -17,9 +19,9 @@ whole plane as (u, w) does.
   otherwise.
 - When v6 = 0, C1 = v5^2 + eps v4^2 is a constant and C2 = C1^2.
 
-`signs.row_sign_class` on the integer rows is the oracle: the closed form
-must agree with it on every input of the {-1..1}^6 box in both planes,
-which holds v6 = 0 and the zero tensor.
+`signs.row_sign_class` on the integer rows is the oracle: the table's
+columns must agree with it on every input of the {-1..1}^6 box in both
+planes, which holds v6 = 0, the zero tensor and every cell.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from collections import defaultdict
 
 import pytest
 
-from killingwebs.invariants import _quad_cross, _sign_classes
+from killingwebs.invariants import _CELLS, _cell, _quad_cross
 from killingwebs.poly import var
 from killingwebs.signs import SignClass, row_sign_class
 from killingwebs.spaces import EUCLIDEAN, MINKOWSKI
@@ -81,16 +83,21 @@ def test_covariants_are_constants_where_v6_vanishes(space):
 
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI], ids=str)
 def test_closed_form_is_the_row_decision_on_the_box(space):
-    """Equal to `row_sign_class` on both rows at every input of the box;
-    the box reaches each branch of the closed form."""
+    """The (C1, C2) columns of the cell's row equal `row_sign_class` on both
+    rows at every input of the box; the box reaches every cell of the plane
+    and each branch of the classes."""
     eps = space.eps
     seen = defaultdict(set)         # v6 != 0 -> the classes met
+    cells = set()
     for p in itertools.product(range(-1, 2), repeat=6):
         quad, cross = _quad_cross(eps, *p)
-        classes = _sign_classes(eps, p, quad, cross)
+        cell = _cell(eps, p, quad, cross)
+        classes = _CELLS[cell][:2]
         assert classes == tuple(map(row_sign_class,
                                     _covariant_rows(eps, p, quad, cross))), p
         seen[p[5] != 0].add(classes)
+        cells.add(cell)
+    assert cells == {c for c in _CELLS if (type(c) is str) == (eps > 0)}
     S = SignClass
     assert seen[False] == {(S.ZERO, S.ZERO),
                            (S.NONZERO_CONST, S.NONZERO_CONST)}

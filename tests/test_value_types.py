@@ -152,7 +152,8 @@ CONTRACT = [
     (AuxInvariants, _MINKOWSKI_REPORT.invariants.aux,
      ("i1_prime", "i2_prime"), {}),
     (InvariantReport, invariant_report(KTParams(EUCLIDEAN, (1, 2, 3, 4, 5, 6))),
-     ("space", "i1", "i2", "i3", "sign_c1", "sign_c2", "aux", "numerators"),
+     ("space", "i1", "i2", "i3", "cell", "sign_c1", "sign_c2", "aux",
+      "numerators"),
      {}),
     (MovingFrameResult, moving_frame(KTParams(EUCLIDEAN, (1, 2, 0, 0, 0, 1))),
      ("angle", "a", "b", "residual", "notes"), {"notes": ()}),
