@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from . import _lazy
 from .classify import classify_full
 from .spaces import (DomainError, KTParams, NontrivialKT, PolynomialError,
-                     _emit, embed_nontrivial, space_by_name)
+                     _emit, embed_nontrivial, parse_values, space_by_name)
 
 # Only the subcommands other than `classify` need these (their handlers in
 # `commands`; `isometry` through `frames` and `verify`; `run_suite` reads
@@ -35,30 +35,20 @@ _lazy("isometry")
 verify = _lazy("verify")
 
 
-def __getattr__(name: str):
-    """`_Parser`, the argparse parser class, defined on first use."""
-    if name != "_Parser":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import argparse
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            # argparse exits with status 2 already; keep the message on stderr.
-            self.exit(2, f"{self.prog}: error: {message}\n")
-    globals()[name] = _Parser
-    return _Parser
-
-
 def _classify_params(space, entry) -> KTParams:
-    """6 (full) or 5 (nontrivial) rationals, in a string or a list.  A
-    finite float in a list is read as the decimal written: the float range
-    bounds its exponent.  inf and nan are left to fail as literals."""
-    if not isinstance(entry, str):
+    """6 (full) or 5 (nontrivial) rationals: comma-separated in a string,
+    one literal per element of a list.  A finite float in a list is read
+    as the decimal written: the float range bounds its exponent.  inf and
+    nan are left to fail as literals."""
+    if isinstance(entry, str):
+        entry = entry.split(",")
+    else:
         from fractions import Fraction      # `spaces` has loaded it
-        entry = ",".join(str(Fraction(repr(v)) if isinstance(v, float)
-                             and v - v == 0 else v) for v in entry)
-    if len(entry.split(",")) == 5:
-        return embed_nontrivial(NontrivialKT.parse(space, entry))
-    return KTParams.parse(space, entry)
+        entry = [str(Fraction(repr(v)) if isinstance(v, float)
+                     and v - v == 0 else v) for v in entry]
+    if len(entry) == 5:
+        return embed_nontrivial(NontrivialKT(space, parse_values(entry, 5)))
+    return KTParams(space, parse_values(entry, 6))
 
 
 def _failure(exc: ValueError) -> tuple[str, str, int]:
@@ -190,7 +180,14 @@ def _arguments(command: str) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser: every subcommand with its help and arguments."""
-    parser = (globals().get("_Parser") or __getattr__("_Parser"))(
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # argparse exits with status 2 already; keep the message on stderr.
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(
         prog="killingwebs", description="Invariant classification of "
         "orthogonal coordinate webs in the plane.")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -60,7 +60,7 @@ def _cmd_covariants(args) -> int:
              f"C2 = {data['C2']}  [{s2.value}]"]
     if args.point is not None:
         u, w = p.space.point_vars
-        pu, pw = parse_values(args.point, 2)
+        pu, pw = parse_values(args.point.split(","), 2)
         point = {u: pu, w: pw}
         vals = {}
         for name, poly in (("C1", c1), ("C2", c2)):

@@ -1,11 +1,12 @@
 """Isometry groups of the two planes and their induced parameter actions.
 
 Group elements carry an exact rational point on the rotation/boost curve
-(c, s with c^2 +/- s^2 = 1) and a rational translation, stored as integers
-in lowest terms.  The actions on Killing tensor and Killing vector
-parameters are closed forms in epsilon, the parameters and (c, s, a, b),
-written once for any ring: evaluated on integer numerators for the exact
-actions and on floats for the moving frames.  The map derived from the
+(c, s with c^2 +/- s^2 = 1) and a rational translation, stored as five
+integers in lowest terms: numerators over one denominator.  The actions on
+Killing tensor and Killing vector parameters are closed forms in epsilon,
+the parameters and (c, s, a, b), written once for any ring: evaluated on
+integer numerators for the exact actions and on floats for the moving
+frames.  The map derived from the
 point map by exact polynomial substitution and re-extraction
 (`derived_kt_action`) is their test oracle, as are the parameter laws
 printed elsewhere.
@@ -28,47 +29,46 @@ from .symbolic import extract_kt_params, kt_components, kv_components
 ExactRotation = namedtuple("ExactRotation", "c s")     # c, s: Fraction
 
 
-class IsometryElement(namedtuple("IsometryElement", "space p r q A B D")):
-    """rot = (c, s) = (p, r)/q, then the translation trans = (a, b) =
-    (A, B)/D.  Each group is in lowest terms over a positive denominator,
-    so equal elements are equal tuples; rot and trans are read as
-    Fractions.  space: Space; p, r, q, A, B, D: int."""
+class IsometryElement(namedtuple("IsometryElement", "space c s a b m")):
+    """rot = (c, s)/m, then the translation trans = (a, b)/m: integers over
+    one positive denominator m with gcd(c, s, a, b, m) = 1, so equal
+    elements are equal tuples; rot and trans are read as Fractions.  The
+    five are the numerators of the element's matrix on the Killing vectors.
+    space: Space; c, s, a, b, m: int."""
     __slots__ = ()
 
     def __new__(cls, space: Space, rot: ExactRotation, trans: tuple):
-        (p, r), q = common_numerators(rot)
-        (a, b), d = common_numerators(trans)
-        return _element(space, p, r, q, a, b, d)
+        nums, m = common_numerators((*rot, *trans))
+        return _element(space, *nums, m)
 
     def __getnewargs__(self):
         return self.space, self.rot, self.trans
 
     @property
     def rot(self) -> ExactRotation:
-        return ExactRotation(Fraction(self.p, self.q),
-                             Fraction(self.r, self.q))
+        return ExactRotation(Fraction(self.c, self.m),
+                             Fraction(self.s, self.m))
 
     @property
     def trans(self) -> tuple:
-        return Fraction(self.A, self.D), Fraction(self.B, self.D)
+        return Fraction(self.a, self.m), Fraction(self.b, self.m)
 
     def matrix(self):
         return _matrix(self.space, *self.rot)
 
 
-def _element(space: Space, p, r, q, a, b, d) -> IsometryElement:
-    """The element (c, s) = (p, r)/q and (a, b)/d, for q, d > 0: each group
-    divided by its gcd, and (c, s) checked on the curve."""
-    g, h = gcd(p, r, q), gcd(a, b, d)
-    p, r, q = p // g, r // g, q // g
+def _element(space: Space, c, s, a, b, m) -> IsometryElement:
+    """The element (c, s, a, b)/m, for m > 0: divided by the gcd of the
+    five, and (c, s) checked on the curve."""
+    g = gcd(c, s, a, b, m)
+    c, s, a, b, m = c // g, s // g, a // g, b // g, m // g
     if space.kind == "euclidean":
-        if p * p + r * r != q * q:
+        if c * c + s * s != m * m:
             raise DomainError("exact rotation must satisfy c^2 + s^2 = 1")
-    elif p * p - r * r != q * q or p < q:
+    elif c * c - s * s != m * m or c < m:
         raise DomainError(
             "exact boost must satisfy c^2 - s^2 = 1 with c >= 1")
-    return tuple.__new__(IsometryElement,
-                         (space, p, r, q, a // h, b // h, d // h))
+    return tuple.__new__(IsometryElement, (space, c, s, a, b, m))
 
 
 def _matrix(space: Space, c, s):
@@ -78,7 +78,7 @@ def _matrix(space: Space, c, s):
 
 @lru_cache(maxsize=None)
 def identity(space: Space) -> IsometryElement:
-    return _element(space, 1, 0, 1, 0, 0, 1)
+    return _element(space, 1, 0, 0, 0, 1)
 
 
 def rotation_from_parameter(space: Space, u: Fraction,
@@ -91,15 +91,15 @@ def rotation_from_parameter(space: Space, u: Fraction,
     """
     n, d = u.as_integer_ratio()
     if space.kind == "euclidean":
-        rot = (d * d - n * n, 2 * n * d, d * d + n * n)
+        c, s, q = d * d - n * n, 2 * n * d, d * d + n * n
     else:
         if n == 0:
             raise DomainError("boost parameter must be nonzero")
         # u < 0 lands on the far branch (c <= -1); negated back onto
         # c >= 1 it is the boost of |u|, hence the |n|.
-        rot = (n * n + d * d, n * n - d * d, 2 * abs(n) * d)
+        c, s, q = n * n + d * d, n * n - d * d, 2 * abs(n) * d
     (a, b), m = common_numerators(trans)
-    return _element(space, *rot, a, b, m)
+    return _element(space, c * m, s * m, a * q, b * q, q * m)
 
 
 def act_point(g: IsometryElement, pt: Sequence) -> tuple:
@@ -113,27 +113,20 @@ def compose(g1: IsometryElement, g2: IsometryElement) -> IsometryElement:
     """Semidirect-product law: act_point(compose(g1, g2)) = g1 after g2."""
     if g1.space != g2.space:
         raise DomainError("cannot compose elements of different spaces")
-    space, p1, r1, q1, a1, b1, d1 = g1
-    _, p2, r2, q2, a2, b2, d2 = g2
+    space, c1, s1, a1, b1, m1 = g1
+    _, c2, s2, a2, b2, m2 = g2
     eps = space.eps
-    # g1.rot (a2, b2) + (a1, b1), over q1 d2 d1.
-    qd = q1 * d2
-    return _element(space, p1 * p2 - eps * r1 * r2, r1 * p2 + p1 * r2,
-                    q1 * q2, (p1 * a2 - eps * r1 * b2) * d1 + a1 * qd,
-                    (r1 * a2 + p1 * b2) * d1 + b1 * qd, qd * d1)
+    # g1.rot (a2, b2) + (a1, b1), over m1 m2.
+    return _element(space, c1 * c2 - eps * s1 * s2, s1 * c2 + c1 * s2,
+                    c1 * a2 - eps * s1 * b2 + a1 * m2,
+                    s1 * a2 + c1 * b2 + b1 * m2, m1 * m2)
 
 
 def inverse(g: IsometryElement) -> IsometryElement:
-    """(c, -s), then minus (c, -s) applied to the translation."""
-    space, p, r, q, a, b, d = g
-    return _element(space, p, -r, q, -p * a - space.eps * r * b,
-                    r * a - p * b, q * d)
-
-
-def _group_numerators(g: IsometryElement) -> tuple[int, ...]:
-    """(c, s, a, b) as numerators over one denominator m, then m."""
-    _, p, r, q, a, b, d = g
-    return p * d, r * d, a * q, b * q, q * d
+    """(c, -s), then minus (c, -s) applied to the translation, over m^2."""
+    space, c, s, a, b, m = g
+    return _element(space, c * m, -s * m, -c * a - space.eps * s * b,
+                    s * a - c * b, m * m)
 
 
 # -- parameter actions, in any ring ----------------------------------------
@@ -163,40 +156,42 @@ def _kt_action(eps, p, c, s, a, b, one=1):
             0 + p6)
 
 
-def _kv_action(eps, v, c, s, a, b):
+def _kv_action(eps, v, c, s, a, b, one=1):
     """The three Killing vector parameters v moved by the element,
-    homogeneous of degrees 1, 1 and 0 in (c, s, a, b)."""
+    homogeneous of degrees 1, 1 and 0 in (c, s, a, b); `one`, taken as
+    `_kt_action` takes it, appears in no term."""
     v1, v2, v3 = v
     return (v1 * c - v3 * b - eps * v2 * s,
             v1 * s + v2 * c + eps * v3 * a,
             v3)
 
 
+def _act_exact(action, degrees, g: IsometryElement, p):
+    """`action` on the numerators of p over d and the element's five
+    integers, its k-th value put over d m^degrees[k]."""
+    nums, d = common_numerators(p.values)
+    space, c, s, a, b, m = g
+    dens = (d, d * m, d * m * m)
+    return type(p)(space, [Fraction(n, dens[k]) for n, k in zip(
+        action(space.eps, nums, c, s, a, b, m), degrees)])
+
+
 def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
-    """Induced action on the six parameters, exact: `_kt_action` on the
-    numerators of p over d and of (c, s, a, b) over m.
+    """Induced action on the six parameters, exact: `_kt_action` on
+    integers.
 
     Substituting the point map into the components and re-extracting
     (`_transformed_components`, `extract_kt_params`) gives the same values
     and is the test oracle.
     """
-    nums, d = common_numerators(p.values)
-    c, s, a, b, m = _group_numerators(g)
-    dm = d * m
-    dens = (dm * m,) * 3 + (dm, dm, d)
-    return KTParams(g.space, [Fraction(n, den) for n, den in zip(
-        _kt_action(g.space.eps, nums, c, s, a, b, m), dens)])
+    return _act_exact(_kt_action, (2, 2, 2, 1, 1, 0), g, p)
 
 
 def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
     """Induced action on the three Killing vector parameters, evaluated like
     `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
     test oracle."""
-    nums, d = common_numerators(p.values)
-    c, s, a, b, m = _group_numerators(g)
-    dens = (d * m, d * m, d)
-    return KVParams(g.space, [Fraction(n, den) for n, den in zip(
-        _kv_action(g.space.eps, nums, c, s, a, b), dens)])
+    return _act_exact(_kv_action, (1, 1, 0), g, p)
 
 
 def act_kt_params_float(p: KTParams, cs: tuple,

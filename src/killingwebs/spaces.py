@@ -100,9 +100,9 @@ def space_by_name(name: str) -> Space:
         raise DomainError(f"unknown space {name!r}") from None
 
 
-def parse_values(text: str, count: int) -> tuple[Fraction, ...]:
-    """Exactly `count` comma-separated rationals."""
-    parts = text.split(",")
+def parse_values(parts: Sequence[str], count: int) -> tuple[Fraction, ...]:
+    """Exactly `count` rationals, one literal per part: the text between
+    commas, or a batch list's element."""
     if len(parts) != count:
         raise PolynomialError(
             f"expected {count} comma-separated rationals, got {len(parts)}")
@@ -139,7 +139,7 @@ class _ParamVector(namedtuple("_ParamVector", "space values")):
 
     @classmethod
     def parse(cls, space: Space, text: str):
-        return cls(space, parse_values(text, cls.size))
+        return cls(space, parse_values(text.split(","), cls.size))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)

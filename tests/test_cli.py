@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import killingwebs
 from killingwebs import cli, verify
-from killingwebs.cli import COMMANDS, _cmd_classify, _Parser, positive_int, run
+from killingwebs.cli import COMMANDS, _cmd_classify, positive_int, run
 from killingwebs.commands import (_cmd_canonical, _cmd_covariants,
                                   _cmd_decompose, _cmd_frame, _cmd_generators,
                                   _cmd_invariants, _cmd_joint, _cmd_orbit_dim,
@@ -156,13 +156,16 @@ def test_batch_mode_emits_json_lines(tmp_path, capsys):
     ('{"params": "0,0,0,0,1"}', "must hold a JSON array", 0),
     ("[5]", "batch entry 0 is neither a string nor a list", 0),
     ('["0,0,0,0,1", null]', "batch entry 1 is neither a string nor a list", 1),
+    ('[["1,2", 3, 4, 5, 6]]', "bad rational literal '1,2'", 0),
+    ("[[[1, 2], 0, 0, 0, 0, 1]]", "bad rational literal '[1, 2]'", 0),
 ])
 def test_batch_file_errors_exit_2(tmp_path, capsys, content, message,
                                   records):
     """A file that is unreadable or holds no JSON array is refused whole,
     with the message on stderr.  In an array, an entry that is neither a
-    string nor a list gets its own error line after the `records` answered
-    ones, and the batch exits 2 at the end."""
+    string nor a list, or a list element that is not one literal, gets its
+    own error line after the `records` answered ones, and the batch exits
+    2 at the end."""
     batch = tmp_path / "batch.json"
     if content is not None:
         batch.write_text(content)
@@ -438,6 +441,9 @@ def test_mode_is_rejected_where_it_is_not_read(capsys, argv):
     status, out, err = invoke(capsys, *argv, "--mode", "float")
     assert (status, out) == (2, "")
     assert "unrecognized arguments: --mode float" in err
+
+
+_Parser = type(cli.build_parser())
 
 
 # The parser as it was built before the COMMANDS table, kept verbatim: the

@@ -183,8 +183,7 @@ angles = st.one_of(rationals, tall)
 
 
 def in_lowest_terms(g):
-    return (g.q > 0 and g.D > 0 and gcd(g.p, g.r, g.q) == 1
-            and gcd(g.A, g.B, g.D) == 1)
+    return g.m > 0 and gcd(g.c, g.s, g.a, g.b, g.m) == 1
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
@@ -304,6 +303,35 @@ def test_group_law_on_points_and_parameters(space):
     g = random_element(space, random.Random(5))
     assert compose(g, inverse(g)) == identity(space)
     assert compose(inverse(g), g) == identity(space)
+
+
+def kv_matrix(g):
+    """The element's matrix [[R, t'], [0, 1]] on the Killing vectors, as
+    numerators N over m: t' = (-b, eps a)/m."""
+    _, c, s, a, b, m = g
+    eps = g.space.eps
+    return ((c, -eps * s, -b), (s, c, eps * a), (0, 0, m))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_element_is_its_matrix_on_the_killing_vectors(space):
+    """Column i of N/m is the image of the i-th basis vector under
+    `act_kv_params`, and `compose` multiplies the matrices: N(g h) is
+    N(g) N(h) divided by the gcd of its entries."""
+    rng = random.Random(20)
+    basis = [KVParams(space, [int(i == j) for j in range(3)])
+             for i in range(3)]
+    for _ in range(200):
+        g, h = random_element(space, rng), random_element(space, rng)
+        n = kv_matrix(g)
+        for i, e in enumerate(basis):
+            assert act_kv_params(g, e).values \
+                == tuple(Fraction(row[i], g.m) for row in n)
+        product = [[sum(x * y for x, y in zip(row, col))
+                    for col in zip(*kv_matrix(h))] for row in n]
+        k = gcd(*(v for row in product for v in row))
+        assert kv_matrix(compose(g, h)) \
+            == tuple(tuple(v // k for v in row) for row in product)
 
 
 def test_identity_is_shared_by_equal_spaces():

@@ -161,7 +161,7 @@ CONTRACT = [
      ("c", "s"), {}),
     (IsometryElement,
      rotation_from_parameter(MINKOWSKI, Fraction(2), (Fraction(1, 2), 3)),
-     ("space", "p", "r", "q", "A", "B", "D"), {}),
+     ("space", "c", "s", "a", "b", "m"), {}),
     (DiscreteReflection, DiscreteReflection(("R1", "R2")), ("word",), {}),
     (LinearVectorField,
      LinearVectorField(("alpha1", "alpha2"), (var("alpha2"), poly(3))),
