@@ -178,8 +178,9 @@ def _arguments(command: str) -> tuple:
     return (OUTPUT, MODE, *arguments) if mode else (OUTPUT, *arguments)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser: every subcommand with its help and arguments."""
+def build_parser():
+    """The argparse parser, an `argparse.ArgumentParser`: every subcommand
+    with its help and arguments."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):

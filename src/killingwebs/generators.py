@@ -1,10 +1,12 @@
 """Infinitesimal generators on parameter space and their algebra.
 
-The generators are *derived*: each coordinate Killing vector is applied to
-the general (symbolically parametrized) Killing tensor via the Lie
-derivative, and the resulting tensor is re-extracted as a linear vector
-field on parameter space.  Printed closed forms are used downstream only as
-test vectors.
+The generators are *derived* from the one closed-form group action of
+`isometry`: each is minus the derivative of the action at the identity
+along a one-parameter subgroup (the two translations, and the
+rotation/boost, whose tangent at the identity is d/ds).  Applying the
+coordinate Killing vectors to the general field by the Lie derivative and
+re-extracting gives the same fields and is the test oracle.  Printed closed
+forms are used downstream only as test vectors.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
+from .isometry import _GROUP_VARS, _kt_action, _kv_action
 from .poly import MultiPoly, var
 from .spaces import KV_PARAM_VARS, DomainError, Space
-from .symbolic import (extract_kt_params, extract_kv_params, kv_components,
-                       symbolic_killing_tensor)
+from .symbolic import kv_components
 
 
 class LinearVectorField(namedtuple("LinearVectorField",
@@ -94,56 +96,24 @@ def coordinate_killing_vectors(space: Space) -> list[tuple[MultiPoly, MultiPoly]
             for e in ((1, 0, 0), (0, 1, 0), (0, 0, -space.eps))]
 
 
-def _lie_derivative_tensor(X: tuple[MultiPoly, MultiPoly],
-                           comps: tuple[MultiPoly, MultiPoly, MultiPoly],
-                           d: Sequence[str]):
-    """(L_X K)^{ij} = X^k d_k K^{ij} - K^{kj} d_k X^i - K^{ik} d_k X^j."""
-    K = {(0, 0): comps[0], (0, 1): comps[1], (1, 0): comps[1], (1, 1): comps[2]}
-    out = {}
-    for i in range(2):
-        for j in range(i, 2):
-            term = MultiPoly.zero()
-            for k in range(2):
-                term = term + X[k] * K[(i, j)].diff(d[k])
-                term = term - K[(k, j)] * X[i].diff(d[k])
-                term = term - K[(i, k)] * X[j].diff(d[k])
-            out[(i, j)] = term
-    return (out[(0, 0)], out[(0, 1)], out[(1, 1)])
-
-
-def _bracket(X: Sequence[MultiPoly], V: Sequence[MultiPoly],
-             d: Sequence[str]) -> tuple[MultiPoly, ...]:
-    """[X, V]^i = X^k d_k V^i - V^k d_k X^i, the components taken on the
-    symbols d."""
-    out = []
-    for Vi, Xi in zip(V, X):
-        term = MultiPoly.zero()
-        for Xk, Vk, sym in zip(X, V, d):
-            term = term + Xk * Vi.diff(sym) - Vk * Xi.diff(sym)
-        out.append(term)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def sigma_generators(space: Space, valence: int
                      ) -> tuple[LinearVectorField, ...]:
-    """The isometry generators pushed to parameter space, derived once per
-    (space, valence); the tuple is shared by every caller."""
+    """The isometry generators pushed to parameter space: minus the
+    derivative of the closed-form action at the identity in a, b and s,
+    derived once per (space, valence); the tuple is shared by every
+    caller."""
     if valence == 2:
-        domain = space.param_vars
-        comps = symbolic_killing_tensor(space)
-        lie_derivative, extract = _lie_derivative_tensor, extract_kt_params
+        domain, action = space.param_vars, _kt_action
     elif valence == 1:
-        domain = KV_PARAM_VARS
-        comps = kv_components(space, [var(v) for v in domain])
-        lie_derivative, extract = _bracket, extract_kv_params
+        domain, action = KV_PARAM_VARS, _kv_action
     else:
         raise DomainError("valence must be 1 or 2")
-    fields = []
-    for X in coordinate_killing_vectors(space):
-        extracted = extract(space, lie_derivative(X, comps, space.point_vars))
-        fields.append(LinearVectorField(domain, tuple(extracted)))
-    return tuple(fields)
+    moved = action(space.eps, [var(v) for v in domain],
+                   *(var(g) for g in _GROUP_VARS))
+    identity = {"c": 1, "s": 0, "a": 0, "b": 0}
+    return tuple(LinearVectorField(domain, tuple(
+        -f.diff(g).subst(identity) for f in moved)) for g in ("a", "b", "s"))
 
 
 def extended_generators(space: Space) -> list[LinearVectorField]:
@@ -182,11 +152,13 @@ def joint_generators(space: Space, valences: Sequence[int]
 
 
 def commutator(V: LinearVectorField, W: LinearVectorField) -> LinearVectorField:
-    """Lie bracket [V, W] = V(W) - W(V), exactly."""
+    """Lie bracket [V, W] = V(W) - W(V), exactly: component i is
+    V^k d_k W^i - W^k d_k V^i."""
     if V.domain != W.domain:
         raise DomainError("domain mismatch")
-    return LinearVectorField(V.domain, _bracket(V.coefficients,
-                                                W.coefficients, V.domain))
+    return LinearVectorField(V.domain, tuple(
+        V.apply(w) - W.apply(v)
+        for v, w in zip(V.coefficients, W.coefficients)))
 
 
 def structure_residuals(fields: Sequence[LinearVectorField],

@@ -10,6 +10,12 @@ covariants' rows, the polynomials and the joint invariants live in
 `symbolic`.  This
 module serves only `invariant_polynomials`, `covariant_polynomials` and
 `fundamental_covariants`, which the benchmark reaches through it.
+
+The invariants are the coefficients of a pencil: with
+A = [[v1, v3, -eps v4], [v3, v2, v5], [-eps v4, v5, v6]] and
+D = diag(1, eps, 0), det(A - lam D) = det A - eps I2 lam + eps I3 lam^2,
+and I1 = I2^2 - 4 eps I3 det A (both proven as polynomial identities in
+the tests, in both planes).  The closed forms stay the ones evaluated.
 """
 
 from __future__ import annotations

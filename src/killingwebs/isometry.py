@@ -5,8 +5,9 @@ Group elements carry an exact rational point on the rotation/boost curve
 integers in lowest terms: numerators over one denominator.  The actions on
 Killing tensor and Killing vector parameters are closed forms in epsilon,
 the parameters and (c, s, a, b), written once for any ring: evaluated on
-integer numerators for the exact actions and on floats for the moving
-frames.  The map derived from the
+integer numerators for the exact actions, on floats for the moving frames
+and on `var` symbols for the parameter-space generators, which
+`generators` derives from them at the identity.  The map derived from the
 point map by exact polynomial substitution and re-extraction
 (`derived_kt_action`) is their test oracle, as are the parameter laws
 printed elsewhere.
@@ -23,7 +24,7 @@ from math import gcd
 from .poly import MultiPoly, poly, var
 from .spaces import (DomainError, KTParams, KVParams, Space,
                      common_numerators)
-from .symbolic import extract_kt_params, kt_components, kv_components
+from .symbolic import extract_kt_params, kt_components
 
 
 ExactRotation = namedtuple("ExactRotation", "c s")     # c, s: Fraction
@@ -169,6 +170,8 @@ def _kv_action(eps, v, c, s, a, b, one=1):
 def _act_exact(action, degrees, g: IsometryElement, p):
     """`action` on the numerators of p over d and the element's five
     integers, its k-th value put over d m^degrees[k]."""
+    if p.space != g.space:
+        raise DomainError("element and parameters of different spaces")
     nums, d = common_numerators(p.values)
     space, c, s, a, b, m = g
     dens = (d, d * m, d * m * m)
@@ -189,8 +192,8 @@ def act_kt_params(g: IsometryElement, p: KTParams) -> KTParams:
 
 def act_kv_params(g: IsometryElement, p: KVParams) -> KVParams:
     """Induced action on the three Killing vector parameters, evaluated like
-    `act_kt_params`; `_transformed_vector` with `extract_kv_params` is the
-    test oracle."""
+    `act_kt_params`; pushing the vector through the point map and
+    re-extracting, in the test samplers, is the test oracle."""
     return _act_exact(_kv_action, (1, 1, 0), g, p)
 
 
@@ -230,13 +233,6 @@ def _transformed_components(space: Space, values, cs, trans):
     new11 = j[1][0] * j[1][0] * k00 + 2 * j[1][0] * j[1][1] * k01 \
         + j[1][1] * j[1][1] * k11
     return (new00, new01, new11)
-
-
-def _transformed_vector(space: Space, values, cs, trans):
-    """Push the Killing vector components through the point map."""
-    j, bindings = _pullback(space, cs, trans)
-    v0, v1 = (v.subst(bindings) for v in kv_components(space, values))
-    return (j[0][0] * v0 + j[0][1] * v1, j[1][0] * v0 + j[1][1] * v1)
 
 
 def reduce_rotation_identity(p: MultiPoly, space: Space) -> MultiPoly:

@@ -20,8 +20,9 @@ from .invariants import MONOMIALS, SignClass
 from .spaces import PolynomialError, common_numerators
 
 
-def quadratic_sign_class(p: "MultiPoly", point_vars: tuple[str, str]) -> SignClass:
-    """Classify a quadratic in the two given point variables, exactly."""
+def quadratic_sign_class(p, point_vars: tuple[str, str]) -> SignClass:
+    """Classify a quadratic `MultiPoly` p in the two given point variables,
+    exactly."""
     coeffs = p.coefficients_in(point_vars)
     if any(eu + ev > 2 for eu, ev in coeffs):
         raise PolynomialError("not a quadratic")

@@ -76,21 +76,6 @@ def extract_kt_params(space: Space, components: Sequence[MultiPoly]
     return [v1, v2, v3, v4, v5, v6]
 
 
-def extract_kv_params(space: Space, components: Sequence[MultiPoly]
-                      ) -> list[MultiPoly]:
-    """Recover the three Killing vector parameters, with residue check."""
-    c0, c1 = (k.coefficients_in(space.point_vars) for k in components)
-    zero = MultiPoly.zero()
-    v1 = c0.get((0, 0), zero)
-    v3 = c0.get((0, 1), zero)
-    v2 = c1.get((0, 0), zero)
-    rebuilt = kv_components(space, [v1, v2, v3])
-    residues = [a - b for a, b in zip(components, rebuilt)]
-    if any(not r.is_zero() for r in residues):
-        raise DomainError("components do not fit the Killing vector pattern")
-    return [v1, v2, v3]
-
-
 def killing_residual(space: Space, components: Sequence[MultiPoly]
                      ) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     """Fully symmetrized gradient of the covariant components

@@ -5,7 +5,9 @@ are fixed by its seed.  `killingwebs.verify` keeps a sampler of its own:
 its translation range differs, and its goldens pin its stream.  The
 hypothesis strategies, the symbol table `A`, the class of each canonical
 row (read off `frames.CANONICAL`) and the package's source directory are
-defined here once.
+defined here once, and so are the oracles the package no longer runs: the
+Killing vector pushed through the point map and re-extracted, and the
+parameter-space generators derived by Lie derivatives.
 """
 
 from fractions import Fraction
@@ -15,9 +17,13 @@ from hypothesis import strategies as st
 
 from killingwebs.classify import classify_euclidean, classify_minkowski
 from killingwebs.frames import CANONICAL, K2_CLASSES, canonical_form
-from killingwebs.isometry import rotation_from_parameter
-from killingwebs.poly import var
-from killingwebs.spaces import KTParams, decompose
+from killingwebs.generators import (LinearVectorField,
+                                    coordinate_killing_vectors)
+from killingwebs.isometry import _pullback, rotation_from_parameter
+from killingwebs.poly import MultiPoly, var
+from killingwebs.spaces import KV_PARAM_VARS, DomainError, KTParams, decompose
+from killingwebs.symbolic import (extract_kt_params, kv_components,
+                                  symbolic_killing_tensor)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,3 +99,70 @@ def literal_forms(space, p, point=(0, 0)):
              v6 * (v1 + v2) - v4 ** 2 - v5 ** 2, v6),
             (lu ** 2 + lw ** 2,
              (lu ** 2 - lw ** 2) * quad + 4 * lu * lw * cross))
+
+
+def transformed_vector(space, values, cs, trans):
+    """Push the Killing vector components through the point map."""
+    j, bindings = _pullback(space, cs, trans)
+    v0, v1 = (v.subst(bindings) for v in kv_components(space, values))
+    return (j[0][0] * v0 + j[0][1] * v1, j[1][0] * v0 + j[1][1] * v1)
+
+
+def extract_kv_params(space, components):
+    """Recover the three Killing vector parameters, with residue check."""
+    c0, c1 = (k.coefficients_in(space.point_vars) for k in components)
+    zero = MultiPoly.zero()
+    v1 = c0.get((0, 0), zero)
+    v3 = c0.get((0, 1), zero)
+    v2 = c1.get((0, 0), zero)
+    rebuilt = kv_components(space, [v1, v2, v3])
+    residues = [a - b for a, b in zip(components, rebuilt)]
+    if any(not r.is_zero() for r in residues):
+        raise DomainError("components do not fit the Killing vector pattern")
+    return [v1, v2, v3]
+
+
+def _lie_derivative_tensor(X, comps, d):
+    """(L_X K)^{ij} = X^k d_k K^{ij} - K^{kj} d_k X^i - K^{ik} d_k X^j."""
+    K = {(0, 0): comps[0], (0, 1): comps[1], (1, 0): comps[1], (1, 1): comps[2]}
+    out = {}
+    for i in range(2):
+        for j in range(i, 2):
+            term = MultiPoly.zero()
+            for k in range(2):
+                term = term + X[k] * K[(i, j)].diff(d[k])
+                term = term - K[(k, j)] * X[i].diff(d[k])
+                term = term - K[(i, k)] * X[j].diff(d[k])
+            out[(i, j)] = term
+    return (out[(0, 0)], out[(0, 1)], out[(1, 1)])
+
+
+def _lie_bracket(X, V, d):
+    """[X, V]^i = X^k d_k V^i - V^k d_k X^i, the components taken on the
+    symbols d."""
+    out = []
+    for Vi, Xi in zip(V, X):
+        term = MultiPoly.zero()
+        for Xk, Vk, sym in zip(X, V, d):
+            term = term + Xk * Vi.diff(sym) - Vk * Xi.diff(sym)
+        out.append(term)
+    return tuple(out)
+
+
+def lie_derivative_generators(space, valence):
+    """The oracle of `generators.sigma_generators`: each coordinate Killing
+    vector applied to the general field (valence 2: the Killing tensor,
+    valence 1: the Killing vector) by the Lie derivative, the result
+    re-extracted as a linear vector field on parameter space."""
+    if valence == 2:
+        domain = space.param_vars
+        comps = symbolic_killing_tensor(space)
+        lie_derivative, extract = _lie_derivative_tensor, extract_kt_params
+    else:
+        domain = KV_PARAM_VARS
+        comps = kv_components(space, [var(v) for v in domain])
+        lie_derivative, extract = _lie_bracket, extract_kv_params
+    return tuple(
+        LinearVectorField(domain, tuple(extract(
+            space, lie_derivative(X, comps, space.point_vars))))
+        for X in coordinate_killing_vectors(space))

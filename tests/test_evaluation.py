@@ -39,8 +39,7 @@ from killingwebs.invariants import (_quad_cross, covariant_sign_classes,
                                     fundamental_invariants, invariant_report)
 from killingwebs.isometry import (_GROUP_VARS, IsometryElement, _derive,
                                   _kt_action, _kv_action,
-                                  _transformed_components,
-                                  _transformed_vector, act_kt_params,
+                                  _transformed_components, act_kt_params,
                                   act_kt_params_float, act_kv_params,
                                   derived_kt_action, rotation_from_parameter)
 from killingwebs.poly import MultiPoly, var
@@ -49,11 +48,12 @@ from killingwebs.spaces import (EUCLIDEAN, KV_PARAM_VARS, MINKOWSKI, KTParams,
                                 KVParams, Space, embed_nontrivial)
 from killingwebs.symbolic import (_joint_invariants, covariant_polynomials,
                                   eigen_discriminant, extract_kt_params,
-                                  extract_kv_params, fundamental_covariants,
+                                  fundamental_covariants,
                                   invariant_polynomials,
                                   joint_invariant_polynomials,
                                   joint_invariants)
-from samplers import BIG, literal_forms, nonzero, slot
+from samplers import (BIG, extract_kv_params, literal_forms, nonzero, slot,
+                      transformed_vector)
 
 SPACES = [EUCLIDEAN, MINKOWSKI]
 values = st.one_of(st.tuples(*[nonzero] * 6),      # dense
@@ -171,7 +171,7 @@ def test_closed_form_actions_equal_the_derived_maps(space):
     tensor = _kt_action(space.eps, [var(v) for v in space.param_vars], *group)
     assert all(a == b for a, b in zip(tensor, derived_kt_action(space)))
     vector = _kv_action(space.eps, [var(v) for v in KV_PARAM_VARS], *group)
-    derived = _derive(space, _transformed_vector, extract_kv_params,
+    derived = _derive(space, transformed_vector, extract_kv_params,
                       KV_PARAM_VARS)
     assert all(a == b for a, b in zip(vector, derived))
     assert (len(tensor), len(vector)) == (6, 3)
@@ -213,7 +213,7 @@ def test_group_action_matches_substitution(space, data, vals):
 def test_vector_action_matches_substitution(space, data, vals):
     kv = KVParams(space, vals)
     g = data.draw(elements(space))
-    comps = _transformed_vector(space, kv.values, g.rot, g.trans)
+    comps = transformed_vector(space, kv.values, g.rot, g.trans)
     oracle = tuple(v.constant_value() for v in extract_kv_params(space, comps))
     assert act_kv_params(g, kv).values == oracle
 

@@ -1,6 +1,9 @@
 """Generators on parameter space: printed forms, brackets, orbit ranks.
 
-The published valence-1/valence-2 Euclidean triples contain three misprints
+The package derives the generators from the closed-form group action at
+the identity; the Lie derivatives of the general field along the
+coordinate Killing vectors (`samplers.lie_derivative_generators`) must give
+the same fields.  The published valence-1/valence-2 Euclidean triples contain three misprints
 (one wrong sign inside one field, one wrong derivative symbol, and an
 overall sign on the rotational fields).  The derived fields are the source
 of truth (they are validated by structure constants and annihilation); the
@@ -23,7 +26,7 @@ from killingwebs.spaces import EUCLIDEAN, MINKOWSKI, DomainError
 from killingwebs.symbolic import (covariant_polynomials,
                                   invariant_polynomials,
                                   joint_invariant_polynomials)
-from samplers import A
+from samplers import A, lie_derivative_generators
 
 B = {i: var(f"beta{i}") for i in range(1, 7)}
 
@@ -71,6 +74,19 @@ def euclidean_printed_sigma2():
         field(d, beta1=-2 * B[3], beta2=2 * B[3], beta3=B[1] - B[2],
               beta4=B[5], beta5=-B[4]),
     ]
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("valence", [1, 2])
+def test_sigma_generators_equal_the_lie_derivative_oracle(space, valence):
+    assert sigma_generators(space, valence) \
+        == lie_derivative_generators(space, valence)
+
+
+def test_sigma_generators_refuse_other_valences():
+    with pytest.raises(DomainError, match="valence must be 1 or 2"):
+        sigma_generators(EUCLIDEAN, 3)
 
 
 def test_minkowski_sigma_generators_match_printed_forms_exactly():

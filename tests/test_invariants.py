@@ -83,6 +83,30 @@ def test_trace_identity():
         trace_identity_check(metric_params(MINKOWSKI))
 
 
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI],
+                         ids=lambda s: s.kind)
+def test_invariants_are_the_pencil_coefficients(space):
+    """With A = [[v1, v3, -eps v4], [v3, v2, v5], [-eps v4, v5, v6]] and
+    D = diag(1, eps, 0): det(A - lam D) = det A - eps I2 lam + eps I3 lam^2
+    and I1 = I2^2 - 4 eps I3 det A, as polynomials.  `s` stands for lam:
+    the parameters do not use it."""
+    eps, lam = space.eps, var("s")
+    v1, v2, v3, v4, v5, v6 = (var(v) for v in space.param_vars)
+    a = [[v1, v3, -eps * v4], [v3, v2, v5], [-eps * v4, v5, v6]]
+    d = (1, eps, 0)
+    pencil = [[a[i][j] - (lam * d[i] if i == j else 0) for j in range(3)]
+              for i in range(3)]
+    i1, i2, i3 = invariant_polynomials(space)
+    det = _det3(a)
+    assert _det3(pencil) == det - eps * i2 * lam + eps * i3 * lam * lam
+    assert i1 == i2 * i2 - 4 * eps * i3 * det
+
+
 # -- exact invariance under the connected group -------------------------------
 
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])

@@ -345,6 +345,20 @@ def test_identity_is_shared_by_equal_spaces():
         compose(identity(MINKOWSKI), g)
 
 
+@pytest.mark.parametrize("params_space, element_space",
+                         [(EUCLIDEAN, MINKOWSKI), (MINKOWSKI, EUCLIDEAN)],
+                         ids=["euclidean-params", "minkowski-params"])
+def test_actions_refuse_an_element_of_another_space(params_space,
+                                                     element_space):
+    """Both exact actions refuse an element of the other plane, as
+    `compose` does, instead of answering in the element's plane."""
+    g = rotation_from_parameter(element_space, 2, (1, 3))
+    with pytest.raises(DomainError, match="different spaces"):
+        act_kt_params(g, KTParams(params_space, (1, 2, 3, 4, 5, 6)))
+    with pytest.raises(DomainError, match="different spaces"):
+        act_kv_params(g, KVParams(params_space, (1, 2, 3)))
+
+
 @pytest.mark.parametrize("space", [EUCLIDEAN, MINKOWSKI])
 def test_point_and_parameter_actions_are_compatible(space):
     """Transformed field at the transformed point = original field pushed

@@ -3,15 +3,18 @@ namedtuple contract, repr, and what a process of the CLI loads.
 
 Every value type is a `collections.namedtuple`; those with methods or
 validation subclass one (with empty `__slots__`), and the validating ones
-check their fields in `__new__`.
+check their fields in `__new__`.  Every annotation in the package resolves.
 """
 
+import importlib
+import inspect
 import json
 import pickle
 import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 
 import pytest
@@ -86,6 +89,43 @@ def test_value_types(make, expected):
             make()
     else:
         assert make() == expected
+
+
+def _defined_functions():
+    """Every function defined at the top of a module of the package, and
+    every method of a class defined there, by qualified name."""
+    modules = [killingwebs] + [
+        importlib.import_module(f"killingwebs.{m.name}")
+        for m in pkgutil.iter_modules(killingwebs.__path__)]
+    for module in modules:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                # Unwrap static and class methods and properties.
+                member = getattr(member, "__func__", member)
+                member = getattr(member, "fget", member)
+                if inspect.isfunction(member):
+                    yield f"{module.__name__}.{member.__qualname__}", member
+
+
+def test_every_annotation_resolves():
+    """`typing.get_type_hints` resolves the annotations of every function
+    and method of the package: each name an annotation uses is bound in
+    its module."""
+    unresolved, checked = [], set()
+    for name, function in _defined_functions():
+        checked.add(name)
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
+    assert {"killingwebs.cli.build_parser",
+            "killingwebs.signs.quadratic_sign_class",
+            "killingwebs.poly.MultiPoly.subst",
+            "killingwebs.isometry.IsometryElement.rot"} <= checked
 
 
 def test_cli_import_loads_whole_package_without_dataclasses():
